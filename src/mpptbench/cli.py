@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, load_scenario
+from .config import CSV_DURATION_REQUIRED, ConfigError, ScenarioConfig, load_scenario
 from .harness import (
     SimulationError,
     compute_metrics,
@@ -71,6 +71,10 @@ def _load(args) -> ScenarioConfig:
         csv_path = Path(args.profile)
         if not csv_path.exists():
             raise ConfigError(f"profile CSV not found: {csv_path}")
+        if scenario.sim.duration is None:
+            raise ConfigError(
+                f"{args.config}: sim.duration_s: {CSV_DURATION_REQUIRED}: {csv_path}"
+            )
         scenario.profile = load_profile_csv(csv_path)
         scenario.profile_source = str(csv_path)
     if args.out is not None:

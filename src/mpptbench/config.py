@@ -29,6 +29,10 @@ class ConfigError(Exception):
     """A scenario file failed to load or validate."""
 
 
+# A CSV row gives only a start time, so a CSV profile has no end of its own.
+CSV_DURATION_REQUIRED = "required with a CSV profile, which has no end time of its own"
+
+
 @dataclass(frozen=True)
 class PanelPreset:
     """Panel-level datasheet values plus the series cell count."""
@@ -364,6 +368,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         )
     except ValueError as exc:
         raise sim_sec.error("control_interval_s", str(exc)) from None
+    if sim.duration is None and profile_source != "builtin-table1":
+        raise sim_sec.error("duration_s", f"{CSV_DURATION_REQUIRED}: {profile_source}")
 
     output_dir = root.get("output_dir", "out")
     if not isinstance(output_dir, str):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -42,21 +43,22 @@ class EnvProfile:
             raise ValueError("profile needs at least one segment")
         if self.segments[0].t_start != 0.0:
             raise ValueError("first segment must start at t = 0.0")
-        starts = [s.t_start for s in self.segments]
+        starts = tuple(s.t_start for s in self.segments)
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("segment start times must be strictly increasing")
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
+        object.__setattr__(self, "_starts", starts)
 
     def env_at(self, t: float) -> EnvCondition:
-        """Environment active at time t (step changes, no interpolation)."""
-        current = self.segments[0].env
-        for seg in self.segments:
-            if seg.t_start <= t:
-                current = seg.env
-            else:
-                break
-        return current
+        """Environment active at time t (step changes, no interpolation).
+
+        That is the last segment starting at or before t, or the first
+        segment when t precedes it.  A binary search over the segment
+        starts finds it, so a lookup costs O(log n) for any order of t.
+        """
+        # Searching from index 1 lets the first segment cover any t before it.
+        return self.segments[bisect_right(self._starts, t, 1) - 1].env
 
 
 # Benchmark cloud transient: 16 irradiance steps over 5 s at constant 298 K.
@@ -80,8 +82,10 @@ def load_profile_csv(path: str | Path) -> EnvProfile:
     """Load a profile from CSV with header time_s,irradiance_w_m2,temperature_c.
 
     Temperatures are given in celsius and converted at this boundary.
-    The profile duration defaults to the last segment's start time; runs
-    normally override it via the simulation duration setting.
+    A row gives only a start time, so the returned duration is the last
+    segment's start time, which would leave that segment out of a run:
+    a scenario with a CSV profile must set sim.duration_s, and
+    load_scenario and the CLI reject one that does not.
     """
     path = Path(path)
     segments: list[EnvSegment] = []

@@ -10,6 +10,12 @@ current solves the implicit equation
 which is handled by a damped Newton iteration with a bisection fallback.
 Arrays of identical, identically illuminated cells scale linearly in
 series (voltage) and parallel (current).
+
+The control loop and the MPP oracle's refinement solve one voltage at a
+time, so a scalar voltage takes a plain-float copy of the numpy Newton
+solve, and PVArray memoizes the per-condition constants (I_ph, I_0,
+V_t) instead of rebuilding them on every call.  Both paths return the
+same floats; voltage grids stay on numpy.
 """
 
 from __future__ import annotations
@@ -318,6 +324,53 @@ def _solve_current(
     return out
 
 
+def _solve_current_scalar(
+    v: float,
+    i_ph: float,
+    i_0: float,
+    vt: float,
+    r_s: float,
+    g_p: float,
+    tol: float,
+    max_iter: int,
+) -> float:
+    """_solve_current for one voltage, in Python floats.
+
+    Follows _solve_current expression by expression, so it returns the
+    same float.  The transcendentals stay np.exp/np.expm1: math.exp and
+    math.expm1 can differ from numpy in the last bit.  If Newton leaves
+    the voltage unconverged, it goes to _solve_current, which owns the
+    bisection fallback.
+    """
+    if (v + i_ph * r_s) / vt > MAX_EXP_ARGUMENT:
+        raise NumericRangeError("diode exponent exceeds the overflow guard; check V and params")
+
+    def residual(i):
+        vd = v + i * r_s
+        return i_ph - i_0 * float(np.expm1(vd / vt)) - vd * g_p - i
+
+    i = i_ph
+    f = residual(i)
+    for _ in range(max_iter):
+        if abs(f) < tol:
+            return i
+        e = float(np.exp((v + i * r_s) / vt))
+        df = -i_0 * e * r_s / vt - r_s * g_p - 1.0
+        step = f / df
+        i_new = i - step
+        f_new = residual(i_new)
+        for _ in range(8):  # backtrack while the residual got worse
+            if math.isfinite(f_new) and not abs(f_new) > abs(f):
+                break
+            step = 0.5 * step
+            i_new = i - step
+            f_new = residual(i_new)
+        i, f = i_new, f_new
+    if abs(f) < tol:
+        return i
+    return float(_solve_current(np.array([v]), i_ph, i_0, vt, r_s, g_p, tol, max_iter)[0])
+
+
 def cell_current(
     params: CellParams,
     r_s: float,
@@ -330,19 +383,11 @@ def cell_current(
 ):
     """Terminal current (A) of one cell at voltage v (scalar or array).
 
-    Every returned value satisfies |residual| < tol.
+    Every returned value satisfies |residual| < tol.  The solve is that
+    of a one-cell PVArray, so both give the same floats.
     """
-    v_arr = np.asarray(v, dtype=float)
-    if np.any(v_arr < 0):
-        raise ValueError("cell voltage must be >= 0")
-    i_ph = photon_current(params, env)
-    i_0 = saturation_current(params, env, constants, band_gap_denominator_sign)
-    vt = _thermal_voltage(params, env.t, constants)
-    g_p = 0.0 if params.r_p is None else 1.0 / params.r_p
-    out = _solve_current(np.atleast_1d(v_arr), i_ph, i_0, vt, r_s, g_p, tol, max_iter)
-    if v_arr.ndim == 0:
-        return float(out[0])
-    return out
+    cell = PVArray(params, ArrayConfig(), constants, r_s, tol, max_iter, band_gap_denominator_sign)
+    return cell.current_at(v, env)
 
 
 def open_circuit_voltage(
@@ -409,8 +454,15 @@ class PVArray:
 
     Bundles the cell parameters, derived series resistance, and solver
     settings so callers can evaluate the array I-V curve with one object.
-    All methods are pure functions of their arguments; instances are safe
-    to share across threads.
+
+    The solver constants of each environment (I_ph, I_0, V_t and the
+    shunt conductance) are memoized per (g, t), so the memo grows by one
+    entry per distinct condition, as MppOracle's cache does.  A scalar
+    voltage is solved in Python floats, an array in numpy; both give
+    the same floats.  Results are pure functions of the arguments:
+    concurrent threads can at worst compute one memo entry twice, with
+    the same value, so instances are safe to share across threads.
+    Treat the attributes as read-only; the memo does not see changes.
     """
 
     def __init__(
@@ -430,19 +482,38 @@ class PVArray:
         self.solver_tol = solver_tol
         self.solver_max_iter = solver_max_iter
         self.r_s = derive_series_resistance(cell, constants) if r_s is None else r_s
+        self._solver_constants: dict[tuple[float, float], tuple[float, float, float, float]] = {}
+
+    def _constants_at(self, env: EnvCondition) -> tuple[float, float, float, float]:
+        """(i_ph, i_0, vt, g_p) of the cell at env, memoized per (g, t)."""
+        key = (env.g, env.t)
+        found = self._solver_constants.get(key)
+        if found is None:
+            cell = self.cell
+            found = (
+                photon_current(cell, env),
+                saturation_current(cell, env, self.constants, self.band_gap_denominator_sign),
+                _thermal_voltage(cell, env.t, self.constants),
+                0.0 if cell.r_p is None else 1.0 / cell.r_p,
+            )
+            self._solver_constants[key] = found
+        return found
 
     def current_at(self, v_array, env: EnvCondition):
         """Array current (A) at terminal voltage v_array (scalar or array)."""
-        v_cell = np.asarray(v_array, dtype=float) / self.layout.n_series
-        i_cell = cell_current(
-            self.cell,
-            self.r_s,
-            env,
-            v_cell,
-            self.constants,
-            self.solver_tol,
-            self.solver_max_iter,
-            self.band_gap_denominator_sign,
+        if isinstance(v_array, float) or np.ndim(v_array) == 0:
+            v_cell = float(v_array) / self.layout.n_series
+            if v_cell < 0:
+                raise ValueError("cell voltage must be >= 0")
+            solve = _solve_current_scalar
+        else:
+            v_cell = np.asarray(v_array, dtype=float) / self.layout.n_series
+            if np.any(v_cell < 0):
+                raise ValueError("cell voltage must be >= 0")
+            solve = _solve_current
+        i_ph, i_0, vt, g_p = self._constants_at(env)
+        i_cell = solve(
+            v_cell, i_ph, i_0, vt, self.r_s, g_p, self.solver_tol, self.solver_max_iter
         )
         return self.layout.n_parallel * i_cell
 

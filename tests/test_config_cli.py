@@ -183,6 +183,43 @@ class TestCli:
         rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").open()))
         assert float(rows[0]["g_w_m2"]) == 500.0
 
+    TWO_ROW_CSV = "time_s,irradiance_w_m2,temperature_c\n0.0,1000,25\n1.0,200,25\n"
+
+    def test_csv_profile_without_duration_is_exit_1(self, tmp_path, capsys):
+        (tmp_path / "two.csv").write_text(self.TWO_ROW_CSV)
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "profile: builtin-table1", "profile: two.csv"
+        ).replace("  duration_s: 0.05\n", "  control_interval_s: 0.01\n")
+        config = write_scenario(tmp_path, body)
+        with pytest.raises(ConfigError, match=r"sim\.duration_s"):
+            load_scenario(config)
+        assert main(["run", "--config", str(config), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "sim.duration_s" in err
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
+    def test_profile_flag_without_duration_is_exit_1(self, tmp_path, capsys):
+        two = tmp_path / "two.csv"
+        two.write_text(self.TWO_ROW_CSV)
+        body = MINIMAL.format(out=tmp_path / "out").replace("  duration_s: 0.05\n", "")
+        config = write_scenario(tmp_path, body)
+        assert main(["run", "--config", str(config), "--profile", str(two), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "sim.duration_s" in err
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
+    def test_csv_profile_runs_its_last_segment(self, tmp_path):
+        two = tmp_path / "two.csv"
+        two.write_text(self.TWO_ROW_CSV)
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "duration_s: 0.05", "duration_s: 1.5"
+        )
+        config = write_scenario(tmp_path, body)
+        assert main(["run", "--config", str(config), "--profile", str(two), "--quiet"]) == 0
+        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").open()))
+        assert len(rows) == 150
+        assert {float(r["g_w_m2"]) for r in rows[100:]} == {200.0}
+
     def test_oracle_command(self, tmp_path, capsys):
         config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
         code = main(

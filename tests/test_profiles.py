@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from mpptbench.profiles import (
@@ -30,6 +32,33 @@ def test_builtin_profile_lookup_is_piecewise_constant():
     assert profile.env_at(0.19999).g == 1000.0
     assert profile.env_at(0.2).g == 20.0
     assert profile.env_at(99.0).g == 350.0  # sticks at the final segment
+
+
+def linear_scan_env_at(profile: EnvProfile, t: float) -> EnvCondition:
+    """The original definition of env_at: a scan that stops at the first later start."""
+    current = profile.segments[0].env
+    for seg in profile.segments:
+        if seg.t_start <= t:
+            current = seg.env
+        else:
+            break
+    return current
+
+
+def test_env_at_matches_the_linear_scan_definition():
+    rng = random.Random(20140520)
+    t, segments = 0.0, []
+    for _ in range(1200):
+        segments.append(EnvSegment(t, EnvCondition(g=float(rng.randrange(0, 1001)), t=298.0)))
+        t += rng.choice((0.01, 0.02, 0.1, rng.uniform(1e-6, 0.5)))
+    profile = EnvProfile(segments=tuple(segments), duration=t)
+    starts = [seg.t_start for seg in segments]
+    between = [0.5 * (a + b) for a, b in zip(starts, starts[1:])]
+    after = [starts[-1] + 1e-9, starts[-1] + 1.0, t + 100.0]
+    times = [0.0, -1.0, *starts, *between, *after]
+    rng.shuffle(times)  # any order of lookups gives the same answers
+    for when in times:
+        assert profile.env_at(when) is linear_scan_env_at(profile, when), when
 
 
 def test_validation():

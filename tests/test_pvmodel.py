@@ -3,13 +3,19 @@ and the exact scaling laws."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpptbench import pvmodel
+from mpptbench.cli import main
 from mpptbench.pvmodel import (
     DEFAULT_CONSTANTS,
     ArrayConfig,
@@ -31,6 +37,7 @@ from mpptbench.pvmodel import (
 
 Q = DEFAULT_CONSTANTS.q
 K = DEFAULT_CONSTANTS.k
+TABLE1_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "table1_adaptive.yaml"
 
 
 def bisect_current(params, r_s, env, v, lo, hi, tol=1e-10):
@@ -232,9 +239,12 @@ class TestCellCurrent:
         env = EnvCondition(g=0.0, t=298.0)
         assert cell_current(bp_cell, r_s, env, 0.3) < 0.0
 
-    def test_negative_voltage_rejected(self, bp_cell, stc):
-        with pytest.raises(ValueError):
-            cell_current(bp_cell, 0.0, stc, -0.1)
+    def test_negative_voltage_rejected(self, bp_cell, bp_panel, stc):
+        for v in (-0.1, np.array([1.0, -0.1])):
+            with pytest.raises(ValueError, match=">= 0"):
+                cell_current(bp_cell, 0.0, stc, v)
+            with pytest.raises(ValueError, match=">= 0"):
+                bp_panel.current_at(72 * v, stc)
 
     def test_finite_shunt_reduces_current(self, bp_cell, stc):
         shunted = CellParams(
@@ -304,6 +314,98 @@ class TestArrayScaling:
             cell_current(bp_cell, arr.r_s, stc, 32.0 / 72), rel=1e-12
         )
         assert arr.open_circuit_voltage(stc) == pytest.approx(43.5, rel=1e-9)
+
+
+class TestScalarPath:
+    """A scalar voltage is solved in floats; it must give the array path's float."""
+
+    @staticmethod
+    def voltages(array, env):
+        v_oc = array.open_circuit_voltage(env)
+        span = v_oc or array.open_circuit_voltage(EnvCondition(g=1000.0, t=env.t))
+        interior = [f * span for f in (0.1, 0.5, 0.8, 0.95)]
+        return [0.0, *interior, v_oc, 1.05 * v_oc]
+
+    @pytest.mark.parametrize("layout", [ArrayConfig(1, 1), ArrayConfig(4, 2)], ids=str)
+    @pytest.mark.parametrize("r_p", [None, 5.0])
+    @pytest.mark.parametrize("t", [273.15, 298.0, 330.0])
+    @pytest.mark.parametrize("g", [0.0, 20.0, 150.0, 1000.0])
+    def test_bit_identical_to_one_element_array(self, bp_cell, layout, r_p, t, g):
+        cell = dataclasses.replace(bp_cell, r_p=r_p)
+        array = PVArray(cell=cell, layout=layout)
+        env = EnvCondition(g=g, t=t)
+        for v in self.voltages(array, env):
+            scalar = array.current_at(v, env)
+            assert type(scalar) is float
+            assert scalar.hex() == float(array.current_at(np.array([v]), env)[0]).hex()
+            v_cell = v / layout.n_series
+            one = cell_current(cell, array.r_s, env, v_cell)
+            lane = cell_current(cell, array.r_s, env, np.array([v_cell]))[0]
+            assert type(one) is float
+            assert one.hex() == float(lane).hex()
+
+    def test_diode_exponent_overflow(self, bp_cell, stc):
+        array = PVArray(cell=bp_cell)
+        for v in (25.0, np.array([0.5, 25.0])):
+            with pytest.raises(NumericRangeError, match="overflow guard"):
+                array.current_at(v, stc)
+
+    def test_unconverged_newton_reaches_the_bisection_fallback(self, bp_cell, stc, monkeypatch):
+        array = PVArray(cell=bp_cell, layout=ArrayConfig(72, 1), solver_max_iter=1)
+        v = 0.8 * array.open_circuit_voltage(stc)
+        expected = float(array.current_at(np.array([v]), stc)[0])
+        fallbacks = []
+        solve_array = pvmodel._solve_current
+
+        def spy(v_cell, *args):
+            fallbacks.append(v_cell)
+            return solve_array(v_cell, *args)
+
+        monkeypatch.setattr(pvmodel, "_solve_current", spy)
+        assert array.current_at(v, stc).hex() == expected.hex()
+        assert len(fallbacks) == 1 and fallbacks[0].shape == (1,)
+        vd = v / 72 + expected * array.r_s
+        vt = bp_cell.n * K * stc.t / Q
+        i_ph, i_0 = photon_current(bp_cell, stc), saturation_current(bp_cell, stc)
+        assert abs(i_ph - i_0 * math.expm1(vd / vt) - expected) < array.solver_tol
+
+    def test_shared_array_across_threads(self, bp_cell):
+        envs = [EnvCondition(g=float(g), t=298.0) for g in range(50, 1001, 50)]
+        volts = [0.5 * k for k in range(1, 80)]
+
+        def sweep(array):
+            return [[array.current_at(v, env) for v in volts] for env in envs]
+
+        expected = sweep(PVArray(cell=bp_cell, layout=ArrayConfig(72, 1)))
+        shared = PVArray(cell=bp_cell, layout=ArrayConfig(72, 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(sweep, shared) for _ in range(4)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == expected for r in results)
+
+    def test_compare_outputs_match_the_array_path(self, tmp_path, monkeypatch):
+        def compare(out):
+            argv = ["compare", "--config", str(TABLE1_CONFIG), "--out", str(out), "--quiet"]
+            assert main(argv) == 0
+            return {f.name: f.read_bytes() for f in out.iterdir()}
+
+        as_floats = compare(tmp_path / "float")
+        current_at = PVArray.current_at
+
+        def via_array(self, v_array, env):
+            if np.ndim(v_array) == 0:
+                return float(current_at(self, np.array([v_array], dtype=float), env)[0])
+            return current_at(self, v_array, env)
+
+        monkeypatch.setattr(PVArray, "current_at", via_array)
+        as_lanes = compare(tmp_path / "array")
+        assert len(as_floats) == 4
+        assert as_floats == as_lanes
 
 
 class TestValidation:
