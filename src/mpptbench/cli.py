@@ -83,19 +83,21 @@ def _load(args) -> ScenarioConfig:
     return scenario
 
 
-def _simulate_kind(scenario: ScenarioConfig, kind: str):
+def _simulate(scenario: ScenarioConfig, kinds: list[str]):
+    """Yield (kind, trace, metrics) per kind; one array and oracle serve every kind."""
     array = scenario.build_array()
     oracle = MppOracle(array)
     converter = scenario.build_converter(array, oracle)
     d0 = resolve_initial_duty(scenario.sim, converter, oracle, scenario.profile.env_at(0.0))
-    controller = scenario.build_controller(d0, kind)
-    trace = run_simulation(array, converter, controller, scenario.profile, scenario.sim, oracle)
-    return trace, compute_metrics(trace)
+    for kind in kinds:
+        controller = scenario.build_controller(d0, kind)
+        trace = run_simulation(array, converter, controller, scenario.profile, scenario.sim, oracle)
+        yield kind, trace, compute_metrics(trace, control_interval=scenario.sim.control_interval)
 
 
 def _cmd_run(args) -> int:
     scenario = _load(args)
-    trace, metrics = _simulate_kind(scenario, scenario.controller_kind)
+    [(_, trace, metrics)] = _simulate(scenario, [scenario.controller_kind])
     trace_path = scenario.output_dir / "trace.csv"
     write_trace_csv(trace, trace_path)
     write_metrics_report(metrics, scenario.output_dir / "metrics.txt")
@@ -108,9 +110,8 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     scenario = _load(args)
     results = {}
-    for kind, filename in _TRACE_FILES.items():
-        trace, metrics = _simulate_kind(scenario, kind)
-        write_trace_csv(trace, scenario.output_dir / filename)
+    for kind, trace, metrics in _simulate(scenario, list(_TRACE_FILES)):
+        write_trace_csv(trace, scenario.output_dir / _TRACE_FILES[kind])
         results[kind] = metrics
 
     conv = results["conventional"]

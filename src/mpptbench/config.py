@@ -131,8 +131,11 @@ class _Section:
 
     def error(self, key: str, message: str) -> ConfigError:
         path = self._path(key)
-        line = self.lines.get(path, self.lines.get(self.prefix, 0))
-        return ConfigError(f"{self.file}:{line}: {path}: {message}")
+        located = path  # the nearest of the key and its ancestors that is in the file
+        while located and located not in self.lines:
+            located = located.rpartition(".")[0]
+        where = f"{self.file}:{self.lines[located]}" if located else str(self.file)
+        return ConfigError(f"{where}: {path}: {message}")
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.data.get(key, default)

@@ -242,7 +242,10 @@ def _seed_step(
     d_new = _apply_move(state.d, +1, delta_d, params)
     if d_new == state.d:
         d_new = _apply_move(state.d, -1, delta_d, params)
-    new_state = replace(state, d=d_new, delta_d=delta_d, prev_v=meas.v, prev_i=meas.i)
+    new_state = ControllerState(
+        d=d_new, delta_d=delta_d, delta_d_max=state.delta_d_max, prev_v=meas.v, prev_i=meas.i,
+        prev_slope_sign=state.prev_slope_sign, at_mpp=state.at_mpp,
+    )
     return StepOutcome(new_state, _action_for(state.d, d_new, params), math.nan)
 
 
@@ -261,12 +264,16 @@ def conventional_step(
         meas, state.prev_v, state.prev_i, params.slope_normalization, state.prev_slope_sign
     )
     if s == 0.0:
-        new_state = replace(state, prev_v=meas.v, prev_i=meas.i, at_mpp=True)
+        new_state = ControllerState(
+            d=state.d, delta_d=state.delta_d, delta_d_max=state.delta_d_max, prev_v=meas.v,
+            prev_i=meas.i, prev_slope_sign=state.prev_slope_sign, at_mpp=True,
+        )
         return StepOutcome(new_state, StepAction.HELD_AT_MPP, s)
     sign = 1 if s > 0 else -1
     d_new = _apply_move(state.d, sign, params.delta_d_nominal, params)
-    new_state = replace(
-        state, d=d_new, prev_v=meas.v, prev_i=meas.i, prev_slope_sign=sign, at_mpp=False
+    new_state = ControllerState(
+        d=d_new, delta_d=state.delta_d, delta_d_max=state.delta_d_max, prev_v=meas.v,
+        prev_i=meas.i, prev_slope_sign=sign, at_mpp=False,
     )
     return StepOutcome(new_state, _action_for(state.d, d_new, params), s)
 
@@ -301,13 +308,9 @@ def revised_step(
         # value or the response to the new transient stays microscopic.
         delta_d = params.delta_d_nominal
     if abs(s) <= params.epsilon:
-        new_state = replace(
-            state,
-            delta_d=params.delta_d_nominal,
-            delta_d_max=params.delta_d_max_initial,
-            prev_v=meas.v,
-            prev_i=meas.i,
-            at_mpp=True,
+        new_state = ControllerState(
+            d=state.d, delta_d=params.delta_d_nominal, delta_d_max=params.delta_d_max_initial,
+            prev_v=meas.v, prev_i=meas.i, prev_slope_sign=state.prev_slope_sign, at_mpp=True,
         )
         return StepOutcome(new_state, StepAction.HELD_AT_MPP, s)
 
@@ -323,15 +326,9 @@ def revised_step(
             delta_d_max = max(params.delta_d_max_floor, delta_d_max * params.deacc)
     delta_d_new = _clamp(delta_d * factor * abs(s), params.delta_d_floor, delta_d_max)
     d_new = _apply_move(state.d, sign, delta_d_new, params)
-    new_state = replace(
-        state,
-        d=d_new,
-        delta_d=delta_d_new,
-        delta_d_max=delta_d_max,
-        prev_v=meas.v,
-        prev_i=meas.i,
-        prev_slope_sign=sign,
-        at_mpp=False,
+    new_state = ControllerState(
+        d=d_new, delta_d=delta_d_new, delta_d_max=delta_d_max, prev_v=meas.v, prev_i=meas.i,
+        prev_slope_sign=sign, at_mpp=False,
     )
     return StepOutcome(new_state, _action_for(state.d, d_new, params), s)
 

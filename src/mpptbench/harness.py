@@ -11,7 +11,6 @@ controller's response at that instant.
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -207,12 +206,6 @@ def _segment_bounds(trace: list[SimRecord]) -> list[tuple[int, int]]:
     return bounds
 
 
-def _relative_deviation(rec: SimRecord) -> float:
-    if rec.p_mpp <= 0:
-        return 0.0
-    return abs(rec.p_deviation) / rec.p_mpp
-
-
 def _segment_overshoot(seg: list[SimRecord]) -> float:
     v_mpp = seg[0].v_mpp
     v0 = seg[0].v
@@ -223,10 +216,22 @@ def _segment_overshoot(seg: list[SimRecord]) -> float:
     return max(abs(r.v - v_mpp) for r in seg)
 
 
+def _settle_index(rel: list[float], tolerance: float, hold_steps: int) -> int | None:
+    """First j with every rel[j:j + hold_steps] below tolerance (nan is not), else None."""
+    run = 0
+    for k, r in enumerate(rel):
+        run = run + 1 if r < tolerance else 0
+        if run == hold_steps:
+            return k - hold_steps + 1
+    return None
+
+
 def compute_metrics(
     trace: list[SimRecord],
     settle_tolerance: float = 0.01,
     settle_hold: float = 0.1,
+    *,
+    control_interval: float | None = None,
 ) -> TrackingMetrics:
     """Settling, overshoot, post-settle oscillation, and energy deficit.
 
@@ -234,32 +239,33 @@ def compute_metrics(
     deviation stays below settle_tolerance for settle_hold continuously.
     oscillation_fraction counts duty changes across all post-settle
     steps.  The energy deficit integrates p_deviation over the whole run
-    by the rectangle rule.
+    by the rectangle rule.  control_interval defaults to the spacing of
+    the first two records, so a one-record trace must give it.
     """
     if not trace:
         raise ValueError("trace is empty")
-    dt = trace[1].t - trace[0].t if len(trace) > 1 else 0.01
+    if control_interval is None:
+        if len(trace) < 2:
+            raise ValueError("a one-record trace needs an explicit control_interval")
+        control_interval = trace[1].t - trace[0].t
+    dt = control_interval
     hold_steps = max(1, round(settle_hold / dt))
+    held = StepAction.HELD_AT_MPP.value
+    rel_all = [0.0 if r.p_mpp <= 0 else abs(r.p_deviation) / r.p_mpp for r in trace]
 
     segments: list[SegmentMetrics] = []
     post_settle_total = 0
     post_settle_changes = 0
     for a, b in _segment_bounds(trace):
         seg = trace[a:b]
-        rel = [_relative_deviation(r) for r in seg]
-        assessable = len(seg) >= hold_steps
-        settle_idx: int | None = None
-        if assessable:
-            for j in range(len(seg) - hold_steps + 1):
-                if all(r < settle_tolerance for r in rel[j : j + hold_steps]):
-                    settle_idx = j
-                    break
+        rel = rel_all[a:b]
+        settle_idx = _settle_index(rel, settle_tolerance, hold_steps)
         if settle_idx is not None:
             for j in range(a + max(settle_idx, 1), b):
                 post_settle_total += 1
                 if trace[j].d != trace[j - 1].d:
                     post_settle_changes += 1
-        hold_t = next((r.t for r in seg if r.action == StepAction.HELD_AT_MPP.value), None)
+        hold_t = next((r.t for r in seg if r.action == held), None)
         segments.append(
             SegmentMetrics(
                 t_start=seg[0].t,
@@ -267,7 +273,7 @@ def compute_metrics(
                 g=seg[0].g,
                 temp=seg[0].temp,
                 n_steps=len(seg),
-                assessable=assessable,
+                assessable=len(seg) >= hold_steps,
                 settling_time=None if settle_idx is None else seg[settle_idx].t - seg[0].t,
                 max_voltage_overshoot=_segment_overshoot(seg),
                 time_to_hold=hold_t,
@@ -278,7 +284,7 @@ def compute_metrics(
     return TrackingMetrics(
         segments=tuple(segments),
         energy_deficit=sum(r.p_deviation for r in trace) * dt,
-        mean_relative_deviation=sum(_relative_deviation(r) for r in trace) / len(trace),
+        mean_relative_deviation=sum(rel_all) / len(trace),
         oscillation_fraction=(
             post_settle_changes / post_settle_total if post_settle_total else 0.0
         ),
@@ -306,30 +312,21 @@ def trace_header() -> list[str]:
 
 
 def write_trace_csv(trace: list[SimRecord], path: str | Path) -> None:
-    """Write the trace with full float precision (byte-stable across runs)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trace_header())
-        for r in trace:
-            writer.writerow(
-                [
-                    repr(r.t),
-                    repr(r.g),
-                    repr(r.temp),
-                    repr(r.v),
-                    repr(r.i),
-                    repr(r.p),
-                    repr(r.d),
-                    repr(r.delta_d),
-                    repr(r.delta_d_max),
-                    repr(r.p_mpp),
-                    repr(r.v_mpp),
-                    repr(r.p_deviation),
-                    repr(r.slope_term),
-                    r.action,
-                ]
-            )
+    """Write the trace with full float precision (byte-stable across runs).
+
+    The bytes are those of csv.writer's default dialect, written without
+    it: rows end in CRLF, that dialect's line terminator, and no field
+    needs quoting, because a float repr (nan, inf, -0.0, 1e-05) and an
+    action name hold no comma, quote or newline.
+    """
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(trace_header()) + "\r\n")
+        fh.writelines(
+            f"{r.t!r},{r.g!r},{r.temp!r},{r.v!r},{r.i!r},{r.p!r},{r.d!r},{r.delta_d!r},"
+            f"{r.delta_d_max!r},{r.p_mpp!r},{r.v_mpp!r},{r.p_deviation!r},{r.slope_term!r},"
+            f"{r.action}\r\n"
+            for r in trace
+        )
 
 
 def _fmt_settling(seg: SegmentMetrics) -> str:

@@ -89,8 +89,9 @@ class MppOracle:
     """find_mpp with a per-(g, t) result cache.
 
     Piecewise-constant profiles revisit the same handful of conditions,
-    so each distinct environment is swept once.  The cache is a plain
-    dict; confine an instance to one thread or guard it externally.
+    so each distinct environment is swept once; `compare` shares one
+    oracle across its three controllers.  The cache is a plain dict;
+    confine an instance to one thread or guard it externally.
     """
 
     def __init__(self, array: PVArray, grid_points: int = 2000, refine_tolerance: float = 1e-6):

@@ -7,8 +7,17 @@ from pathlib import Path
 
 import pytest
 
+from mpptbench import oracle as oracle_module
 from mpptbench.cli import main
 from mpptbench.config import ConfigError, load_panel_preset, load_scenario
+from mpptbench.harness import (
+    compute_metrics,
+    format_metrics,
+    resolve_initial_duty,
+    run_simulation,
+    write_trace_csv,
+)
+from mpptbench.oracle import MppOracle
 
 REPO_CONFIGS = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.yaml"))
 
@@ -198,6 +207,19 @@ class TestCli:
         assert err.startswith("config error:") and "sim.duration_s" in err
         assert not (tmp_path / "out" / "trace.csv").exists()
 
+    def test_error_for_a_key_absent_with_its_section_has_no_line(self, tmp_path, capsys):
+        (tmp_path / "two.csv").write_text(self.TWO_ROW_CSV)
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "profile: builtin-table1", "profile: two.csv"
+        ).replace("sim:\n  duration_s: 0.05\n", "")
+        config = write_scenario(tmp_path, body)
+        with pytest.raises(ConfigError) as excinfo:
+            load_scenario(config)
+        assert str(excinfo.value).startswith(f"{config}: sim.duration_s: ")
+        assert main(["run", "--config", str(config), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "sim.duration_s" in err and ":0:" not in err
+
     def test_profile_flag_without_duration_is_exit_1(self, tmp_path, capsys):
         two = tmp_path / "two.csv"
         two.write_text(self.TWO_ROW_CSV)
@@ -267,6 +289,18 @@ class TestCli:
         assert "== orderings ==" in report
         assert "energy_deficit(conventional) > energy_deficit(revised-adaptive)" in report
 
+    def test_one_step_run_integrates_over_its_control_interval(self, tmp_path):
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "  duration_s: 0.05\n", "  duration_s: 0.1\n  control_interval_s: 0.1\n"
+        )
+        config = write_scenario(tmp_path, body)
+        assert main(["run", "--config", str(config), "--quiet"]) == 0
+        [row] = list(csv.DictReader((tmp_path / "out" / "trace.csv").open()))
+        p_deviation = float(row["p_deviation_w"])
+        assert p_deviation > 0
+        report = (tmp_path / "out" / "metrics.txt").read_text()
+        assert f"energy_deficit_j: {p_deviation * 0.1:.6g}\n" in report
+
     def test_default_table1_run_has_500_rows(self, tmp_path):
         repo_config = Path(__file__).resolve().parent.parent / "configs" / "table1_adaptive.yaml"
         out = tmp_path / "out"
@@ -279,3 +313,46 @@ class TestCli:
         code = main(["oracle", "--config", str(config), "--g", "-5", "--temp", "25"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestCompareSharesOneOracle:
+    """compare runs every kind on one array and one oracle; outputs must not notice."""
+
+    @pytest.mark.parametrize("path", REPO_CONFIGS, ids=lambda p: p.name)
+    def test_outputs_equal_a_fresh_oracle_per_kind(self, path, tmp_path):
+        out = tmp_path / "compare"
+        assert main(["compare", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        scenario = load_scenario(path)
+        report = (out / "comparison.txt").read_text()
+        for kind, name in (
+            ("conventional", "trace_conventional.csv"),
+            ("revised-fixed-bound", "trace_revised_fixed.csv"),
+            ("revised-adaptive-bound", "trace_revised_adaptive.csv"),
+        ):
+            array = scenario.build_array()
+            oracle = MppOracle(array)
+            converter = scenario.build_converter(array, oracle)
+            env0 = scenario.profile.env_at(0.0)
+            d0 = resolve_initial_duty(scenario.sim, converter, oracle, env0)
+            controller = scenario.build_controller(d0, kind)
+            trace = run_simulation(
+                array, converter, controller, scenario.profile, scenario.sim, oracle
+            )
+            write_trace_csv(trace, tmp_path / name)
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+            block = f"== {kind} ==\n{format_metrics(compute_metrics(trace))}"
+            assert block in report
+
+    def test_table1_sweeps_each_condition_once(self, tmp_path, monkeypatch):
+        calls = []
+        find_mpp = oracle_module.find_mpp
+
+        def counting_find_mpp(*args, **kwargs):
+            calls.append(args[1])
+            return find_mpp(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_module, "find_mpp", counting_find_mpp)
+        config = Path(__file__).resolve().parent.parent / "configs" / "table1_adaptive.yaml"
+        assert main(["compare", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(calls) == 15  # 15 distinct conditions, not 15 per controller
+        assert len(set(calls)) == 15

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mpptbench import harness
 from mpptbench.controllers import ControllerParams, MpptController, StepAction
 from mpptbench.harness import (
     SimConfig,
@@ -186,6 +190,52 @@ class TestMetrics:
         with pytest.raises(ValueError):
             compute_metrics([])
 
+    def test_one_step_run_integrates_over_its_control_interval(
+        self, bp_panel, bp_converter, bp_oracle
+    ):
+        cfg = SimConfig(control_interval=0.1, duration=0.1, initial_duty=0.55)
+        controller = MpptController("revised-adaptive-bound", ControllerParams(), 0.55)
+        trace = run_simulation(
+            bp_panel, bp_converter, controller, constant_profile(), cfg, bp_oracle
+        )
+        assert len(trace) == 1 and trace[0].p_deviation > 0
+        metrics = compute_metrics(trace, control_interval=cfg.control_interval)
+        assert metrics.energy_deficit == trace[0].p_deviation * 0.1
+        assert metrics.segments[0].t_end == 0.1
+
+    def test_one_record_trace_without_interval_is_rejected(self):
+        with pytest.raises(ValueError, match="control_interval"):
+            compute_metrics([make_record(0.0, dev=1.0)])
+
+    def test_interval_defaults_to_the_record_spacing(self):
+        trace = [make_record(k * 0.1, dev=10.0) for k in range(3)]
+        assert compute_metrics(trace) == compute_metrics(trace, control_interval=0.1)
+
+
+def settle_index_by_windows(rel, tolerance, hold_steps):
+    """The settling definition: the first window of hold_steps values all below tolerance."""
+    for j in range(len(rel) - hold_steps + 1):
+        if all(r < tolerance for r in rel[j : j + hold_steps]):
+            return j
+    return None
+
+
+@given(
+    rel=st.lists(
+        st.sampled_from([0.0, 0.004, 0.00999, 0.01, 0.0101, 0.5, math.nan, math.inf]),
+        max_size=60,
+    ),
+    hold_steps=st.integers(min_value=1, max_value=12),
+)
+@example(rel=[0.0] * 4, hold_steps=5)  # a run shorter than hold_steps
+@example(rel=[0.0, 0.0, math.nan, 0.0, 0.0, 0.0], hold_steps=3)  # nan breaks a run
+@example(rel=[], hold_steps=1)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_settle_scan_matches_the_window_definition(rel, hold_steps):
+    assert harness._settle_index(rel, 0.01, hold_steps) == settle_index_by_windows(
+        rel, 0.01, hold_steps
+    )
+
 
 class TestTraceCsv:
     def test_header_is_pinned(self):
@@ -204,6 +254,33 @@ class TestTraceCsv:
         fields = lines[1].split(",")
         assert float(fields[11]) == 1.0 / 3.0  # full precision survives
         assert fields[13] == StepAction.HELD_AT_MPP.value
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        float_fields = [name for name in SimRecord.__dataclass_fields__ if name != "action"]
+
+        def csv_writer_reference(trace, path):
+            with path.open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(trace_header())
+                for r in trace:
+                    writer.writerow([repr(getattr(r, name)) for name in float_fields] + [r.action])
+
+        odd = [math.nan, math.inf, -math.inf, -0.0, 1e-05, 1e16, -3.5e-7, -123.456, 1.0 / 3.0]
+        trace = [
+            SimRecord(
+                **{name: odd[(k + n) % len(odd)] for n, name in enumerate(float_fields)},
+                action=action.value,
+            )
+            for k in range(len(odd))
+            for action in StepAction
+        ]
+        fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
+        write_trace_csv(trace, fast)
+        csv_writer_reference(trace, reference)
+        assert fast.read_bytes() == reference.read_bytes()
+        text = fast.read_text()
+        for token in ("nan", "-inf", "-0.0", "1e-05", "1e+16", "-123.456", "held_at_mpp"):
+            assert token in text
 
     def test_nan_slope_serializes(self, tmp_path):
         rec = make_record(0.0)
