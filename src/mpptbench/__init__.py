@@ -19,7 +19,7 @@ from .controllers import (
     revised_step,
     slope_term,
 )
-from .converter import BuckBoost, TerminalVoltage
+from .converter import BuckBoost
 from .harness import (
     SegmentMetrics,
     SimConfig,
@@ -40,12 +40,10 @@ from .pvmodel import (
     ConvergenceError,
     DatasheetError,
     EnvCondition,
-    IVPoint,
     ModelError,
     NumericRangeError,
     PhysicalConstants,
     PVArray,
-    array_iv,
     band_gap,
     cell_current,
     derive_series_resistance,
@@ -68,7 +66,6 @@ __all__ = [
     "EnvCondition",
     "EnvProfile",
     "EnvSegment",
-    "IVPoint",
     "Measurement",
     "ModelError",
     "MppOracle",
@@ -84,9 +81,7 @@ __all__ = [
     "SimulationError",
     "StepAction",
     "StepOutcome",
-    "TerminalVoltage",
     "TrackingMetrics",
-    "array_iv",
     "band_gap",
     "builtin_table1_profile",
     "cell_current",

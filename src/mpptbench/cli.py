@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import CSV_DURATION_REQUIRED, ConfigError, ScenarioConfig, load_scenario
+from .controllers import DegenerateSampleError
 from .harness import (
     SimulationError,
     compute_metrics,
@@ -181,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ModelError, SimulationError, ValueError) as exc:
+    except (DegenerateSampleError, ModelError, SimulationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,16 +2,19 @@
 
 A scenario file names a panel preset (or gives inline cell values), the
 array layout in panels, the converter and controller settings, a profile
-source, and the simulation settings.  Validation failures report the
-offending field with its line in the file.
+source, and the simulation settings.  The cell, controller and sim
+sections load into PanelPreset, ControllerParams and SimConfig, whose
+fields give the keys, value types and defaults.  Validation failures
+report the offending field with its line in the file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
 import yaml
 
@@ -49,6 +52,11 @@ class PanelPreset:
     g_ref_w_m2: float = 1000.0
     r_p_ohm: float | None = None
 
+    def __post_init__(self):
+        if self.cells_in_series < 1:
+            raise ValueError("cells_in_series must be >= 1")
+        self.cell_params()  # CellParams checks the electrical values
+
     def cell_params(self) -> CellParams:
         n = self.cells_in_series
         return CellParams(
@@ -74,8 +82,6 @@ class ScenarioConfig:
     solver_tolerance: float
     solver_max_iterations: int
     v_bus: float | str  # volts or "auto"
-    d_min: float
-    d_max: float
     controller_kind: str
     controller_params: ControllerParams
     profile_source: str  # "builtin-table1" or a CSV path
@@ -102,7 +108,8 @@ class ScenarioConfig:
         if v_bus == "auto":
             oracle = oracle or MppOracle(array)
             v_bus = oracle.find(STC).v_mpp
-        return BuckBoost(v_bus=float(v_bus), d_min=self.d_min, d_max=self.d_max)
+        params = self.controller_params
+        return BuckBoost(v_bus=float(v_bus), d_min=params.d_min, d_max=params.d_max)
 
     def build_controller(self, initial_duty: float, kind: str | None = None) -> MpptController:
         return MpptController(kind or self.controller_kind, self.controller_params, initial_duty)
@@ -120,7 +127,7 @@ def _index_key_lines(node: Any, prefix: str, out: dict[str, int]) -> None:
 class _Section:
     """A mapping section of the file, with line-aware error reporting."""
 
-    def __init__(self, data: dict, lines: dict[str, int], file: Path, prefix: str = ""):
+    def __init__(self, data: dict, lines: dict[str, int], file: Path | str, prefix: str = ""):
         self.data = data
         self.lines = lines
         self.file = file
@@ -129,46 +136,50 @@ class _Section:
     def _path(self, key: str) -> str:
         return f"{self.prefix}.{key}" if self.prefix else key
 
-    def error(self, key: str, message: str) -> ConfigError:
-        path = self._path(key)
+    def error(self, key: str | None, message: str) -> ConfigError:
+        """Error at key, or at the section itself when key is None."""
+        path = self.prefix if key is None else self._path(key)
         located = path  # the nearest of the key and its ancestors that is in the file
         while located and located not in self.lines:
             located = located.rpartition(".")[0]
         where = f"{self.file}:{self.lines[located]}" if located else str(self.file)
-        return ConfigError(f"{where}: {path}: {message}")
+        return ConfigError(f"{where}: {path}: {message}" if path else f"{where}: {message}")
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.data.get(key, default)
 
-    def number(self, key: str, default: float | None = None) -> float:
-        value = self.get(key, default)
-        if value is default and default is None:
+    def _value(self, key: str, default: Any) -> Any:
+        if key in self.data:
+            return self.data[key]
+        if default is None:
             raise self.error(key, "required value is missing")
+        return default
+
+    def number(self, key: str, default: float | None = None) -> float:
+        value = self._value(key, default)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise self.error(key, f"expected a number, got {value!r}")
         return float(value)
 
     def integer(self, key: str, default: int | None = None) -> int:
-        value = self.get(key, default)
-        if value is default and default is None:
-            raise self.error(key, "required value is missing")
+        value = self._value(key, default)
         if isinstance(value, bool) or not isinstance(value, int):
             raise self.error(key, f"expected an integer, got {value!r}")
         return value
 
-    def boolean(self, key: str, default: bool) -> bool:
-        value = self.get(key, default)
+    def boolean(self, key: str) -> bool:
+        value = self._value(key, None)
         if not isinstance(value, bool):
             raise self.error(key, f"expected true/false, got {value!r}")
         return value
 
     def string(self, key: str, default: str | None = None) -> str:
-        value = self.get(key, default)
-        if value is default and default is None:
-            raise self.error(key, "required value is missing")
+        value = self._value(key, default)
         if not isinstance(value, str):
             raise self.error(key, f"expected a string, got {value!r}")
         return value
+
+    _READERS = {float: number, int: integer, bool: boolean, str: string}
 
     def section(self, key: str) -> "_Section":
         value = self.get(key, {})
@@ -183,71 +194,77 @@ class _Section:
             if key not in known:
                 raise self.error(key, "unknown field")
 
+    def build(
+        self,
+        cls: type,
+        rename: dict[str, str] | None = None,
+        fixed: tuple[str, ...] = (),
+        extra: tuple[str, ...] = (),
+        **values: Any,
+    ) -> Any:
+        """The dataclass cls, from this section.
+
+        Known keys: the fields of cls not in fixed, renamed field -> key by
+        rename, plus extra, which the caller reads.  A value is checked
+        against its field's annotation; an absent key leaves the default of
+        cls or the one in values.  A ValueError from cls is reported at the
+        first key, in file order, whose field it names as a whole word.
+        """
+        hints = get_type_hints(cls)
+        rename = rename or {}
+        keys = {rename.get(f.name, f.name): f for f in fields(cls) if f.name not in fixed}
+        self.reject_unknown(keys.keys() | set(extra))
+        for key, field in keys.items():
+            if key in self.data:
+                values[field.name] = self._typed(key, hints[field.name])
+            elif field.name not in values and field.default is MISSING:
+                raise self.error(key, "required value is missing")
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            named = (
+                key for key in self.data
+                if key in keys and re.search(rf"\b{keys[key].name}\b", str(exc))
+            )
+            raise self.error(next(named, None), str(exc)) from None
+
+    def _typed(self, key: str, hint: Any) -> Any:
+        """The value at key, checked against a field annotation."""
+        value = self.data[key]
+        kinds = get_args(hint) or (hint,)
+        if (value is None and type(None) in kinds) or (isinstance(value, str) and str in kinds):
+            return value
+        return self._READERS[kinds[0]](self, key)
+
+
+def _root(text: str, source: Path | str) -> _Section:
+    """The top-level mapping of a YAML document, with the line of each key."""
+    loader = yaml.SafeLoader(text)  # one parse gives both the nodes and the data
+    try:
+        node = loader.get_single_node()
+        data = None if node is None else loader.construct_document(node)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{source}: YAML parse error: {exc}") from None
+    finally:
+        loader.dispose()
+    if data is None:
+        data = {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"{source}: top level must be a mapping")
+    lines: dict[str, int] = {}
+    _index_key_lines(node, "", lines)
+    return _Section(data, lines, source)
+
 
 def load_panel_preset(name_or_path: str) -> PanelPreset:
     """Load a preset by bundled name (e.g. bp_sx150) or from a YAML path."""
     path = Path(name_or_path)
     if path.suffix in (".yaml", ".yml") and path.exists():
-        raw = yaml.safe_load(path.read_text())
-        source = str(path)
-    else:
-        ref = resources.files("mpptbench").joinpath(f"data/{name_or_path}.yaml")
-        if not ref.is_file():
-            raise ConfigError(f"unknown panel preset {name_or_path!r}")
-        raw = yaml.safe_load(ref.read_text())
-        source = f"preset {name_or_path}"
-    try:
-        return PanelPreset(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{source}: invalid preset: {exc}") from None
-
-
-def _preset_from_inline(sec: _Section) -> PanelPreset:
-    known = {
-        "name", "cells_in_series", "i_sc_a", "v_oc_v", "alpha_per_k",
-        "ideality_factor", "dv_di_oc_ohm", "rated_power_w", "t_ref_k",
-        "g_ref_w_m2", "r_p_ohm",
-    }
-    sec.reject_unknown(known)
-    r_p = sec.get("r_p_ohm")
-    try:
-        return PanelPreset(
-            name=sec.string("name", "inline"),
-            cells_in_series=sec.integer("cells_in_series"),
-            i_sc_a=sec.number("i_sc_a"),
-            v_oc_v=sec.number("v_oc_v"),
-            alpha_per_k=sec.number("alpha_per_k"),
-            ideality_factor=sec.number("ideality_factor"),
-            dv_di_oc_ohm=sec.number("dv_di_oc_ohm"),
-            rated_power_w=sec.number("rated_power_w", 0.0),
-            t_ref_k=sec.number("t_ref_k", 298.0),
-            g_ref_w_m2=sec.number("g_ref_w_m2", 1000.0),
-            r_p_ohm=None if r_p is None else float(r_p),
-        )
-    except ValueError as exc:
-        raise sec.error("cells_in_series", str(exc)) from None
-
-
-def _controller_from(sec: _Section) -> tuple[str, ControllerParams]:
-    known = {
-        "kind", "delta_d_nominal", "delta_d_max_initial", "delta_d_max_floor",
-        "delta_d_floor", "epsilon", "acc", "deacc", "slope_normalization",
-    }
-    sec.reject_unknown(known)
-    kind = sec.string("kind", "revised-adaptive-bound")
-    if kind not in CONTROLLER_KINDS:
-        raise sec.error("kind", f"must be one of {', '.join(CONTROLLER_KINDS)}")
-    fields = dict(
-        delta_d_nominal=sec.number("delta_d_nominal", 0.001),
-        delta_d_max_initial=sec.number("delta_d_max_initial", 0.01),
-        delta_d_max_floor=sec.number("delta_d_max_floor", 0.001),
-        delta_d_floor=sec.number("delta_d_floor", 1e-12),
-        epsilon=sec.number("epsilon", 5e-4),
-        acc=sec.number("acc", 1.2),
-        deacc=sec.number("deacc", 0.8),
-        slope_normalization=sec.boolean("slope_normalization", True),
-    )
-    return kind, fields
+        return _root(path.read_text(), path).build(PanelPreset)
+    ref = resources.files("mpptbench").joinpath(f"data/{name_or_path}.yaml")
+    if not ref.is_file():
+        raise ConfigError(f"unknown panel preset {name_or_path!r}")
+    return _root(ref.read_text(), f"preset {name_or_path}").build(PanelPreset)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -255,20 +272,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
-    text = path.read_text()
-    try:
-        data = yaml.safe_load(text)
-        node = yaml.compose(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: YAML parse error: {exc}") from None
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    lines: dict[str, int] = {}
-    if node is not None:
-        _index_key_lines(node, "", lines)
-    root = _Section(data, lines, path)
+    root = _root(path.read_text(), path)
     root.reject_unknown(
         {"panel", "cell", "array", "model", "converter", "controller", "profile",
          "sim", "output_dir"}
@@ -286,7 +290,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         except ConfigError as exc:
             raise root.error("panel", str(exc)) from None
     elif cell_sec.data:
-        preset = _preset_from_inline(cell_sec)
+        preset = cell_sec.build(PanelPreset, name="inline", rated_power_w=0.0)
     else:
         raise root.error("panel", "scenario needs a panel preset or an inline cell section")
 
@@ -322,17 +326,22 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise conv.error("v_bus", "must be > 0")
     else:
         raise conv.error("v_bus", 'expected a voltage or "auto"')
-    d_min = conv.number("d_min", 0.05)
-    d_max = conv.number("d_max", 0.95)
+    d_min = conv.number("d_min", BuckBoost.d_min)
+    d_max = conv.number("d_max", BuckBoost.d_max)
     if not (0.0 < d_min < d_max < 1.0):
         raise conv.error("d_min", "need 0 < d_min < d_max < 1")
 
     ctrl = root.section("controller")
-    kind, ctrl_fields = _controller_from(ctrl)
-    try:
-        controller_params = ControllerParams(d_min=d_min, d_max=d_max, **ctrl_fields)
-    except ValueError as exc:
-        raise ctrl.error("kind", str(exc)) from None
+    controller_params = ctrl.build(
+        ControllerParams,
+        fixed=("adaptive_upper_bound", "dv_dd_sign", "d_min", "d_max"),
+        extra=("kind",),
+        d_min=d_min,
+        d_max=d_max,
+    )
+    kind = ctrl.string("kind", "revised-adaptive-bound")
+    if kind not in CONTROLLER_KINDS:
+        raise ctrl.error("kind", f"must be one of {', '.join(CONTROLLER_KINDS)}")
 
     profile_source = root.get("profile", "builtin-table1")
     if not isinstance(profile_source, str):
@@ -351,28 +360,16 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise root.error("profile", str(exc)) from None
 
     sim_sec = root.section("sim")
-    sim_sec.reject_unknown(
-        {"control_interval_s", "duration_s", "initial_duty", "initial_voltage_fraction",
-         "noise_v", "noise_i", "noise_seed"}
+    sim = sim_sec.build(
+        SimConfig, rename={"control_interval": "control_interval_s", "duration": "duration_s"}
     )
-    duration = sim_sec.get("duration_s")
-    initial_duty = sim_sec.get("initial_duty", "auto")
-    if not (initial_duty == "auto" or isinstance(initial_duty, (int, float))):
-        raise sim_sec.error("initial_duty", 'expected a duty in (0, 1) or "auto"')
-    try:
-        sim = SimConfig(
-            control_interval=sim_sec.number("control_interval_s", 0.010),
-            duration=None if duration is None else sim_sec.number("duration_s"),
-            initial_duty=initial_duty if initial_duty == "auto" else float(initial_duty),
-            initial_voltage_fraction=sim_sec.number("initial_voltage_fraction", 0.9),
-            noise_v=sim_sec.number("noise_v", 0.0),
-            noise_i=sim_sec.number("noise_i", 0.0),
-            noise_seed=sim_sec.integer("noise_seed", 0),
-        )
-    except ValueError as exc:
-        raise sim_sec.error("control_interval_s", str(exc)) from None
     if sim.duration is None and profile_source != "builtin-table1":
         raise sim_sec.error("duration_s", f"{CSV_DURATION_REQUIRED}: {profile_source}")
+    if sim.initial_duty != "auto" and not d_min <= sim.initial_duty <= d_max:
+        # the converter would clamp it, so the first two samples coincide
+        raise sim_sec.error(
+            "initial_duty", f"must lie in the converter's duty range [{d_min}, {d_max}]"
+        )
 
     output_dir = root.get("output_dir", "out")
     if not isinstance(output_dir, str):
@@ -386,8 +383,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         solver_tolerance=solver_tol,
         solver_max_iterations=solver_iters,
         v_bus=v_bus,
-        d_min=d_min,
-        d_max=d_max,
         controller_kind=kind,
         controller_params=controller_params,
         profile_source=profile_source,

@@ -9,14 +9,8 @@ control interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-__all__ = ["BuckBoost", "TerminalVoltage"]
-
-
-class TerminalVoltage(NamedTuple):
-    voltage: float
-    clamped: bool
+__all__ = ["BuckBoost"]
 
 
 @dataclass(frozen=True)
@@ -36,18 +30,18 @@ class BuckBoost:
         if not (0.0 < self.d_min < self.d_max < 1.0):
             raise ValueError("duty clamps must satisfy 0 < d_min < d_max < 1")
 
-    def clamp_duty(self, d: float) -> tuple[float, bool]:
-        """Clamp d into [d_min, d_max]; the flag reports whether it engaged."""
+    def clamp_duty(self, d: float) -> float:
+        """d clamped into [d_min, d_max]."""
         if d < self.d_min:
-            return self.d_min, True
+            return self.d_min
         if d > self.d_max:
-            return self.d_max, True
-        return d, False
+            return self.d_max
+        return d
 
-    def terminal_voltage(self, d: float) -> TerminalVoltage:
+    def terminal_voltage(self, d: float) -> float:
         """Panel-side voltage for duty d (clamped first)."""
-        d_c, clamped = self.clamp_duty(d)
-        return TerminalVoltage(self.v_bus * (1.0 - d_c) / d_c, clamped)
+        d_c = self.clamp_duty(d)
+        return self.v_bus * (1.0 - d_c) / d_c
 
     def duty_for_voltage(self, v_target: float) -> float:
         """Duty ratio that places the panel at v_target, clamped into range.
@@ -56,5 +50,4 @@ class BuckBoost:
         """
         if v_target <= 0:
             raise ValueError("v_target must be > 0")
-        d, _ = self.clamp_duty(self.v_bus / (self.v_bus + v_target))
-        return d
+        return self.clamp_duty(self.v_bus / (self.v_bus + v_target))

@@ -76,8 +76,10 @@ class SimConfig:
             raise ValueError('initial_duty must be a number in (0, 1) or "auto"')
         if not (0.0 < self.initial_voltage_fraction <= 1.5):
             raise ValueError("initial_voltage_fraction must be in (0, 1.5]")
-        if self.noise_v < 0 or self.noise_i < 0:
-            raise ValueError("noise amplitudes must be >= 0")
+        if self.noise_v < 0:
+            raise ValueError("noise_v must be >= 0")
+        if self.noise_i < 0:
+            raise ValueError("noise_i must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ def run_simulation(
         env = profile.env_at(t)
         mpp = oracle.find(env)
         d_active = controller.state.d
-        v = converter.terminal_voltage(d_active).voltage
+        v = converter.terminal_voltage(d_active)
         try:
             i_raw = float(array.current_at(v, env))
         except ModelError as exc:

@@ -31,7 +31,6 @@ __all__ = [
     "CellParams",
     "ArrayConfig",
     "EnvCondition",
-    "IVPoint",
     "STC",
     "ModelError",
     "NumericRangeError",
@@ -44,7 +43,6 @@ __all__ = [
     "derive_series_resistance",
     "cell_current",
     "open_circuit_voltage",
-    "array_iv",
     "PVArray",
 ]
 
@@ -153,18 +151,6 @@ class EnvCondition:
 
 # Standard test conditions (1000 W/m^2, 25 degC taken as 298 K).
 STC = EnvCondition(g=1000.0, t=298.0)
-
-
-@dataclass(frozen=True)
-class IVPoint:
-    """Terminal operating point; power is always recomputed from v*i."""
-
-    v: float
-    i: float
-
-    @property
-    def p(self) -> float:
-        return self.v * self.i
 
 
 def band_gap(t: float, denominator_sign: int = -1) -> float:
@@ -425,30 +411,6 @@ def open_circuit_voltage(
     return 0.5 * (lo + hi)
 
 
-def array_iv(
-    params: CellParams,
-    r_s: float,
-    cfg: ArrayConfig,
-    env: EnvCondition,
-    v_array: float,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    tol: float = 1e-9,
-    max_iter: int = 100,
-    band_gap_denominator_sign: int = -1,
-) -> IVPoint:
-    """Operating point of a uniform array at terminal voltage v_array.
-
-    Identical, identically illuminated cells: the cell voltage is
-    v_array/n_series and the array current is n_parallel times the cell
-    current.
-    """
-    v_cell = v_array / cfg.n_series
-    i_cell = cell_current(
-        params, r_s, env, v_cell, constants, tol, max_iter, band_gap_denominator_sign
-    )
-    return IVPoint(v=v_array, i=cfg.n_parallel * i_cell)
-
-
 class PVArray:
     """A uniform array of one cell type with a fixed series/parallel layout.
 
@@ -516,19 +478,6 @@ class PVArray:
             v_cell, i_ph, i_0, vt, self.r_s, g_p, self.solver_tol, self.solver_max_iter
         )
         return self.layout.n_parallel * i_cell
-
-    def iv_at(self, v_array: float, env: EnvCondition) -> IVPoint:
-        return array_iv(
-            self.cell,
-            self.r_s,
-            self.layout,
-            env,
-            v_array,
-            self.constants,
-            self.solver_tol,
-            self.solver_max_iter,
-            self.band_gap_denominator_sign,
-        )
 
     def open_circuit_voltage(self, env: EnvCondition) -> float:
         """Array-level open-circuit voltage (V)."""

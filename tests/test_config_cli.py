@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 from pathlib import Path
 
 import pytest
+import yaml
 
 from mpptbench import oracle as oracle_module
 from mpptbench.cli import main
-from mpptbench.config import ConfigError, load_panel_preset, load_scenario
+from mpptbench.config import ConfigError, PanelPreset, load_panel_preset, load_scenario
+from mpptbench.controllers import ControllerParams
 from mpptbench.harness import (
+    SimConfig,
     compute_metrics,
     format_metrics,
     resolve_initial_duty,
@@ -19,7 +23,8 @@ from mpptbench.harness import (
 )
 from mpptbench.oracle import MppOracle
 
-REPO_CONFIGS = sorted(Path(__file__).resolve().parent.parent.glob("configs/*.yaml"))
+REPO = Path(__file__).resolve().parent.parent
+REPO_CONFIGS = sorted(REPO.glob("configs/*.yaml"))
 
 
 def write_scenario(tmp_path: Path, body: str) -> Path:
@@ -146,6 +151,151 @@ profile: builtin-table1
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_scenario(tmp_path / "nope.yaml")
+
+    def test_readme_scenario_block_shows_the_defaults(self, tmp_path):
+        readme = (REPO / "README.md").read_text()
+        section = readme.split("## Scenario configuration", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        shown = load_scenario(write_scenario(tmp_path, block))
+        minimal = load_scenario(
+            write_scenario(tmp_path, "panel: bp_sx150\nsim:\n  duration_s: 5.0\n")
+        )
+        assert shown.controller_params == minimal.controller_params
+        assert shown.sim == minimal.sim
+        assert shown == minimal
+
+
+INLINE_CELL = """\
+cell:
+  cells_in_series: 36
+  i_sc_a: 8.2
+  v_oc_v: 22.1
+  alpha_per_k: 0.0005
+  ideality_factor: 1.2
+  dv_di_oc_ohm: -0.6
+profile: builtin-table1
+sim:
+  duration_s: 0.05
+output_dir: {out}
+"""
+
+
+class TestErrorAttribution:
+    """A rejected value is reported at its own key and line, with exit 1."""
+
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ("  kind: revised-adaptive-bound\n",
+             "  kind: revised-adaptive-bound\n  acc: 1.3\n  deacc: 1.5\n",
+             "scenario.yaml:5: controller.deacc: "),
+            ("  duration_s: 0.05\n", "  duration_s: 0.05\n  noise_i: -1\n",
+             "scenario.yaml:7: sim.noise_i: "),
+            ("  duration_s: 0.05\n", "  duration_s: 0.001\n",
+             "scenario.yaml:6: sim.duration_s: "),
+            ("  duration_s: 0.05\n", "  duration_s: 0.05\n  initial_duty: 0.02\n",
+             "scenario.yaml:7: sim.initial_duty: "),
+        ],
+        ids=["deacc", "noise_i", "duration_s", "initial_duty"],
+    )
+    def test_preset_scenario(self, tmp_path, capsys, old, new, where):
+        body = MINIMAL.format(out=tmp_path / "out").replace(old, new)
+        config = write_scenario(tmp_path, body)
+        with pytest.raises(ConfigError, match=where):
+            load_scenario(config)
+        assert main(["run", "--config", str(config), "--quiet"]) == 1
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ("  dv_di_oc_ohm: -0.6\n", "  dv_di_oc_ohm: -0.6\n  r_p_ohm: abc\n",
+             "scenario.yaml:8: cell.r_p_ohm: expected a number"),
+            ("  dv_di_oc_ohm: -0.6\n", "  dv_di_oc_ohm: -0.6\n  r_p_ohm: true\n",
+             "scenario.yaml:8: cell.r_p_ohm: expected a number, got True"),
+            ("  i_sc_a: 8.2\n", "  i_sc_a: -8.2\n", "scenario.yaml:1: cell: i_sc_ref must be > 0"),
+            ("  cells_in_series: 36\n", "  cells_in_series: 0\n",
+             "scenario.yaml:2: cell.cells_in_series: "),
+            ("  v_oc_v: 22.1\n", "", "scenario.yaml:1: cell.v_oc_v: required value is missing"),
+        ],
+        ids=["r_p_ohm", "r_p_ohm_bool", "i_sc_a", "cells_in_series", "missing_v_oc_v"],
+    )
+    def test_inline_cell(self, tmp_path, capsys, old, new, where):
+        body = INLINE_CELL.format(out=tmp_path / "out").replace(old, new)
+        config = write_scenario(tmp_path, body)
+        with pytest.raises(ConfigError, match=where):
+            load_scenario(config)
+        assert main(["run", "--config", str(config), "--quiet"]) == 1
+        assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ("i_sc_a: 4.75", "i_sc_a: -4.75", "bad_panel.yaml: i_sc_ref must be > 0"),
+            ("i_sc_a: 4.75", "i_sc_a: true",
+             "bad_panel.yaml:3: i_sc_a: expected a number, got True"),
+            ("cells_in_series: 72", "cells_in_series: 72.5",
+             "bad_panel.yaml:2: cells_in_series: expected an integer, got 72.5"),
+        ],
+        ids=["i_sc_a", "i_sc_a_bool", "cells_in_series"],
+    )
+    def test_preset_file(self, tmp_path, capsys, old, new, where):
+        preset = tmp_path / "bad_panel.yaml"
+        preset.write_text(
+            "name: bad\ncells_in_series: 72\ni_sc_a: 4.75\nv_oc_v: 43.5\n"
+            "alpha_per_k: 0.00065\nideality_factor: 1.3\ndv_di_oc_ohm: -1.10\n"
+            "rated_power_w: 150.0\n".replace(old, new)
+        )
+        body = MINIMAL.format(out=tmp_path / "out").replace("bp_sx150", str(preset))
+        config = write_scenario(tmp_path, body)
+        assert main(["run", "--config", str(config), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"scenario.yaml:1: panel: {preset.parent}/" in err and where in err
+
+    def test_initial_duty_at_the_clamp_runs(self, tmp_path):
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "  duration_s: 0.05\n", "  duration_s: 0.05\n  initial_duty: 0.05\n"
+        )
+        assert main(["run", "--config", str(write_scenario(tmp_path, body)), "--quiet"]) == 0
+
+
+def _settable_defaults(section, attr, cls, rename=None, fixed=()):
+    rename = rename or {}
+    return [
+        pytest.param(section, attr, rename.get(f.name, f.name), f.default,
+                     id=f"{section}.{rename.get(f.name, f.name)}")
+        for f in dataclasses.fields(cls)
+        if f.name not in fixed and f.default is not dataclasses.MISSING
+    ]
+
+
+SETTABLE_DEFAULTS = [
+    *_settable_defaults(
+        "controller", "controller_params", ControllerParams,
+        fixed=("adaptive_upper_bound", "dv_dd_sign", "d_min", "d_max"),
+    ),
+    *_settable_defaults(
+        "sim", "sim", SimConfig,
+        rename={"control_interval": "control_interval_s", "duration": "duration_s"},
+    ),
+    *_settable_defaults("cell", "preset", PanelPreset),
+    pytest.param("cell", "preset", "name", "inline", id="cell.name"),
+    pytest.param("cell", "preset", "rated_power_w", 0.0, id="cell.rated_power_w"),
+]
+
+
+@pytest.mark.parametrize("section, attr, key, default", SETTABLE_DEFAULTS)
+def test_writing_a_default_equals_omitting_it(tmp_path, section, attr, key, default):
+    if section == "cell":
+        base = INLINE_CELL.format(out="out")
+        with_key = base.replace("cell:\n", f"cell:\n  {yaml.safe_dump({key: default})}", 1)
+    else:
+        base = "panel: bp_sx150\n"
+        with_key = f"{base}{section}:\n  {yaml.safe_dump({key: default})}"
+    omitted = getattr(load_scenario(write_scenario(tmp_path, base)), attr)
+    written = getattr(load_scenario(write_scenario(tmp_path, with_key)), attr)
+    assert written == omitted
 
 
 class TestCli:
@@ -307,6 +457,17 @@ class TestCli:
         assert main(["run", "--config", str(repo_config), "--out", str(out), "--quiet"]) == 0
         rows = list(csv.reader((out / "trace.csv").open()))
         assert len(rows) == 1 + 500  # 5.0 s at 10 ms
+
+    def test_degenerate_first_samples_are_exit_2(self, tmp_path, capsys):
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "  kind: revised-adaptive-bound\n",
+            "  kind: conventional\n  delta_d_nominal: 1.0e-12\n",
+        )
+        config = write_scenario(tmp_path, body)
+        assert main(["run", "--config", str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "degenerate" in err
+        assert "Traceback" not in err
 
     def test_invalid_environment_is_exit_2(self, tmp_path, capsys):
         config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))

@@ -74,7 +74,7 @@ class TestRunSimulation:
             bp_panel, bp_converter, controller, constant_profile(), cfg, bp_oracle
         )
         for rec in trace:
-            assert rec.v == bp_converter.terminal_voltage(rec.d).voltage
+            assert rec.v == bp_converter.terminal_voltage(rec.d)
 
     def test_causality_duty_changes_lag_measurements(
         self, bp_panel, bp_converter, bp_oracle
@@ -126,7 +126,7 @@ class TestRunSimulation:
     ):
         cfg = SimConfig(initial_duty="auto", initial_voltage_fraction=0.9)
         d0 = resolve_initial_duty(cfg, bp_converter, bp_oracle, stc)
-        v0 = bp_converter.terminal_voltage(d0).voltage
+        v0 = bp_converter.terminal_voltage(d0)
         assert v0 == pytest.approx(0.9 * bp_oracle.find(stc).v_mpp, rel=1e-9)
 
 

@@ -22,10 +22,8 @@ from mpptbench.pvmodel import (
     CellParams,
     DatasheetError,
     EnvCondition,
-    IVPoint,
     NumericRangeError,
     PVArray,
-    array_iv,
     band_gap,
     cell_current,
     derive_series_resistance,
@@ -289,28 +287,23 @@ class TestOpenCircuitVoltage:
 
 class TestArrayScaling:
     def test_identity_configuration(self, bp_cell, stc):
-        r_s = derive_series_resistance(bp_cell)
-        pt = array_iv(bp_cell, r_s, ArrayConfig(1, 1), stc, 0.45)
-        assert pt.i == cell_current(bp_cell, r_s, stc, 0.45)
-        assert pt.p == pt.v * pt.i
+        arr = PVArray(cell=bp_cell, layout=ArrayConfig(1, 1))
+        assert arr.current_at(0.45, stc) == cell_current(bp_cell, arr.r_s, stc, 0.45)
 
     def test_parallel_doubling_is_exact(self, bp_cell, stc):
-        r_s = derive_series_resistance(bp_cell)
-        base = array_iv(bp_cell, r_s, ArrayConfig(4, 1), stc, 1.8)
-        doubled = array_iv(bp_cell, r_s, ArrayConfig(4, 2), stc, 1.8)
-        assert doubled.i == 2 * base.i
-        assert doubled.p == 2 * base.p
+        base = PVArray(cell=bp_cell, layout=ArrayConfig(4, 1)).current_at(1.8, stc)
+        doubled = PVArray(cell=bp_cell, layout=ArrayConfig(4, 2)).current_at(1.8, stc)
+        assert doubled == 2 * base
+        assert 1.8 * doubled == 2 * (1.8 * base)
 
     def test_series_doubling_is_exact(self, bp_cell, stc):
-        r_s = derive_series_resistance(bp_cell)
-        base = array_iv(bp_cell, r_s, ArrayConfig(4, 1), stc, 1.8)
-        stretched = array_iv(bp_cell, r_s, ArrayConfig(8, 1), stc, 3.6)
-        assert stretched.i == base.i
+        base = PVArray(cell=bp_cell, layout=ArrayConfig(4, 1)).current_at(1.8, stc)
+        stretched = PVArray(cell=bp_cell, layout=ArrayConfig(8, 1)).current_at(3.6, stc)
+        assert stretched == base
 
     def test_pvarray_wraps_the_same_math(self, bp_cell, stc):
         arr = PVArray(cell=bp_cell, layout=ArrayConfig(72, 1))
-        pt = arr.iv_at(32.0, stc)
-        assert pt.i == pytest.approx(
+        assert arr.current_at(32.0, stc) == pytest.approx(
             cell_current(bp_cell, arr.r_s, stc, 32.0 / 72), rel=1e-12
         )
         assert arr.open_circuit_voltage(stc) == pytest.approx(43.5, rel=1e-9)
@@ -429,6 +422,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             ArrayConfig(0, 1)
 
-    def test_ivpoint_power_recomputed(self):
-        pt = IVPoint(v=3.0, i=2.0)
-        assert pt.p == 6.0
+    def test_power_recomputed_from_current_at(self, bp_panel, stc):
+        v = np.array([3.0, 30.0])
+        p_lanes = v * bp_panel.current_at(v, stc)
+        p_floats = [x * bp_panel.current_at(x, stc) for x in (3.0, 30.0)]
+        assert p_lanes.tolist() == p_floats
