@@ -45,7 +45,6 @@ from .pvmodel import (
     PhysicalConstants,
     PVArray,
     band_gap,
-    cell_current,
     derive_series_resistance,
     open_circuit_voltage,
     photon_current,
@@ -84,7 +83,6 @@ __all__ = [
     "TrackingMetrics",
     "band_gap",
     "builtin_table1_profile",
-    "cell_current",
     "compute_metrics",
     "conventional_step",
     "derive_series_resistance",

@@ -102,17 +102,16 @@ class ScenarioConfig:
             band_gap_denominator_sign=self.band_gap_denominator_sign,
         )
 
-    def build_converter(self, array: PVArray, oracle: MppOracle | None = None) -> BuckBoost:
+    def build_converter(self, array: PVArray, oracle: MppOracle) -> BuckBoost:
         """Converter with the bus sized so the STC MPP sits at duty 0.5."""
         v_bus = self.v_bus
         if v_bus == "auto":
-            oracle = oracle or MppOracle(array)
             v_bus = oracle.find(STC).v_mpp
         params = self.controller_params
         return BuckBoost(v_bus=float(v_bus), d_min=params.d_min, d_max=params.d_max)
 
-    def build_controller(self, initial_duty: float, kind: str | None = None) -> MpptController:
-        return MpptController(kind or self.controller_kind, self.controller_params, initial_duty)
+    def build_controller(self, initial_duty: float, kind: str) -> MpptController:
+        return MpptController(kind, self.controller_params, initial_duty)
 
 
 def _index_key_lines(node: Any, prefix: str, out: dict[str, int]) -> None:
@@ -297,9 +296,11 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     arr = root.section("array")
     arr.reject_unknown({"panels_series", "panels_parallel"})
     panels_series = arr.integer("panels_series", 1)
+    if panels_series < 1:
+        raise arr.error("panels_series", "must be >= 1")
     panels_parallel = arr.integer("panels_parallel", 1)
-    if panels_series < 1 or panels_parallel < 1:
-        raise arr.error("panels_series", "panel counts must be >= 1")
+    if panels_parallel < 1:
+        raise arr.error("panels_parallel", "must be >= 1")
 
     model = root.section("model")
     model.reject_unknown(
@@ -309,23 +310,21 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if bg_sign not in (-1, 1):
         raise model.error("band_gap_denominator_sign", "must be -1 or +1")
     solver_tol = model.number("solver_tolerance_a", 1e-9)
+    if solver_tol <= 0:
+        raise model.error("solver_tolerance_a", "must be > 0")
     solver_iters = model.integer("solver_max_iterations", 100)
-    if solver_tol <= 0 or solver_iters < 1:
-        raise model.error("solver_tolerance_a", "solver settings must be positive")
+    if solver_iters < 1:
+        raise model.error("solver_max_iterations", "must be >= 1")
 
     conv = root.section("converter")
     conv.reject_unknown({"v_bus", "d_min", "d_max"})
-    v_bus_raw = conv.get("v_bus", "auto")
-    if isinstance(v_bus_raw, str):
-        if v_bus_raw != "auto":
+    v_bus = conv.get("v_bus", "auto")
+    if v_bus != "auto":
+        if isinstance(v_bus, bool) or not isinstance(v_bus, (int, float)):
             raise conv.error("v_bus", 'expected a voltage or "auto"')
-        v_bus: float | str = "auto"
-    elif isinstance(v_bus_raw, (int, float)) and not isinstance(v_bus_raw, bool):
-        v_bus = float(v_bus_raw)
         if v_bus <= 0:
             raise conv.error("v_bus", "must be > 0")
-    else:
-        raise conv.error("v_bus", 'expected a voltage or "auto"')
+        v_bus = float(v_bus)
     d_min = conv.number("d_min", BuckBoost.d_min)
     d_max = conv.number("d_max", BuckBoost.d_max)
     if not (0.0 < d_min < d_max < 1.0):

@@ -152,20 +152,21 @@ class StepOutcome(NamedTuple):
     slope_term: float  # nan on the seeding step, before any slope exists
 
 
-class _SlopeKind(enum.Enum):
-    NORMAL = "normal"
-    DV_FALLBACK = "dv_fallback"    # dV degenerate, direction from sign(dI)
-    DEGENERATE = "degenerate"      # both deltas degenerate, prior sign reused
-    PLATEAU = "plateau"            # zero-current region above V_oc
-
-
-def _slope(
+def slope_term(
     meas: Measurement,
     prev_v: float,
     prev_i: float,
     normalize: bool,
     prev_slope_sign: int | None,
-) -> tuple[float, _SlopeKind]:
+) -> tuple[float, bool]:
+    """Slope test value for one sample pair, and whether dI alone set it.
+
+    Raw form dI/dV + I/V (siemens); normalized form multiplies by V/I,
+    giving the dimensionless 1 + (V/I)*(dI/dV).  The sign matches the
+    sign of dP/dV for well-conditioned inputs.  The flag is True when dV
+    is degenerate but dI is not: the duty was static and the environment
+    changed, so the value is +/-FALLBACK_SLOPE_MAGNITUDE signed by dI.
+    """
     dv = meas.v - prev_v
     di = meas.i - prev_i
     if abs(dv) < DV_DEGENERATE_V:
@@ -176,35 +177,18 @@ def _slope(
                     "slope history exists"
                 )
             # nothing changed: zero slope keeps a held controller held
-            return 0.0, _SlopeKind.DEGENERATE
+            return 0.0, False
         # duty was static and the current jumped: the environment changed;
         # a rising current at fixed voltage means the MPP moved right
-        return math.copysign(FALLBACK_SLOPE_MAGNITUDE, di), _SlopeKind.DV_FALLBACK
+        return math.copysign(FALLBACK_SLOPE_MAGNITUDE, di), True
     if meas.i < ZERO_CURRENT_A and prev_i < ZERO_CURRENT_A:
         # flat zero-power plateau beyond open circuit: slope carries no
         # information there, but the MPP is always at lower voltage
-        return -FALLBACK_SLOPE_MAGNITUDE, _SlopeKind.PLATEAU
+        return -FALLBACK_SLOPE_MAGNITUDE, False
     raw = di / dv + meas.i / meas.v
     if not normalize:
-        return raw, _SlopeKind.NORMAL
-    return raw * meas.v / max(meas.i, _NORM_CURRENT_FLOOR), _SlopeKind.NORMAL
-
-
-def slope_term(
-    meas: Measurement,
-    prev_v: float,
-    prev_i: float,
-    normalize: bool = True,
-    prev_slope_sign: int | None = None,
-) -> float:
-    """Slope test value for one sample pair.
-
-    Raw form dI/dV + I/V (siemens); normalized form multiplies by V/I,
-    giving the dimensionless 1 + (V/I)*(dI/dV).  The sign matches the
-    sign of dP/dV for well-conditioned inputs.
-    """
-    value, _ = _slope(meas, prev_v, prev_i, normalize, prev_slope_sign)
-    return value
+        return raw, False
+    return raw * meas.v / max(meas.i, _NORM_CURRENT_FLOOR), False
 
 
 def initial_state(d0: float, params: ControllerParams) -> ControllerState:
@@ -260,7 +244,7 @@ def conventional_step(
     meas.validate()
     if state.prev_v is None:
         return _seed_step(state, meas, params, params.delta_d_nominal)
-    s, _ = _slope(
+    s, _ = slope_term(
         meas, state.prev_v, state.prev_i, params.slope_normalization, state.prev_slope_sign
     )
     if s == 0.0:
@@ -298,11 +282,11 @@ def revised_step(
             state.delta_d_max,
         )
         return _seed_step(state, meas, params, seed)
-    s, kind = _slope(
+    s, from_di_alone = slope_term(
         meas, state.prev_v, state.prev_i, params.slope_normalization, state.prev_slope_sign
     )
     delta_d = state.delta_d
-    if kind is _SlopeKind.DV_FALLBACK:
+    if from_di_alone:
         # The duty has been static (held, or the step collapsed) and the
         # environment just changed: restart the step from its nominal
         # value or the response to the new transient stays microscopic.

@@ -116,12 +116,10 @@ def run_simulation(
     converter: BuckBoost,
     controller: MpptController,
     profile: EnvProfile,
-    cfg: SimConfig = SimConfig(),
-    oracle: MppOracle | None = None,
+    cfg: SimConfig,
+    oracle: MppOracle,
 ) -> list[SimRecord]:
     """Drive the loop on the control cadence; fully deterministic."""
-    if oracle is None:
-        oracle = MppOracle(array)
     dt = cfg.control_interval
     duration = cfg.duration if cfg.duration is not None else profile.duration
     n_steps = max(1, round(duration / dt))

@@ -17,6 +17,8 @@ from .pvmodel import EnvCondition, PVArray
 __all__ = ["MppResult", "find_mpp", "MppOracle"]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section search stops once the MPP bracket is narrower than this (V).
+_REFINE_TOLERANCE_V = 1e-6
 
 
 @dataclass(frozen=True)
@@ -47,12 +49,7 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def find_mpp(
-    array: PVArray,
-    env: EnvCondition,
-    grid_points: int = 2000,
-    refine_tolerance: float = 1e-6,
-) -> MppResult:
+def find_mpp(array: PVArray, env: EnvCondition, grid_points: int = 2000) -> MppResult:
     """Locate the MPP by grid sweep plus golden-section refinement.
 
     The sweep guards against refining the wrong bracket; the returned
@@ -75,7 +72,7 @@ def find_mpp(
 
     lo = float(grid[max(0, best - 1)])
     hi = float(grid[min(grid_points - 1, best + 1)])
-    v_star, p_star = _golden_max(p_of, lo, hi, refine_tolerance)
+    v_star, p_star = _golden_max(p_of, lo, hi, _REFINE_TOLERANCE_V)
 
     if p_star >= float(power[best]):
         v_mpp = v_star
@@ -94,16 +91,15 @@ class MppOracle:
     confine an instance to one thread or guard it externally.
     """
 
-    def __init__(self, array: PVArray, grid_points: int = 2000, refine_tolerance: float = 1e-6):
+    def __init__(self, array: PVArray, grid_points: int = 2000):
         self.array = array
         self.grid_points = grid_points
-        self.refine_tolerance = refine_tolerance
         self._cache: dict[tuple[float, float], MppResult] = {}
 
     def find(self, env: EnvCondition) -> MppResult:
         key = (env.g, env.t)
         hit = self._cache.get(key)
         if hit is None:
-            hit = find_mpp(self.array, env, self.grid_points, self.refine_tolerance)
+            hit = find_mpp(self.array, env, self.grid_points)
             self._cache[key] = hit
         return hit

@@ -7,7 +7,10 @@ current solves the implicit equation
 
     I = I_ph - I_0 * (exp(q*(V + I*R_s)/(n*k*T)) - 1) - (V + I*R_s)/R_p
 
-which is handled by a damped Newton iteration with a bisection fallback.
+which is solved by Newton's method started at I = I_ph.  With R_s >= 0
+the iteration converges monotonically (see _solve_current), so it needs
+no damping; a bisection fallback takes any voltage that runs out of
+iterations, such as one far above open circuit.
 Arrays of identical, identically illuminated cells scale linearly in
 series (voltage) and parallel (current).
 
@@ -41,7 +44,6 @@ __all__ = [
     "reference_saturation_current",
     "saturation_current",
     "derive_series_resistance",
-    "cell_current",
     "open_circuit_voltage",
     "PVArray",
 ]
@@ -239,12 +241,17 @@ def _solve_current(
     tol: float,
     max_iter: int,
 ) -> np.ndarray:
-    """Damped Newton on the single-diode residual, bisection fallback.
+    """Newton on the single-diode residual, bisection fallback.
 
-    The residual f(I) = I_ph - I_0*expm1((V+I*R_s)/vt) - (V+I*R_s)*g_p - I
-    is strictly decreasing and concave in I, so Newton started at I=I_ph
-    (right of the root) converges monotonically; damping and bisection
-    cover the floating-point edge cases.
+    For R_s >= 0 the residual
+    f(I) = I_ph - I_0*expm1((V+I*R_s)/vt) - (V+I*R_s)*g_p - I
+    is strictly decreasing and concave in I, and f(I_ph) <= 0 whenever
+    V + I_ph*R_s >= 0 (V >= 0, I_ph >= 0).  Newton started at I_ph, right
+    of the root, therefore moves left without passing the root: each
+    step lowers I and |f|, and the diode exponent never rises above its
+    value at I_ph, which the overflow guard checks.  Lanes that are
+    still unconverged after max_iter steps (the exponent falls by about
+    one per step far above open circuit) are solved by bisection.
     """
     x0 = (v + i_ph * r_s) / vt
     if np.any(x0 > MAX_EXP_ARGUMENT):
@@ -262,20 +269,12 @@ def _solve_current(
             return i
         e = np.exp((v + i * r_s) / vt)
         df = -i_0 * e * r_s / vt - r_s * g_p - 1.0
-        step = f / df
-        i_new = i - step
+        i_new = i - f / df
         f_new = residual(i_new)
-        for _ in range(8):  # backtrack where the residual got worse
-            bad = ~converged & (~np.isfinite(f_new) | (np.abs(f_new) > np.abs(f)))
-            if not bad.any():
-                break
-            step = np.where(bad, 0.5 * step, step)
-            i_new = i - step
-            f_new = residual(i_new)
         i = np.where(converged, i, i_new)
         f = np.where(converged, f, f_new)
 
-    # bisection fallback on the stated bracket for any lane Newton left over
+    # bisection for the lanes Newton left over; lo doubles until the bracket holds the root
     out = i.copy()
     for idx in np.flatnonzero(~(np.abs(f) < tol)):
         vi = float(v[idx])
@@ -286,7 +285,7 @@ def _solve_current(
 
         lo, hi = -0.1 * i_ph, 1.2 * i_ph
         expand = 0
-        while fr(lo) * fr(hi) > 0 and expand < 12:
+        while fr(lo) * fr(hi) > 0 and expand < 64:
             lo = lo - max(abs(lo), 0.1 * i_ph + 1e-6)
             expand += 1
         if fr(lo) * fr(hi) > 0:
@@ -342,38 +341,11 @@ def _solve_current_scalar(
             return i
         e = float(np.exp((v + i * r_s) / vt))
         df = -i_0 * e * r_s / vt - r_s * g_p - 1.0
-        step = f / df
-        i_new = i - step
-        f_new = residual(i_new)
-        for _ in range(8):  # backtrack while the residual got worse
-            if math.isfinite(f_new) and not abs(f_new) > abs(f):
-                break
-            step = 0.5 * step
-            i_new = i - step
-            f_new = residual(i_new)
-        i, f = i_new, f_new
+        i = i - f / df
+        f = residual(i)
     if abs(f) < tol:
         return i
     return float(_solve_current(np.array([v]), i_ph, i_0, vt, r_s, g_p, tol, max_iter)[0])
-
-
-def cell_current(
-    params: CellParams,
-    r_s: float,
-    env: EnvCondition,
-    v,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    tol: float = 1e-9,
-    max_iter: int = 100,
-    band_gap_denominator_sign: int = -1,
-):
-    """Terminal current (A) of one cell at voltage v (scalar or array).
-
-    Every returned value satisfies |residual| < tol.  The solve is that
-    of a one-cell PVArray, so both give the same floats.
-    """
-    cell = PVArray(params, ArrayConfig(), constants, r_s, tol, max_iter, band_gap_denominator_sign)
-    return cell.current_at(v, env)
 
 
 def open_circuit_voltage(
@@ -444,6 +416,8 @@ class PVArray:
         self.solver_tol = solver_tol
         self.solver_max_iter = solver_max_iter
         self.r_s = derive_series_resistance(cell, constants) if r_s is None else r_s
+        if self.r_s < 0:
+            raise ValueError("r_s must be >= 0")  # the Newton solve needs it
         self._solver_constants: dict[tuple[float, float], tuple[float, float, float, float]] = {}
 
     def _constants_at(self, env: EnvCondition) -> tuple[float, float, float, float]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -195,13 +196,36 @@ class TestErrorAttribution:
              "scenario.yaml:6: sim.duration_s: "),
             ("  duration_s: 0.05\n", "  duration_s: 0.05\n  initial_duty: 0.02\n",
              "scenario.yaml:7: sim.initial_duty: "),
+            ("profile:", "array:\n  panels_series: 0\nprofile:",
+             "scenario.yaml:5: array.panels_series: must be >= 1"),
+            ("profile:", "array:\n  panels_parallel: 0\nprofile:",
+             "scenario.yaml:5: array.panels_parallel: must be >= 1"),
+            ("profile:", "model:\n  solver_tolerance_a: 0.0\nprofile:",
+             "scenario.yaml:5: model.solver_tolerance_a: must be > 0"),
+            ("profile:", "model:\n  solver_max_iterations: 0\nprofile:",
+             "scenario.yaml:5: model.solver_max_iterations: must be >= 1"),
+            ("profile:", "model:\n  band_gap_denominator_sign: 2\nprofile:",
+             "scenario.yaml:5: model.band_gap_denominator_sign: must be -1 or +1"),
+            ("profile:", "converter:\n  v_bus: 0\nprofile:",
+             "scenario.yaml:5: converter.v_bus: must be > 0"),
+            ("profile:", "converter:\n  v_bus: true\nprofile:",
+             'scenario.yaml:5: converter.v_bus: expected a voltage or "auto"'),
+            ("profile:", "converter:\n  v_bus: fast\nprofile:",
+             'scenario.yaml:5: converter.v_bus: expected a voltage or "auto"'),
+            ("profile: builtin-table1", "profile: 5",
+             "scenario.yaml:4: profile: expected 'builtin-table1' or a CSV path, got 5"),
+            ("output_dir: {out}", "output_dir: 5",
+             "scenario.yaml:7: output_dir: expected a path, got 5"),
         ],
-        ids=["deacc", "noise_i", "duration_s", "initial_duty"],
+        ids=["deacc", "noise_i", "duration_s", "initial_duty", "panels_series",
+             "panels_parallel", "solver_tolerance_a", "solver_max_iterations",
+             "band_gap_denominator_sign", "v_bus_zero", "v_bus_bool", "v_bus_string", "profile",
+             "output_dir"],
     )
     def test_preset_scenario(self, tmp_path, capsys, old, new, where):
-        body = MINIMAL.format(out=tmp_path / "out").replace(old, new)
+        body = MINIMAL.replace(old, new).format(out=tmp_path / "out")
         config = write_scenario(tmp_path, body)
-        with pytest.raises(ConfigError, match=where):
+        with pytest.raises(ConfigError, match=re.escape(where)):
             load_scenario(config)
         assert main(["run", "--config", str(config), "--quiet"]) == 1
         assert where in capsys.readouterr().err
@@ -258,6 +282,17 @@ class TestErrorAttribution:
             "  duration_s: 0.05\n", "  duration_s: 0.05\n  initial_duty: 0.05\n"
         )
         assert main(["run", "--config", str(write_scenario(tmp_path, body)), "--quiet"]) == 0
+
+    def test_numeric_v_bus_runs(self, tmp_path):
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "profile:", "converter:\n  v_bus: 40.0\nprofile:"
+        )
+        config = write_scenario(tmp_path, body)
+        assert load_scenario(config).v_bus == 40.0
+        assert main(["run", "--config", str(config), "--quiet"]) == 0
+        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").open()))
+        d = float(rows[0]["d"])
+        assert float(rows[0]["v_v"]) == 40.0 * (1.0 - d) / d
 
 
 def _settable_defaults(section, attr, cls, rename=None, fixed=()):
@@ -379,6 +414,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "sim.duration_s" in err
         assert not (tmp_path / "out" / "trace.csv").exists()
+
+    def test_dark_first_row_starts_at_half_duty(self, tmp_path):
+        dark = tmp_path / "dark.csv"
+        dark.write_text("time_s,irradiance_w_m2,temperature_c\n0.0,0,25\n0.05,800,25\n")
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "profile: builtin-table1", "profile: dark.csv"
+        ).replace("duration_s: 0.05", "duration_s: 0.1")
+        config = write_scenario(tmp_path, body)
+        assert load_scenario(config).sim.initial_duty == "auto"
+        assert main(["run", "--config", str(config), "--quiet"]) == 0
+        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").open()))
+        assert len(rows) == 10
+        assert float(rows[0]["g_w_m2"]) == 0.0 and float(rows[0]["d"]) == 0.5
 
     def test_csv_profile_runs_its_last_segment(self, tmp_path):
         two = tmp_path / "two.csv"

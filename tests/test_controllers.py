@@ -54,53 +54,55 @@ def state_with_history(
 class TestSlopeTerm:
     def test_hand_example_raw(self):
         # dI/dV = -0.2/1, I/V = 4/30
-        raw = slope_term(Measurement(30.0, 4.0), 29.0, 4.2, normalize=False)
+        raw, from_di_alone = slope_term(Measurement(30.0, 4.0), 29.0, 4.2, False, None)
         assert raw == (4.0 - 4.2) / (30.0 - 29.0) + 4.0 / 30.0
         assert raw == pytest.approx(-0.0667, abs=1e-4)
+        assert not from_di_alone
 
     def test_hand_example_normalized(self):
-        s = slope_term(Measurement(30.0, 4.0), 29.0, 4.2, normalize=True)
+        s, from_di_alone = slope_term(Measurement(30.0, 4.0), 29.0, 4.2, True, None)
         assert s == pytest.approx(-0.5, rel=1e-12)
+        assert not from_di_alone
 
     def test_zero_at_mpp_of_linear_iv(self):
         # I = 8*(1 - V/64): at V = 32 the secant equals -I/V exactly
         def current(v):
             return 8.0 * (1.0 - v / 64.0)
 
-        s = slope_term(Measurement(32.0, current(32.0)), 31.0, current(31.0))
+        s, _ = slope_term(Measurement(32.0, current(32.0)), 31.0, current(31.0), True, None)
         assert s == pytest.approx(0.0, abs=1e-12)
 
     def test_sign_matches_side_of_mpp(self):
         def current(v):
             return 8.0 * (1.0 - v / 64.0)
 
-        left = slope_term(Measurement(20.0, current(20.0)), 19.0, current(19.0))
-        right = slope_term(Measurement(45.0, current(45.0)), 44.0, current(44.0))
+        left, _ = slope_term(Measurement(20.0, current(20.0)), 19.0, current(19.0), True, None)
+        right, _ = slope_term(Measurement(45.0, current(45.0)), 44.0, current(44.0), True, None)
         assert left > 0 > right
 
     def test_dv_fallback_positive(self):
-        s = slope_term(Measurement(30.0, 4.2), 30.0, 4.0)
-        assert s == FALLBACK_SLOPE_MAGNITUDE
+        result = slope_term(Measurement(30.0, 4.2), 30.0, 4.0, True, None)
+        assert result == (FALLBACK_SLOPE_MAGNITUDE, True)
 
     def test_dv_fallback_negative(self):
-        s = slope_term(Measurement(30.0, 3.5), 30.0, 4.0)
-        assert s == -FALLBACK_SLOPE_MAGNITUDE
+        result = slope_term(Measurement(30.0, 3.5), 30.0, 4.0, True, None)
+        assert result == (-FALLBACK_SLOPE_MAGNITUDE, True)
 
     def test_both_degenerate_reuses_history(self):
-        s = slope_term(Measurement(30.0, 4.0), 30.0, 4.0, prev_slope_sign=1)
-        assert s == 0.0
+        assert slope_term(Measurement(30.0, 4.0), 30.0, 4.0, True, 1) == (0.0, False)
 
     def test_both_degenerate_without_history_raises(self):
         with pytest.raises(DegenerateSampleError):
-            slope_term(Measurement(30.0, 4.0), 30.0, 4.0)
+            slope_term(Measurement(30.0, 4.0), 30.0, 4.0, True, None)
 
     def test_zero_current_plateau_points_left(self):
-        s = slope_term(Measurement(36.0, 0.0), 35.0, 0.0)
-        assert s == -FALLBACK_SLOPE_MAGNITUDE
+        result = slope_term(Measurement(36.0, 0.0), 35.0, 0.0, True, None)
+        assert result == (-FALLBACK_SLOPE_MAGNITUDE, False)
 
     def test_constructed_slope_helper(self):
         meas, pv, pi = meas_with_slope(-1.5)
-        assert slope_term(meas, pv, pi) == pytest.approx(-1.5, rel=1e-12)
+        s, _ = slope_term(meas, pv, pi, True, None)
+        assert s == pytest.approx(-1.5, rel=1e-12)
 
 
 class TestConventionalStep:

@@ -16,16 +16,18 @@ from hypothesis import strategies as st
 
 from mpptbench import pvmodel
 from mpptbench.cli import main
+from mpptbench.config import load_scenario
+from mpptbench.oracle import MppOracle
 from mpptbench.pvmodel import (
     DEFAULT_CONSTANTS,
     ArrayConfig,
     CellParams,
+    ConvergenceError,
     DatasheetError,
     EnvCondition,
     NumericRangeError,
     PVArray,
     band_gap,
-    cell_current,
     derive_series_resistance,
     open_circuit_voltage,
     photon_current,
@@ -36,6 +38,11 @@ from mpptbench.pvmodel import (
 Q = DEFAULT_CONSTANTS.q
 K = DEFAULT_CONSTANTS.k
 TABLE1_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "table1_adaptive.yaml"
+
+
+def one_cell(params, r_s):
+    """A one-cell PVArray with the given series resistance."""
+    return PVArray(params, r_s=r_s)
 
 
 def bisect_current(params, r_s, env, v, lo, hi, tol=1e-10):
@@ -189,19 +196,19 @@ class TestSeriesResistance:
 
 class TestCellCurrent:
     def test_short_circuit_no_series_resistance(self, bp_cell, stc):
-        i = cell_current(bp_cell, 0.0, stc, 0.0)
+        i = one_cell(bp_cell, 0.0).current_at(0.0, stc)
         assert i == photon_current(bp_cell, stc)
 
     def test_zero_current_at_open_circuit(self, bp_cell, stc):
         r_s = derive_series_resistance(bp_cell)
         v_oc = open_circuit_voltage(bp_cell, stc)
-        assert abs(cell_current(bp_cell, r_s, stc, v_oc)) < 1e-8
+        assert abs(one_cell(bp_cell, r_s).current_at(v_oc, stc)) < 1e-8
 
     def test_against_bisection_oracle(self, bp_cell, stc):
         r_s = derive_series_resistance(bp_cell)
         i_ph = photon_current(bp_cell, stc)
         for v in (0.1, 0.3, 0.45, 0.55):
-            i_fast = cell_current(bp_cell, r_s, stc, v)
+            i_fast = one_cell(bp_cell, r_s).current_at(v, stc)
             i_slow = bisect_current(bp_cell, r_s, stc, v, -0.1 * i_ph, 1.2 * i_ph)
             assert i_fast == pytest.approx(i_slow, abs=1e-8)
 
@@ -212,21 +219,21 @@ class TestCellCurrent:
         vt = bp_cell.n * K * stc.t / Q
         v_oc = open_circuit_voltage(bp_cell, stc)
         v = np.linspace(0.0, v_oc, 200)
-        i = cell_current(bp_cell, r_s, stc, v)
+        i = one_cell(bp_cell, r_s).current_at(v, stc)
         residual = np.abs(i_ph - i_0 * np.expm1((v + i * r_s) / vt) - i)
         assert residual.max() < 1e-9
 
     def test_strictly_decreasing_in_voltage(self, bp_cell, stc):
         r_s = derive_series_resistance(bp_cell)
         v_oc = open_circuit_voltage(bp_cell, stc)
-        i = cell_current(bp_cell, r_s, stc, np.linspace(0.0, v_oc, 300))
+        i = one_cell(bp_cell, r_s).current_at(np.linspace(0.0, v_oc, 300), stc)
         assert np.all(np.diff(i) < 0)
 
     def test_power_unimodal(self, bp_cell, stc):
         r_s = derive_series_resistance(bp_cell)
         v_oc = open_circuit_voltage(bp_cell, stc)
         v = np.linspace(0.0, v_oc, 2000)
-        p = v * cell_current(bp_cell, r_s, stc, v)
+        p = v * one_cell(bp_cell, r_s).current_at(v, stc)
         signs = np.sign(np.diff(p))
         # exactly one rise-to-fall transition and no other sign changes
         changes = np.flatnonzero(np.diff(signs) != 0)
@@ -235,12 +242,12 @@ class TestCellCurrent:
     def test_dark_current_negative_past_voc(self, bp_cell):
         r_s = derive_series_resistance(bp_cell)
         env = EnvCondition(g=0.0, t=298.0)
-        assert cell_current(bp_cell, r_s, env, 0.3) < 0.0
+        assert one_cell(bp_cell, r_s).current_at(0.3, env) < 0.0
 
     def test_negative_voltage_rejected(self, bp_cell, bp_panel, stc):
         for v in (-0.1, np.array([1.0, -0.1])):
             with pytest.raises(ValueError, match=">= 0"):
-                cell_current(bp_cell, 0.0, stc, v)
+                one_cell(bp_cell, 0.0).current_at(v, stc)
             with pytest.raises(ValueError, match=">= 0"):
                 bp_panel.current_at(72 * v, stc)
 
@@ -254,15 +261,15 @@ class TestCellCurrent:
             r_p=5.0,
         )
         r_s = derive_series_resistance(bp_cell)
-        i_inf = cell_current(bp_cell, r_s, stc, 0.4)
-        i_fin = cell_current(shunted, r_s, stc, 0.4)
+        i_inf = one_cell(bp_cell, r_s).current_at(0.4, stc)
+        i_fin = one_cell(shunted, r_s).current_at(0.4, stc)
         assert i_fin < i_inf
 
 
 class TestOpenCircuitVoltage:
     def test_matches_root_of_cell_current(self, bp_cell, stc):
         v_oc = open_circuit_voltage(bp_cell, stc)
-        assert abs(cell_current(bp_cell, 0.0, stc, v_oc)) < 1e-9
+        assert abs(one_cell(bp_cell, 0.0).current_at(v_oc, stc)) < 1e-9
 
     def test_reproduces_datasheet_at_stc(self, bp_cell, stc):
         # v_oc_ref is derived from the same diode equation, so STC round-trips
@@ -282,13 +289,13 @@ class TestOpenCircuitVoltage:
         )
         v_oc = open_circuit_voltage(shunted, stc)
         assert v_oc < open_circuit_voltage(bp_cell, stc)
-        assert abs(cell_current(shunted, 0.0, stc, v_oc)) < 1e-8
+        assert abs(one_cell(shunted, 0.0).current_at(v_oc, stc)) < 1e-8
 
 
 class TestArrayScaling:
     def test_identity_configuration(self, bp_cell, stc):
         arr = PVArray(cell=bp_cell, layout=ArrayConfig(1, 1))
-        assert arr.current_at(0.45, stc) == cell_current(bp_cell, arr.r_s, stc, 0.45)
+        assert arr.current_at(0.45, stc) == one_cell(bp_cell, arr.r_s).current_at(0.45, stc)
 
     def test_parallel_doubling_is_exact(self, bp_cell, stc):
         base = PVArray(cell=bp_cell, layout=ArrayConfig(4, 1)).current_at(1.8, stc)
@@ -304,7 +311,7 @@ class TestArrayScaling:
     def test_pvarray_wraps_the_same_math(self, bp_cell, stc):
         arr = PVArray(cell=bp_cell, layout=ArrayConfig(72, 1))
         assert arr.current_at(32.0, stc) == pytest.approx(
-            cell_current(bp_cell, arr.r_s, stc, 32.0 / 72), rel=1e-12
+            one_cell(bp_cell, arr.r_s).current_at(32.0 / 72, stc), rel=1e-12
         )
         assert arr.open_circuit_voltage(stc) == pytest.approx(43.5, rel=1e-9)
 
@@ -332,8 +339,8 @@ class TestScalarPath:
             assert type(scalar) is float
             assert scalar.hex() == float(array.current_at(np.array([v]), env)[0]).hex()
             v_cell = v / layout.n_series
-            one = cell_current(cell, array.r_s, env, v_cell)
-            lane = cell_current(cell, array.r_s, env, np.array([v_cell]))[0]
+            one = one_cell(cell, array.r_s).current_at(v_cell, env)
+            lane = one_cell(cell, array.r_s).current_at(np.array([v_cell]), env)[0]
             assert type(one) is float
             assert one.hex() == float(lane).hex()
 
@@ -401,6 +408,100 @@ class TestScalarPath:
         assert as_floats == as_lanes
 
 
+def newton_path(cell, r_s, env, v, tol, max_steps):
+    """(I, f) after each plain Newton step from I = I_ph, as the solver takes them.
+
+    Stops at |f| < tol, or where the step falls to the float spacing of I:
+    there the rounding of f can flip its sign, and a current of thousands
+    of amperes cannot meet an absolute tolerance of 1e-9 A anyway.
+    """
+    i_ph, i_0 = photon_current(cell, env), saturation_current(cell, env)
+    vt = cell.n * K * env.t / Q
+    g_p = 0.0 if cell.r_p is None else 1.0 / cell.r_p
+
+    def residual(i):
+        vd = v + i * r_s
+        return i_ph - i_0 * float(np.expm1(vd / vt)) - vd * g_p - i
+
+    path = [(i_ph, residual(i_ph))]
+    while abs(path[-1][1]) >= tol and len(path) <= max_steps:
+        i, f = path[-1]
+        df = -i_0 * float(np.exp((v + i * r_s) / vt)) * r_s / vt - r_s * g_p - 1.0
+        if abs(f / df) <= 8 * math.ulp(i):
+            break
+        i = i - f / df
+        path.append((i, residual(i)))
+    return path
+
+
+valid_cells = st.builds(
+    CellParams,
+    i_sc_ref=st.floats(0.5, 15.0),
+    v_oc_ref=st.floats(0.4, 0.75),
+    alpha=st.floats(-0.001, 0.002),
+    n=st.floats(1.0, 2.0),
+    dv_di_oc=st.floats(-0.1, -1e-4),
+    r_p=st.none() | st.floats(0.5, 1000.0),
+)
+environments = st.builds(
+    EnvCondition, g=st.just(0.0) | st.floats(0.0, 1200.0), t=st.floats(230.0, 360.0)
+)
+
+
+@pytest.fixture(scope="module")
+def table1_clamp():
+    """table1's array and the panel voltage at its converter's d_min."""
+    scenario = load_scenario(TABLE1_CONFIG)
+    array = scenario.build_array()
+    converter = scenario.build_converter(array, MppOracle(array))
+    return array, converter.terminal_voltage(converter.d_min)
+
+
+class TestNewtonConvergence:
+    """Newton from I_ph converges monotonically for R_s >= 0, with no damping."""
+
+    @given(
+        cell=valid_cells,
+        r_s=st.just(0.0) | st.floats(1e-4, 0.05),  # 0.1 to 50 mOhm per cell
+        env=environments,
+        fraction=st.floats(0.0, 0.999),
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_steps_never_raise_the_current_or_the_residual(self, cell, r_s, env, fraction):
+        array = PVArray(cell, r_s=r_s)
+        i_ph = photon_current(cell, env)
+        v_guard = pvmodel.MAX_EXP_ARGUMENT * cell.n * K * env.t / Q - i_ph * r_s
+        v = fraction * v_guard  # up to the overflow guard
+        path = newton_path(cell, r_s, env, v, array.solver_tol, max_steps=2000)
+        assert len(path) <= 2000
+        for (i_old, f_old), (i_new, f_new) in zip(path, path[1:]):
+            assert i_new <= i_old
+            assert abs(f_new) <= abs(f_old)
+
+        def solve(v_in):  # the current's bits, or the error when the tolerance is unmet
+            try:
+                return float(np.atleast_1d(array.current_at(v_in, env))[0]).hex()
+            except ConvergenceError as exc:
+                return repr(exc)
+
+        assert solve(v) == solve(np.array([v]))
+
+    @given(env=environments)
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    def test_duty_clamp_voltage_meets_the_tolerance_through_the_fallback(
+        self, table1_clamp, env
+    ):
+        array, v_clamp = table1_clamp
+        v = v_clamp / array.layout.n_series
+        path = newton_path(array.cell, array.r_s, env, v, array.solver_tol, max_steps=2000)
+        assert len(path) > array.solver_max_iter + 1  # Newton runs out of iterations
+        i = array.current_at(v_clamp, env) / array.layout.n_parallel
+        vd = v + i * array.r_s
+        vt = array.cell.n * K * env.t / Q
+        i_ph, i_0 = photon_current(array.cell, env), saturation_current(array.cell, env)
+        assert abs(i_ph - i_0 * math.expm1(vd / vt) - i) < array.solver_tol
+
+
 class TestValidation:
     def test_cell_invariants(self):
         with pytest.raises(ValueError):
@@ -421,6 +522,11 @@ class TestValidation:
     def test_array_config_invariants(self):
         with pytest.raises(ValueError):
             ArrayConfig(0, 1)
+
+    def test_negative_series_resistance_rejected(self, bp_cell):
+        with pytest.raises(ValueError, match="r_s must be >= 0"):
+            PVArray(bp_cell, ArrayConfig(72, 1), r_s=-0.05)
+        assert PVArray(bp_cell, r_s=0.0).r_s == 0.0
 
     def test_power_recomputed_from_current_at(self, bp_panel, stc):
         v = np.array([3.0, 30.0])
