@@ -52,9 +52,10 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
 def find_mpp(array: PVArray, env: EnvCondition, grid_points: int = 2000) -> MppResult:
     """Locate the MPP by grid sweep plus golden-section refinement.
 
-    The sweep guards against refining the wrong bracket; the returned
-    power is never below the best grid sample.  Zero irradiance yields
-    the degenerate result (0, 0, 0).  Deterministic: identical inputs
+    P(V) is strictly concave on [0, V_oc], so the grid neighbours of the
+    best sample bracket the maximum and golden-section search lands
+    within _REFINE_TOLERANCE_V of it.  Zero irradiance yields the
+    degenerate result (0, 0, 0).  Deterministic: identical inputs
     give bit-identical results.
     """
     if grid_points < 100:
@@ -72,12 +73,7 @@ def find_mpp(array: PVArray, env: EnvCondition, grid_points: int = 2000) -> MppR
 
     lo = float(grid[max(0, best - 1)])
     hi = float(grid[min(grid_points - 1, best + 1)])
-    v_star, p_star = _golden_max(p_of, lo, hi, _REFINE_TOLERANCE_V)
-
-    if p_star >= float(power[best]):
-        v_mpp = v_star
-    else:
-        v_mpp = float(grid[best])
+    v_mpp, _ = _golden_max(p_of, lo, hi, _REFINE_TOLERANCE_V)
     i_mpp = float(array.current_at(v_mpp, env))
     return MppResult(v_mpp=v_mpp, i_mpp=i_mpp, p_mpp=v_mpp * i_mpp, env=env)
 

@@ -7,10 +7,14 @@ current solves the implicit equation
 
     I = I_ph - I_0 * (exp(q*(V + I*R_s)/(n*k*T)) - 1) - (V + I*R_s)/R_p
 
-which is solved by Newton's method started at I = I_ph.  With R_s >= 0
-the iteration converges monotonically (see _solve_current), so it needs
-no damping; a bisection fallback takes any voltage that runs out of
-iterations, such as one far above open circuit.
+which is solved by Newton's method started at min(I_ph, I_cap), where
+I_cap follows from an upper bound on the diode voltage at the root.
+With R_s > 0 the iteration converges monotonically from there (see
+_solve_current), so it needs no damping and no fallback: every valid
+input takes a few steps, however far above open circuit.  It stops at
+the residual tolerance or where the step reaches the float spacing of
+I; R_s = 0 has a closed form.  A solve that exhausts its iterations
+raises ConvergenceError.
 Arrays of identical, identically illuminated cells scale linearly in
 series (voltage) and parallel (current).
 
@@ -241,72 +245,43 @@ def _solve_current(
     tol: float,
     max_iter: int,
 ) -> np.ndarray:
-    """Newton on the single-diode residual, bisection fallback.
+    """Newton on the single-diode residual from a start right of the root.
 
-    For R_s >= 0 the residual
+    For R_s > 0 the residual
     f(I) = I_ph - I_0*expm1((V+I*R_s)/vt) - (V+I*R_s)*g_p - I
-    is strictly decreasing and concave in I, and f(I_ph) <= 0 whenever
-    V + I_ph*R_s >= 0 (V >= 0, I_ph >= 0).  Newton started at I_ph, right
-    of the root, therefore moves left without passing the root: each
-    step lowers I and |f|, and the diode exponent never rises above its
-    value at I_ph, which the overflow guard checks.  Lanes that are
-    still unconverged after max_iter steps (the exponent falls by about
-    one per step far above open circuit) are solved by bisection.
+    is strictly decreasing and concave in I.  f(-V/R_s) >= 0 and
+    f(I_ph) <= 0, so the root's diode voltage x = V + I*R_s is >= 0 and
+    I <= I_ph.  There I_0*expm1(x/vt) = I_ph - x*g_p - I <= I_ph + V/R_s,
+    so x <= x_cap = vt*log1p((I_ph + V/R_s)/I_0) and I <= I_cap =
+    (x_cap - V)/R_s.  Newton started at min(I_ph, I_cap), right of the
+    root, therefore moves left without passing it: each step lowers I
+    and |f|, and exp(x/vt) stays at most 1 + (I_ph + V/R_s)/I_0, so it
+    cannot overflow.  Far above open circuit, where a start at I_ph
+    lowers the exponent by only about one per step, the cap starts
+    within a few steps of the root.
+
+    A lane stops at |f| < tol, or where the step falls to 8 ulps of I:
+    there the rounding of f can flip its sign, and a current of
+    thousands of amperes cannot meet an absolute tolerance of 1e-9 A.
+    Lanes still unconverged after max_iter steps raise ConvergenceError.
+    R_s = 0 has the closed form I_ph - I_0*expm1(V/vt) - V*g_p, guarded
+    against overflow, which would otherwise give -inf.
     """
-    x0 = (v + i_ph * r_s) / vt
-    if np.any(x0 > MAX_EXP_ARGUMENT):
-        raise NumericRangeError("diode exponent exceeds the overflow guard; check V and params")
+    if r_s == 0.0:
+        if np.any(v / vt > MAX_EXP_ARGUMENT):
+            raise NumericRangeError("diode exponent exceeds the overflow guard; check V and params")
+        return i_ph - i_0 * np.expm1(v / vt) - v * g_p
 
-    def residual(i):
+    i = np.minimum(i_ph, (vt * np.log1p((i_ph + v / r_s) / i_0) - v) / r_s)
+    for _ in range(max_iter + 1):
         vd = v + i * r_s
-        return i_ph - i_0 * np.expm1(vd / vt) - vd * g_p - i
-
-    i = np.full_like(v, i_ph, dtype=float)
-    f = residual(i)
-    for _ in range(max_iter):
-        converged = np.abs(f) < tol
-        if converged.all():
+        f = i_ph - i_0 * np.expm1(vd / vt) - vd * g_p - i
+        step = f / (-i_0 * np.exp(vd / vt) * r_s / vt - r_s * g_p - 1.0)
+        done = (np.abs(f) < tol) | (np.abs(step) <= 8 * np.spacing(np.abs(i)))
+        if done.all():
             return i
-        e = np.exp((v + i * r_s) / vt)
-        df = -i_0 * e * r_s / vt - r_s * g_p - 1.0
-        i_new = i - f / df
-        f_new = residual(i_new)
-        i = np.where(converged, i, i_new)
-        f = np.where(converged, f, f_new)
-
-    # bisection for the lanes Newton left over; lo doubles until the bracket holds the root
-    out = i.copy()
-    for idx in np.flatnonzero(~(np.abs(f) < tol)):
-        vi = float(v[idx])
-
-        def fr(ii):
-            vd = vi + ii * r_s
-            return i_ph - i_0 * math.expm1(vd / vt) - vd * g_p - ii
-
-        lo, hi = -0.1 * i_ph, 1.2 * i_ph
-        expand = 0
-        while fr(lo) * fr(hi) > 0 and expand < 64:
-            lo = lo - max(abs(lo), 0.1 * i_ph + 1e-6)
-            expand += 1
-        if fr(lo) * fr(hi) > 0:
-            raise ConvergenceError(
-                "no bracket for the single-diode residual", max_iter, float(abs(f[idx]))
-            )
-        flo = fr(lo)
-        root = 0.5 * (lo + hi)
-        for it in range(200):
-            root = 0.5 * (lo + hi)
-            fm = fr(root)
-            if abs(fm) < tol:
-                break
-            if flo * fm <= 0:
-                hi = root
-            else:
-                lo, flo = root, fm
-        else:
-            raise ConvergenceError("bisection fallback stalled", max_iter + 200, abs(fr(root)))
-        out[idx] = root
-    return out
+        i = np.where(done, i, i - step)
+    raise ConvergenceError("Newton did not converge", max_iter, float(np.abs(f[~done]).max()))
 
 
 def _solve_current_scalar(
@@ -322,30 +297,28 @@ def _solve_current_scalar(
     """_solve_current for one voltage, in Python floats.
 
     Follows _solve_current expression by expression, so it returns the
-    same float.  The transcendentals stay np.exp/np.expm1: math.exp and
-    math.expm1 can differ from numpy in the last bit.  If Newton leaves
-    the voltage unconverged, it goes to _solve_current, which owns the
-    bisection fallback.
+    same float and raises the same errors.  The transcendentals stay
+    np.exp/np.expm1/np.log1p: their math counterparts can differ from
+    numpy in the last bit.  math.ulp makes the same stop decision as
+    np.spacing at a fraction of its cost on a float, and the step is
+    only computed when the residual is not yet met.
     """
-    if (v + i_ph * r_s) / vt > MAX_EXP_ARGUMENT:
-        raise NumericRangeError("diode exponent exceeds the overflow guard; check V and params")
+    if r_s == 0.0:
+        if v / vt > MAX_EXP_ARGUMENT:
+            raise NumericRangeError("diode exponent exceeds the overflow guard; check V and params")
+        return i_ph - i_0 * float(np.expm1(v / vt)) - v * g_p
 
-    def residual(i):
+    i = min(i_ph, (vt * float(np.log1p((i_ph + v / r_s) / i_0)) - v) / r_s)
+    for _ in range(max_iter + 1):
         vd = v + i * r_s
-        return i_ph - i_0 * float(np.expm1(vd / vt)) - vd * g_p - i
-
-    i = i_ph
-    f = residual(i)
-    for _ in range(max_iter):
+        f = i_ph - i_0 * float(np.expm1(vd / vt)) - vd * g_p - i
         if abs(f) < tol:
             return i
-        e = float(np.exp((v + i * r_s) / vt))
-        df = -i_0 * e * r_s / vt - r_s * g_p - 1.0
-        i = i - f / df
-        f = residual(i)
-    if abs(f) < tol:
-        return i
-    return float(_solve_current(np.array([v]), i_ph, i_0, vt, r_s, g_p, tol, max_iter)[0])
+        step = f / (-i_0 * float(np.exp(vd / vt)) * r_s / vt - r_s * g_p - 1.0)
+        if abs(step) <= 8 * math.ulp(i):
+            return i
+        i = i - step
+    raise ConvergenceError("Newton did not converge", max_iter, abs(f))
 
 
 def open_circuit_voltage(

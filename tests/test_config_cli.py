@@ -290,7 +290,7 @@ class TestErrorAttribution:
         config = write_scenario(tmp_path, body)
         assert load_scenario(config).v_bus == 40.0
         assert main(["run", "--config", str(config), "--quiet"]) == 0
-        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").open()))
+        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
         d = float(rows[0]["d"])
         assert float(rows[0]["v_v"]) == 40.0 * (1.0 - d) / d
 
@@ -337,7 +337,7 @@ class TestCli:
     def test_run_writes_trace_and_metrics(self, tmp_path):
         config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
         assert main(["run", "--config", str(config), "--quiet"]) == 0
-        rows = list(csv.reader((tmp_path / "out" / "trace.csv").open()))
+        rows = list(csv.reader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
         assert len(rows) == 1 + 5  # header + 0.05 s at 10 ms
         assert (tmp_path / "out" / "metrics.txt").read_text().startswith("energy_deficit_j:")
 
@@ -347,7 +347,7 @@ class TestCli:
         )
         config = write_scenario(tmp_path, body)
         assert main(["run", "--config", str(config), "--quiet"]) == 0
-        rows = list(csv.reader((tmp_path / "out" / "trace.csv").open()))
+        rows = list(csv.reader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
         assert len(rows) == 2
 
     def test_missing_config_is_exit_1(self, tmp_path, capsys):
@@ -374,7 +374,7 @@ class TestCli:
         assert main(
             ["run", "--config", str(config), "--profile", str(toy), "--quiet"]
         ) == 0
-        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").open()))
+        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
         assert float(rows[0]["g_w_m2"]) == 500.0
 
     TWO_ROW_CSV = "time_s,irradiance_w_m2,temperature_c\n0.0,1000,25\n1.0,200,25\n"
@@ -424,7 +424,7 @@ class TestCli:
         config = write_scenario(tmp_path, body)
         assert load_scenario(config).sim.initial_duty == "auto"
         assert main(["run", "--config", str(config), "--quiet"]) == 0
-        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").open()))
+        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
         assert len(rows) == 10
         assert float(rows[0]["g_w_m2"]) == 0.0 and float(rows[0]["d"]) == 0.5
 
@@ -436,7 +436,7 @@ class TestCli:
         )
         config = write_scenario(tmp_path, body)
         assert main(["run", "--config", str(config), "--profile", str(two), "--quiet"]) == 0
-        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").open()))
+        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
         assert len(rows) == 150
         assert {float(r["g_w_m2"]) for r in rows[100:]} == {200.0}
 
@@ -450,7 +450,7 @@ class TestCli:
         printed = capsys.readouterr().out
         p_mpp = float(printed.split("p_mpp_w:")[1].strip().splitlines()[0])
         assert 142.5 <= p_mpp <= 157.5
-        rows = list(csv.DictReader((tmp_path / "out" / "pv_curve.csv").open()))
+        rows = list(csv.DictReader((tmp_path / "out" / "pv_curve.csv").read_text().splitlines()))
         volts = [float(r["voltage_v"]) for r in rows]
         powers = [float(r["power_w"]) for r in rows]
         assert volts == sorted(volts)
@@ -493,7 +493,7 @@ class TestCli:
         )
         config = write_scenario(tmp_path, body)
         assert main(["run", "--config", str(config), "--quiet"]) == 0
-        [row] = list(csv.DictReader((tmp_path / "out" / "trace.csv").open()))
+        [row] = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
         p_deviation = float(row["p_deviation_w"])
         assert p_deviation > 0
         report = (tmp_path / "out" / "metrics.txt").read_text()
@@ -503,7 +503,7 @@ class TestCli:
         repo_config = Path(__file__).resolve().parent.parent / "configs" / "table1_adaptive.yaml"
         out = tmp_path / "out"
         assert main(["run", "--config", str(repo_config), "--out", str(out), "--quiet"]) == 0
-        rows = list(csv.reader((out / "trace.csv").open()))
+        rows = list(csv.reader((out / "trace.csv").read_text().splitlines()))
         assert len(rows) == 1 + 500  # 5.0 s at 10 ms
 
     def test_degenerate_first_samples_are_exit_2(self, tmp_path, capsys):

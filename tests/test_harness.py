@@ -355,19 +355,19 @@ class TestControllerContrast:
 
 
 class TestSimulationFailure:
-    def test_solver_failure_carries_partial_trace(self, bp_panel, bp_oracle):
-        from mpptbench.converter import BuckBoost
+    def test_solver_failure_carries_partial_trace(self, bp_cell, bp_converter, bp_oracle):
         from mpptbench.harness import SimulationError
+        from mpptbench.pvmodel import ArrayConfig, PVArray
 
-        # a duty at the extreme low clamp maps to an absurd terminal voltage
-        converter = BuckBoost(v_bus=34.5, d_min=1e-7, d_max=0.95)
-        params = ControllerParams(d_min=1e-7, d_max=0.95)
-        controller = MpptController("conventional", params, 1e-7)
+        # one Newton step cannot meet the tolerance, so the first solve fails
+        array = PVArray(cell=bp_cell, layout=ArrayConfig(n_series=72), solver_max_iter=1)
+        controller = MpptController("conventional", ControllerParams(), 0.5)
         with pytest.raises(SimulationError) as err:
             run_simulation(
-                bp_panel, converter, controller, constant_profile(),
-                SimConfig(duration=0.1, initial_duty=1e-7), bp_oracle,
+                array, bp_converter, controller, constant_profile(),
+                SimConfig(duration=0.1, initial_duty=0.5), bp_oracle,
             )
         assert err.value.t == 0.0
         assert err.value.partial_trace == []
+        assert "Newton did not converge" in str(err.value)
         assert "aborted" in str(err.value)

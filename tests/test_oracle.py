@@ -10,6 +10,9 @@ import pytest
 from mpptbench.oracle import MppOracle, find_mpp
 from mpptbench.pvmodel import EnvCondition
 
+# (g, t) at full sun, a hot dim sky and a cold near-dark one
+PEAK_CONDITIONS = ((1000.0, 298.0), (150.0, 320.0), (20.0, 275.0))
+
 
 def test_zero_irradiance_degenerate(bp_panel):
     result = find_mpp(bp_panel, EnvCondition(g=0.0, t=298.0))
@@ -37,16 +40,18 @@ def test_monotone_in_irradiance(bp_panel):
     assert p[0] < p[1] < p[2]
 
 
-def test_beats_every_grid_sample(bp_panel, stc):
-    result = find_mpp(bp_panel, stc, grid_points=2000)
-    v_oc = bp_panel.open_circuit_voltage(stc)
+@pytest.mark.parametrize("g, t", PEAK_CONDITIONS)
+def test_beats_every_grid_sample(bp_panel, g, t):
+    env = EnvCondition(g=g, t=t)
+    result = find_mpp(bp_panel, env, grid_points=2000)
+    v_oc = bp_panel.open_circuit_voltage(env)
     grid = np.linspace(0.0, v_oc, 2000)
-    power = grid * bp_panel.current_at(grid, stc)
+    power = grid * bp_panel.current_at(grid, env)
     assert result.p_mpp >= power.max()
 
 
 def test_optimality_near_the_peak(bp_panel):
-    for g, t in ((1000.0, 298.0), (150.0, 320.0), (20.0, 275.0)):
+    for g, t in PEAK_CONDITIONS:
         env = EnvCondition(g=g, t=t)
         result = find_mpp(bp_panel, env)
         v_oc = bp_panel.open_circuit_voltage(env)

@@ -213,15 +213,15 @@ class TestCellCurrent:
             assert i_fast == pytest.approx(i_slow, abs=1e-8)
 
     def test_residual_contract(self, bp_cell, stc):
-        r_s = derive_series_resistance(bp_cell)
         i_ph = photon_current(bp_cell, stc)
         i_0 = saturation_current(bp_cell, stc)
         vt = bp_cell.n * K * stc.t / Q
         v_oc = open_circuit_voltage(bp_cell, stc)
         v = np.linspace(0.0, v_oc, 200)
-        i = one_cell(bp_cell, r_s).current_at(v, stc)
-        residual = np.abs(i_ph - i_0 * np.expm1((v + i * r_s) / vt) - i)
-        assert residual.max() < 1e-9
+        for r_s in (derive_series_resistance(bp_cell), 0.0):  # Newton, then the closed form
+            i = one_cell(bp_cell, r_s).current_at(v, stc)
+            residual = np.abs(i_ph - i_0 * np.expm1((v + i * r_s) / vt) - i)
+            assert residual.max() < 1e-9
 
     def test_strictly_decreasing_in_voltage(self, bp_cell, stc):
         r_s = derive_series_resistance(bp_cell)
@@ -345,29 +345,21 @@ class TestScalarPath:
             assert one.hex() == float(lane).hex()
 
     def test_diode_exponent_overflow(self, bp_cell, stc):
-        array = PVArray(cell=bp_cell)
+        array = PVArray(cell=bp_cell, r_s=0.0)  # only the closed form has a guard
         for v in (25.0, np.array([0.5, 25.0])):
             with pytest.raises(NumericRangeError, match="overflow guard"):
                 array.current_at(v, stc)
 
-    def test_unconverged_newton_reaches_the_bisection_fallback(self, bp_cell, stc, monkeypatch):
+    def test_exhausted_newton_raises_one_error_on_both_paths(self, bp_cell, stc):
         array = PVArray(cell=bp_cell, layout=ArrayConfig(72, 1), solver_max_iter=1)
         v = 0.8 * array.open_circuit_voltage(stc)
-        expected = float(array.current_at(np.array([v]), stc)[0])
-        fallbacks = []
-        solve_array = pvmodel._solve_current
-
-        def spy(v_cell, *args):
-            fallbacks.append(v_cell)
-            return solve_array(v_cell, *args)
-
-        monkeypatch.setattr(pvmodel, "_solve_current", spy)
-        assert array.current_at(v, stc).hex() == expected.hex()
-        assert len(fallbacks) == 1 and fallbacks[0].shape == (1,)
-        vd = v / 72 + expected * array.r_s
-        vt = bp_cell.n * K * stc.t / Q
-        i_ph, i_0 = photon_current(bp_cell, stc), saturation_current(bp_cell, stc)
-        assert abs(i_ph - i_0 * math.expm1(vd / vt) - expected) < array.solver_tol
+        errors = []
+        for v_in in (v, np.array([v])):
+            with pytest.raises(ConvergenceError, match="Newton did not converge") as err:
+                array.current_at(v_in, stc)
+            errors.append((str(err.value), err.value.iterations, err.value.residual))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == 1 and errors[0][2] >= array.solver_tol
 
     def test_shared_array_across_threads(self, bp_cell):
         envs = [EnvCondition(g=float(g), t=298.0) for g in range(50, 1001, 50)]
@@ -409,11 +401,13 @@ class TestScalarPath:
 
 
 def newton_path(cell, r_s, env, v, tol, max_steps):
-    """(I, f) after each plain Newton step from I = I_ph, as the solver takes them.
+    """(I, f) after each plain Newton step from the solver's start, as the solver takes them.
 
-    Stops at |f| < tol, or where the step falls to the float spacing of I:
-    there the rounding of f can flip its sign, and a current of thousands
-    of amperes cannot meet an absolute tolerance of 1e-9 A anyway.
+    The start is min(I_ph, I_cap) with I_cap = (vt*log1p((I_ph + V/R_s)/I_0) - V)/R_s,
+    or I_ph at R_s = 0 (where the solver uses the closed form).  Stops at
+    |f| < tol, or where the step falls to 8 ulps of I: there the rounding
+    of f can flip its sign, and a current of thousands of amperes cannot
+    meet an absolute tolerance of 1e-9 A anyway.
     """
     i_ph, i_0 = photon_current(cell, env), saturation_current(cell, env)
     vt = cell.n * K * env.t / Q
@@ -423,7 +417,10 @@ def newton_path(cell, r_s, env, v, tol, max_steps):
         vd = v + i * r_s
         return i_ph - i_0 * float(np.expm1(vd / vt)) - vd * g_p - i
 
-    path = [(i_ph, residual(i_ph))]
+    i = i_ph
+    if r_s > 0:
+        i = min(i_ph, (vt * float(np.log1p((i_ph + v / r_s) / i_0)) - v) / r_s)
+    path = [(i, residual(i))]
     while abs(path[-1][1]) >= tol and len(path) <= max_steps:
         i, f = path[-1]
         df = -i_0 * float(np.exp((v + i * r_s) / vt)) * r_s / vt - r_s * g_p - 1.0
@@ -458,7 +455,7 @@ def table1_clamp():
 
 
 class TestNewtonConvergence:
-    """Newton from I_ph converges monotonically for R_s >= 0, with no damping."""
+    """Newton from the capped start converges monotonically for R_s > 0, with no damping."""
 
     @given(
         cell=valid_cells,
@@ -471,35 +468,42 @@ class TestNewtonConvergence:
         array = PVArray(cell, r_s=r_s)
         i_ph = photon_current(cell, env)
         v_guard = pvmodel.MAX_EXP_ARGUMENT * cell.n * K * env.t / Q - i_ph * r_s
-        v = fraction * v_guard  # up to the overflow guard
+        v = fraction * v_guard  # up to the old overflow guard
         path = newton_path(cell, r_s, env, v, array.solver_tol, max_steps=2000)
-        assert len(path) <= 2000
+        assert len(path) <= 9  # at most 8 steps
         for (i_old, f_old), (i_new, f_new) in zip(path, path[1:]):
             assert i_new <= i_old
             assert abs(f_new) <= abs(f_old)
 
-        def solve(v_in):  # the current's bits, or the error when the tolerance is unmet
-            try:
-                return float(np.atleast_1d(array.current_at(v_in, env))[0]).hex()
-            except ConvergenceError as exc:
-                return repr(exc)
-
-        assert solve(v) == solve(np.array([v]))
+        scalar = array.current_at(v, env)
+        assert scalar.hex() == float(array.current_at(np.array([v]), env)[0]).hex()
+        if r_s > 0:
+            assert scalar.hex() == path[-1][0].hex()
 
     @given(env=environments)
     @settings(derandomize=True, max_examples=50, deadline=None)
-    def test_duty_clamp_voltage_meets_the_tolerance_through_the_fallback(
-        self, table1_clamp, env
-    ):
+    def test_duty_clamp_voltage_meets_the_tolerance_in_eight_steps(self, table1_clamp, env):
         array, v_clamp = table1_clamp
+        capped = PVArray(array.cell, array.layout, r_s=array.r_s, solver_max_iter=8)
+        i_array = capped.current_at(v_clamp, env)
+        assert i_array == array.current_at(v_clamp, env)
         v = v_clamp / array.layout.n_series
-        path = newton_path(array.cell, array.r_s, env, v, array.solver_tol, max_steps=2000)
-        assert len(path) > array.solver_max_iter + 1  # Newton runs out of iterations
-        i = array.current_at(v_clamp, env) / array.layout.n_parallel
+        i = newton_path(array.cell, array.r_s, env, v, array.solver_tol, max_steps=8)[-1][0]
+        assert i_array == array.layout.n_parallel * i  # Newton's own root, not a fallback's
         vd = v + i * array.r_s
         vt = array.cell.n * K * env.t / Q
         i_ph, i_0 = photon_current(array.cell, env), saturation_current(array.cell, env)
         assert abs(i_ph - i_0 * math.expm1(vd / vt) - i) < array.solver_tol
+
+    def test_small_series_resistance_far_above_open_circuit(self, bp_cell, stc):
+        """Roots of hundreds to thousands of amperes solve to the float root on both paths."""
+        i_ph = photon_current(bp_cell, stc)
+        cases = [(0.001, 19.0)] + [(0.0002, round(9.4 + 0.1 * k, 1)) for k in range(137)]
+        for r_s, v in cases:
+            i = one_cell(bp_cell, r_s).current_at(v, stc)
+            assert i.hex() == float(one_cell(bp_cell, r_s).current_at(np.array([v]), stc)[0]).hex()
+            i_slow = bisect_current(bp_cell, r_s, stc, v, -v / r_s, i_ph)
+            assert i == pytest.approx(i_slow, rel=1e-12)
 
 
 class TestValidation:
