@@ -23,7 +23,7 @@ from .harness import (
     write_metrics_report,
     write_trace_csv,
 )
-from .oracle import MppOracle
+from .oracle import GRID_POINTS, MppOracle
 from .profiles import celsius_to_kelvin, load_profile_csv
 from .pvmodel import EnvCondition, ModelError
 
@@ -162,7 +162,7 @@ def _cmd_oracle(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["voltage_v", "current_a", "power_w"])
         if v_oc > 0:
-            grid = np.linspace(0.0, v_oc, oracle.grid_points)
+            grid = np.linspace(0.0, v_oc, GRID_POINTS)
             current = np.asarray(array.current_at(grid, env))
             for v, i in zip(grid, current):
                 writer.writerow([repr(float(v)), repr(float(i)), repr(float(v * i))])

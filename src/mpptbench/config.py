@@ -1,11 +1,11 @@
 """Scenario configuration: YAML loading, validation, and assembly.
 
-A scenario file names a panel preset (or gives inline cell values), the
-array layout in panels, the converter and controller settings, a profile
-source, and the simulation settings.  The cell, controller and sim
-sections load into PanelPreset, ControllerParams and SimConfig, whose
-fields give the keys, value types and defaults.  Validation failures
-report the offending field with its line in the file.
+A scenario file names a panel preset (bundled, or a preset file by path),
+the array layout in panels, the converter and controller settings, a
+profile source, and the simulation settings.  A preset file and the
+controller and sim sections load into PanelPreset, ControllerParams and
+SimConfig, whose fields give the keys, value types and defaults.
+Validation failures report the offending field with its line in the file.
 """
 
 from __future__ import annotations
@@ -166,19 +166,13 @@ class _Section:
             raise self.error(key, f"expected an integer, got {value!r}")
         return value
 
-    def boolean(self, key: str) -> bool:
-        value = self._value(key, None)
-        if not isinstance(value, bool):
-            raise self.error(key, f"expected true/false, got {value!r}")
-        return value
-
     def string(self, key: str, default: str | None = None) -> str:
         value = self._value(key, default)
         if not isinstance(value, str):
             raise self.error(key, f"expected a string, got {value!r}")
         return value
 
-    _READERS = {float: number, int: integer, bool: boolean, str: string}
+    _READERS = {float: number, int: integer, str: string}
 
     def section(self, key: str) -> "_Section":
         value = self.get(key, {})
@@ -197,26 +191,26 @@ class _Section:
         self,
         cls: type,
         rename: dict[str, str] | None = None,
-        fixed: tuple[str, ...] = (),
         extra: tuple[str, ...] = (),
-        **values: Any,
+        **fixed: Any,
     ) -> Any:
         """The dataclass cls, from this section.
 
-        Known keys: the fields of cls not in fixed, renamed field -> key by
-        rename, plus extra, which the caller reads.  A value is checked
-        against its field's annotation; an absent key leaves the default of
-        cls or the one in values.  A ValueError from cls is reported at the
-        first key, in file order, whose field it names as a whole word.
+        Known keys: the fields of cls not given in fixed, renamed field ->
+        key by rename, plus extra, which the caller reads.  A value is
+        checked against its field's annotation; an absent key leaves the
+        default of cls.  A ValueError from cls is reported at the first
+        key, in file order, whose field it names as a whole word.
         """
         hints = get_type_hints(cls)
         rename = rename or {}
         keys = {rename.get(f.name, f.name): f for f in fields(cls) if f.name not in fixed}
         self.reject_unknown(keys.keys() | set(extra))
+        values = dict(fixed)
         for key, field in keys.items():
             if key in self.data:
                 values[field.name] = self._typed(key, hints[field.name])
-            elif field.name not in values and field.default is MISSING:
+            elif field.default is MISSING:
                 raise self.error(key, "required value is missing")
         try:
             return cls(**values)
@@ -273,25 +267,18 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"scenario file not found: {path}")
     root = _root(path.read_text(), path)
     root.reject_unknown(
-        {"panel", "cell", "array", "model", "converter", "controller", "profile",
-         "sim", "output_dir"}
+        {"panel", "array", "model", "converter", "controller", "profile", "sim", "output_dir"}
     )
 
     panel_name = root.get("panel")
-    cell_sec = root.section("cell")
-    if panel_name is not None and cell_sec.data:
-        raise root.error("panel", "give either a panel preset or inline cell values, not both")
-    if panel_name is not None:
-        if not isinstance(panel_name, str):
-            raise root.error("panel", f"expected a preset name, got {panel_name!r}")
-        try:
-            preset = load_panel_preset(panel_name)
-        except ConfigError as exc:
-            raise root.error("panel", str(exc)) from None
-    elif cell_sec.data:
-        preset = cell_sec.build(PanelPreset, name="inline", rated_power_w=0.0)
-    else:
-        raise root.error("panel", "scenario needs a panel preset or an inline cell section")
+    if panel_name is None:
+        raise root.error("panel", "scenario needs a panel preset name or preset file path")
+    if not isinstance(panel_name, str):
+        raise root.error("panel", f"expected a preset name, got {panel_name!r}")
+    try:
+        preset = load_panel_preset(panel_name)
+    except ConfigError as exc:
+        raise root.error("panel", str(exc)) from None
 
     arr = root.section("array")
     arr.reject_unknown({"panels_series", "panels_parallel"})
@@ -331,13 +318,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise conv.error("d_min", "need 0 < d_min < d_max < 1")
 
     ctrl = root.section("controller")
-    controller_params = ctrl.build(
-        ControllerParams,
-        fixed=("adaptive_upper_bound", "dv_dd_sign", "d_min", "d_max"),
-        extra=("kind",),
-        d_min=d_min,
-        d_max=d_max,
-    )
+    controller_params = ctrl.build(ControllerParams, extra=("kind",), d_min=d_min, d_max=d_max)
     kind = ctrl.string("kind", "revised-adaptive-bound")
     if kind not in CONTROLLER_KINDS:
         raise ctrl.error("kind", f"must be one of {', '.join(CONTROLLER_KINDS)}")

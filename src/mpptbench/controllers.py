@@ -6,24 +6,24 @@ Two decision rules over the same slope test:
   the MPP every step, so it keeps perturbing after arrival.
 * ``revised_step`` scales the increment by the magnitude of the P-V
   slope, accelerates it when the slope sign repeats (step too small),
-  decelerates it when the sign flips (step too large), optionally
-  shrinks the step upper bound on sign flips, and freezes the duty once
+  decelerates it when the sign flips (step too large), shrinks the step
+  upper bound on sign flips down to its floor, and freezes the duty once
   the slope test passes, resetting the step to its nominal value.
 
 The slope term is dI/dV + I/V, whose sign matches dP/dV: positive left
-of the MPP (raise the voltage), negative right of it.  By default it is
-normalized by V/I so thresholds are dimensionless and independent of
-plant size; the raw conductance-valued form is available behind a flag.
+of the MPP (raise the voltage), negative right of it.  It is normalized
+by V/I, so thresholds are dimensionless and independent of plant size.
 
 Both step functions are pure: they take a state and return a new one.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
+
+from .converter import BuckBoost
 
 __all__ = [
     "Measurement",
@@ -35,6 +35,7 @@ __all__ = [
     "FALLBACK_SLOPE_MAGNITUDE",
     "DV_DEGENERATE_V",
     "DI_DEGENERATE_A",
+    "DELTA_D_FLOOR",
     "slope_term",
     "initial_state",
     "conventional_step",
@@ -55,6 +56,10 @@ ZERO_CURRENT_A = 1e-9
 FALLBACK_SLOPE_MAGNITUDE = 10.0
 # Floor for the V/I normalization when the current is at/near zero.
 _NORM_CURRENT_FLOOR = 1e-12
+# Numerical floor that keeps the revised step from underflowing to 0.
+DELTA_D_FLOOR = 1e-12
+# The controllers drive a buck-boost stage: raising d lowers the panel voltage.
+_DV_DD_SIGN = BuckBoost.sign_of_dv_dd
 
 
 class DegenerateSampleError(Exception):
@@ -73,7 +78,9 @@ class Measurement(NamedTuple):
         return self
 
 
-class StepAction(enum.Enum):
+class StepAction:
+    """What a step did to the duty; the values are the trace's action column."""
+
     MOVED_LEFT = "moved_left"    # duty change lowered the terminal voltage
     MOVED_RIGHT = "moved_right"  # duty change raised the terminal voltage
     HELD_AT_MPP = "held_at_mpp"  # duty unchanged
@@ -85,26 +92,19 @@ class ControllerParams:
 
     delta_d_nominal: initial/reset duty step
     delta_d_max_initial: initial step upper bound
-    delta_d_max_floor: smallest value the adaptive upper bound may shrink to
-    delta_d_floor: numerical floor that keeps the step from underflowing to 0
+    delta_d_max_floor: smallest value the upper bound may shrink to on sign
+        flips; at delta_d_max_initial the bound stays fixed
     epsilon: MPP detection threshold on |slope term|
     acc/deacc: step multipliers for repeated / flipped slope sign
-    adaptive_upper_bound: shrink the bound on sign flips (else keep it fixed)
-    slope_normalization: use the dimensionless slope term (V/I-scaled)
-    dv_dd_sign: sign of dV/dd of the converter stage
     d_min/d_max: duty clamp range of the converter stage
     """
 
     delta_d_nominal: float = 0.001
     delta_d_max_initial: float = 0.01
     delta_d_max_floor: float = 0.001
-    delta_d_floor: float = 1e-12
     epsilon: float = 5e-4
     acc: float = 1.2
     deacc: float = 0.8
-    adaptive_upper_bound: bool = True
-    slope_normalization: bool = True
-    dv_dd_sign: int = -1
     d_min: float = 0.05
     d_max: float = 0.95
 
@@ -113,16 +113,12 @@ class ControllerParams:
             raise ValueError("need 0 < delta_d_nominal <= delta_d_max_initial < 1")
         if not (0.0 < self.delta_d_max_floor <= self.delta_d_max_initial):
             raise ValueError("need 0 < delta_d_max_floor <= delta_d_max_initial")
-        if self.delta_d_floor <= 0:
-            raise ValueError("delta_d_floor must be > 0")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
         if self.acc <= 1.0:
             raise ValueError("acc must be > 1")
         if not (0.0 < self.deacc < 1.0):
             raise ValueError("deacc must be in (0, 1)")
-        if self.dv_dd_sign not in (-1, 1):
-            raise ValueError("dv_dd_sign must be -1 or +1")
         if not (0.0 < self.d_min < self.d_max < 1.0):
             raise ValueError("need 0 < d_min < d_max < 1")
 
@@ -143,12 +139,11 @@ class ControllerState:
     prev_v: float | None = None
     prev_i: float | None = None
     prev_slope_sign: int | None = None
-    at_mpp: bool = False
 
 
 class StepOutcome(NamedTuple):
     new_state: ControllerState
-    action: StepAction
+    action: str  # a StepAction value
     slope_term: float  # nan on the seeding step, before any slope exists
 
 
@@ -156,16 +151,17 @@ def slope_term(
     meas: Measurement,
     prev_v: float,
     prev_i: float,
-    normalize: bool,
     prev_slope_sign: int | None,
 ) -> tuple[float, bool]:
     """Slope test value for one sample pair, and whether dI alone set it.
 
-    Raw form dI/dV + I/V (siemens); normalized form multiplies by V/I,
-    giving the dimensionless 1 + (V/I)*(dI/dV).  The sign matches the
-    sign of dP/dV for well-conditioned inputs.  The flag is True when dV
-    is degenerate but dI is not: the duty was static and the environment
-    changed, so the value is +/-FALLBACK_SLOPE_MAGNITUDE signed by dI.
+    The value is dI/dV + I/V multiplied by V/I, the dimensionless
+    1 + (V/I)*(dI/dV); its sign matches the sign of dP/dV for
+    well-conditioned inputs.  The flag is True when dV is degenerate but
+    dI is not: the duty was static and the environment changed, so the
+    value is +/-FALLBACK_SLOPE_MAGNITUDE signed by dI.  A sample at 0 V
+    (noise can clamp the measured voltage there) gives
+    +FALLBACK_SLOPE_MAGNITUDE, because the MPP lies at a higher voltage.
     """
     dv = meas.v - prev_v
     di = meas.i - prev_i
@@ -185,9 +181,9 @@ def slope_term(
         # flat zero-power plateau beyond open circuit: slope carries no
         # information there, but the MPP is always at lower voltage
         return -FALLBACK_SLOPE_MAGNITUDE, False
+    if meas.v == 0:
+        return FALLBACK_SLOPE_MAGNITUDE, False
     raw = di / dv + meas.i / meas.v
-    if not normalize:
-        return raw, False
     return raw * meas.v / max(meas.i, _NORM_CURRENT_FLOOR), False
 
 
@@ -207,13 +203,13 @@ def _clamp(x: float, lo: float, hi: float) -> float:
 
 def _apply_move(d: float, sign: int, delta_d: float, params: ControllerParams) -> float:
     # clamping at the converter limits never alters delta_d or the slope sign
-    return _clamp(d + params.dv_dd_sign * sign * delta_d, params.d_min, params.d_max)
+    return _clamp(d + _DV_DD_SIGN * sign * delta_d, params.d_min, params.d_max)
 
 
-def _action_for(d_old: float, d_new: float, params: ControllerParams) -> StepAction:
+def _action_for(d_old: float, d_new: float) -> str:
     if d_new == d_old:
         return StepAction.HELD_AT_MPP
-    raised_v = params.dv_dd_sign * (d_new - d_old) > 0
+    raised_v = _DV_DD_SIGN * (d_new - d_old) > 0
     return StepAction.MOVED_RIGHT if raised_v else StepAction.MOVED_LEFT
 
 
@@ -228,9 +224,9 @@ def _seed_step(
         d_new = _apply_move(state.d, -1, delta_d, params)
     new_state = ControllerState(
         d=d_new, delta_d=delta_d, delta_d_max=state.delta_d_max, prev_v=meas.v, prev_i=meas.i,
-        prev_slope_sign=state.prev_slope_sign, at_mpp=state.at_mpp,
+        prev_slope_sign=state.prev_slope_sign,
     )
-    return StepOutcome(new_state, _action_for(state.d, d_new, params), math.nan)
+    return StepOutcome(new_state, _action_for(state.d, d_new), math.nan)
 
 
 def conventional_step(
@@ -244,22 +240,20 @@ def conventional_step(
     meas.validate()
     if state.prev_v is None:
         return _seed_step(state, meas, params, params.delta_d_nominal)
-    s, _ = slope_term(
-        meas, state.prev_v, state.prev_i, params.slope_normalization, state.prev_slope_sign
-    )
+    s, _ = slope_term(meas, state.prev_v, state.prev_i, state.prev_slope_sign)
     if s == 0.0:
         new_state = ControllerState(
             d=state.d, delta_d=state.delta_d, delta_d_max=state.delta_d_max, prev_v=meas.v,
-            prev_i=meas.i, prev_slope_sign=state.prev_slope_sign, at_mpp=True,
+            prev_i=meas.i, prev_slope_sign=state.prev_slope_sign,
         )
         return StepOutcome(new_state, StepAction.HELD_AT_MPP, s)
     sign = 1 if s > 0 else -1
     d_new = _apply_move(state.d, sign, params.delta_d_nominal, params)
     new_state = ControllerState(
         d=d_new, delta_d=state.delta_d, delta_d_max=state.delta_d_max, prev_v=meas.v,
-        prev_i=meas.i, prev_slope_sign=sign, at_mpp=False,
+        prev_i=meas.i, prev_slope_sign=sign,
     )
-    return StepOutcome(new_state, _action_for(state.d, d_new, params), s)
+    return StepOutcome(new_state, _action_for(state.d, d_new), s)
 
 
 def revised_step(
@@ -269,22 +263,18 @@ def revised_step(
 
     Order of business: evaluate the slope term; if |s| <= epsilon hold
     the duty and reset step and bound to their initial values; otherwise
-    pick acc (sign repeated) or deacc (sign flipped), shrink the bound on
-    flips when the adaptive bound is enabled, update
-    delta_d := delta_d * factor * |s| clamped into [floor, bound], and
-    move the duty so the terminal voltage heads toward the MPP.
+    pick acc (sign repeated) or deacc (sign flipped), shrink the bound by
+    deacc on flips but not below delta_d_max_floor, update
+    delta_d := delta_d * factor * |s| clamped into [DELTA_D_FLOOR, bound],
+    and move the duty so the terminal voltage heads toward the MPP.
     """
     meas.validate()
     if state.prev_v is None:
         seed = _clamp(
-            params.delta_d_nominal * FALLBACK_SLOPE_MAGNITUDE,
-            params.delta_d_floor,
-            state.delta_d_max,
+            params.delta_d_nominal * FALLBACK_SLOPE_MAGNITUDE, DELTA_D_FLOOR, state.delta_d_max
         )
         return _seed_step(state, meas, params, seed)
-    s, from_di_alone = slope_term(
-        meas, state.prev_v, state.prev_i, params.slope_normalization, state.prev_slope_sign
-    )
+    s, from_di_alone = slope_term(meas, state.prev_v, state.prev_i, state.prev_slope_sign)
     delta_d = state.delta_d
     if from_di_alone:
         # The duty has been static (held, or the step collapsed) and the
@@ -294,7 +284,7 @@ def revised_step(
     if abs(s) <= params.epsilon:
         new_state = ControllerState(
             d=state.d, delta_d=params.delta_d_nominal, delta_d_max=params.delta_d_max_initial,
-            prev_v=meas.v, prev_i=meas.i, prev_slope_sign=state.prev_slope_sign, at_mpp=True,
+            prev_v=meas.v, prev_i=meas.i, prev_slope_sign=state.prev_slope_sign,
         )
         return StepOutcome(new_state, StepAction.HELD_AT_MPP, s)
 
@@ -306,15 +296,14 @@ def revised_step(
         factor = params.acc
     else:
         factor = params.deacc
-        if params.adaptive_upper_bound:
-            delta_d_max = max(params.delta_d_max_floor, delta_d_max * params.deacc)
-    delta_d_new = _clamp(delta_d * factor * abs(s), params.delta_d_floor, delta_d_max)
+        delta_d_max = max(params.delta_d_max_floor, delta_d_max * params.deacc)
+    delta_d_new = _clamp(delta_d * factor * abs(s), DELTA_D_FLOOR, delta_d_max)
     d_new = _apply_move(state.d, sign, delta_d_new, params)
     new_state = ControllerState(
         d=d_new, delta_d=delta_d_new, delta_d_max=delta_d_max, prev_v=meas.v, prev_i=meas.i,
-        prev_slope_sign=sign, at_mpp=False,
+        prev_slope_sign=sign,
     )
-    return StepOutcome(new_state, _action_for(state.d, d_new, params), s)
+    return StepOutcome(new_state, _action_for(state.d, d_new), s)
 
 
 CONTROLLER_KINDS = ("conventional", "revised-fixed-bound", "revised-adaptive-bound")
@@ -331,9 +320,8 @@ class MpptController:
             raise ValueError(f"unknown controller kind {kind!r}, expected one of {CONTROLLER_KINDS}")
         self.kind = kind
         if kind == "revised-fixed-bound":
-            params = replace(params, adaptive_upper_bound=False)
-        elif kind == "revised-adaptive-bound":
-            params = replace(params, adaptive_upper_bound=True)
+            # a floor at the initial bound keeps the bound from shrinking
+            params = replace(params, delta_d_max_floor=params.delta_d_max_initial)
         self.params = params
         self.state = initial_state(initial_duty, params)
         self._step = conventional_step if kind == "conventional" else revised_step

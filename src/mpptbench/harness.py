@@ -21,7 +21,14 @@ from .oracle import MppOracle
 from .pvmodel import EnvCondition, ModelError, PVArray
 from .profiles import EnvProfile
 
+# A segment settles once the relative power deviation stays below
+# SETTLE_TOLERANCE for SETTLE_HOLD_S without a break.
+SETTLE_TOLERANCE = 0.01
+SETTLE_HOLD_S = 0.1
+
 __all__ = [
+    "SETTLE_TOLERANCE",
+    "SETTLE_HOLD_S",
     "SimConfig",
     "SimRecord",
     "SimulationError",
@@ -157,7 +164,7 @@ def run_simulation(
                 v_mpp=mpp.v_mpp,
                 p_deviation=mpp.p_mpp - v * i,
                 slope_term=outcome.slope_term,
-                action=outcome.action.value,
+                action=outcome.action,
             )
         )
     return records
@@ -177,7 +184,6 @@ class SegmentMetrics:
     t_start: float
     t_end: float
     g: float
-    temp: float
     n_steps: int
     assessable: bool
     settling_time: float | None
@@ -227,16 +233,12 @@ def _settle_index(rel: list[float], tolerance: float, hold_steps: int) -> int | 
 
 
 def compute_metrics(
-    trace: list[SimRecord],
-    settle_tolerance: float = 0.01,
-    settle_hold: float = 0.1,
-    *,
-    control_interval: float | None = None,
+    trace: list[SimRecord], *, control_interval: float | None = None
 ) -> TrackingMetrics:
     """Settling, overshoot, post-settle oscillation, and energy deficit.
 
     A segment settles at the first instant from which the relative power
-    deviation stays below settle_tolerance for settle_hold continuously.
+    deviation stays below SETTLE_TOLERANCE for SETTLE_HOLD_S continuously.
     oscillation_fraction counts duty changes across all post-settle
     steps.  The energy deficit integrates p_deviation over the whole run
     by the rectangle rule.  control_interval defaults to the spacing of
@@ -249,8 +251,7 @@ def compute_metrics(
             raise ValueError("a one-record trace needs an explicit control_interval")
         control_interval = trace[1].t - trace[0].t
     dt = control_interval
-    hold_steps = max(1, round(settle_hold / dt))
-    held = StepAction.HELD_AT_MPP.value
+    hold_steps = max(1, round(SETTLE_HOLD_S / dt))
     rel_all = [0.0 if r.p_mpp <= 0 else abs(r.p_deviation) / r.p_mpp for r in trace]
 
     segments: list[SegmentMetrics] = []
@@ -259,19 +260,18 @@ def compute_metrics(
     for a, b in _segment_bounds(trace):
         seg = trace[a:b]
         rel = rel_all[a:b]
-        settle_idx = _settle_index(rel, settle_tolerance, hold_steps)
+        settle_idx = _settle_index(rel, SETTLE_TOLERANCE, hold_steps)
         if settle_idx is not None:
             for j in range(a + max(settle_idx, 1), b):
                 post_settle_total += 1
                 if trace[j].d != trace[j - 1].d:
                     post_settle_changes += 1
-        hold_t = next((r.t for r in seg if r.action == held), None)
+        hold_t = next((r.t for r in seg if r.action == StepAction.HELD_AT_MPP), None)
         segments.append(
             SegmentMetrics(
                 t_start=seg[0].t,
                 t_end=seg[-1].t + dt,
                 g=seg[0].g,
-                temp=seg[0].temp,
                 n_steps=len(seg),
                 assessable=len(seg) >= hold_steps,
                 settling_time=None if settle_idx is None else seg[settle_idx].t - seg[0].t,

@@ -14,7 +14,10 @@ import numpy as np
 
 from .pvmodel import EnvCondition, PVArray
 
-__all__ = ["MppResult", "find_mpp", "MppOracle"]
+__all__ = ["GRID_POINTS", "MppResult", "find_mpp", "MppOracle"]
+
+# Voltage samples in the sweep from 0 to V_oc.
+GRID_POINTS = 2000
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Golden-section search stops once the MPP bracket is narrower than this (V).
@@ -49,7 +52,7 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def find_mpp(array: PVArray, env: EnvCondition, grid_points: int = 2000) -> MppResult:
+def find_mpp(array: PVArray, env: EnvCondition) -> MppResult:
     """Locate the MPP by grid sweep plus golden-section refinement.
 
     P(V) is strictly concave on [0, V_oc], so the grid neighbours of the
@@ -58,13 +61,11 @@ def find_mpp(array: PVArray, env: EnvCondition, grid_points: int = 2000) -> MppR
     degenerate result (0, 0, 0).  Deterministic: identical inputs
     give bit-identical results.
     """
-    if grid_points < 100:
-        raise ValueError("grid_points must be >= 100")
     if env.g <= 0:
         return MppResult(v_mpp=0.0, i_mpp=0.0, p_mpp=0.0, env=env)
 
     v_oc = array.open_circuit_voltage(env)
-    grid = np.linspace(0.0, v_oc, grid_points)
+    grid = np.linspace(0.0, v_oc, GRID_POINTS)
     power = grid * array.current_at(grid, env)
     best = int(np.argmax(power))
 
@@ -72,7 +73,7 @@ def find_mpp(array: PVArray, env: EnvCondition, grid_points: int = 2000) -> MppR
         return v * float(array.current_at(v, env))
 
     lo = float(grid[max(0, best - 1)])
-    hi = float(grid[min(grid_points - 1, best + 1)])
+    hi = float(grid[min(GRID_POINTS - 1, best + 1)])
     v_mpp, _ = _golden_max(p_of, lo, hi, _REFINE_TOLERANCE_V)
     i_mpp = float(array.current_at(v_mpp, env))
     return MppResult(v_mpp=v_mpp, i_mpp=i_mpp, p_mpp=v_mpp * i_mpp, env=env)
@@ -87,15 +88,14 @@ class MppOracle:
     confine an instance to one thread or guard it externally.
     """
 
-    def __init__(self, array: PVArray, grid_points: int = 2000):
+    def __init__(self, array: PVArray):
         self.array = array
-        self.grid_points = grid_points
         self._cache: dict[tuple[float, float], MppResult] = {}
 
     def find(self, env: EnvCondition) -> MppResult:
         key = (env.g, env.t)
         hit = self._cache.get(key)
         if hit is None:
-            hit = find_mpp(self.array, env, self.grid_points)
+            hit = find_mpp(self.array, env)
             self._cache[key] = hit
         return hit

@@ -18,6 +18,7 @@ import pytest
 
 from mpptbench.cli import main
 from mpptbench.controllers import (
+    DELTA_D_FLOOR,
     ControllerParams,
     MpptController,
     StepAction,
@@ -25,6 +26,8 @@ from mpptbench.controllers import (
 )
 from mpptbench.converter import BuckBoost
 from mpptbench.harness import (
+    SETTLE_HOLD_S,
+    SETTLE_TOLERANCE,
     SimConfig,
     compute_metrics,
     resolve_initial_duty,
@@ -41,8 +44,6 @@ from mpptbench.pvmodel import (
 )
 
 CONTROL_INTERVAL = 0.01
-SETTLE_TOLERANCE = 0.01
-SETTLE_HOLD = 0.1
 
 
 def report(number: int, ok: bool, text: str) -> None:
@@ -66,7 +67,7 @@ def run_table1(plant, kind: str, params: ControllerParams):
     t0 = time.perf_counter()
     trace = run_simulation(array, converter, controller, profile, cfg, oracle)
     elapsed = time.perf_counter() - t0
-    return trace, compute_metrics(trace, SETTLE_TOLERANCE, SETTLE_HOLD), elapsed
+    return trace, compute_metrics(trace), elapsed
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +160,7 @@ def test_criterion_5_conventional_oscillation(plant):
         SimConfig(control_interval=CONTROL_INTERVAL), oracle,
     )
     elapsed = time.perf_counter() - t0
-    hold_steps = round(SETTLE_HOLD / CONTROL_INTERVAL)
+    hold_steps = round(SETTLE_HOLD_S / CONTROL_INTERVAL)
     rel = [abs(r.p_deviation) / r.p_mpp for r in trace]
     settle = next(
         (
@@ -282,7 +283,7 @@ def test_criterion_9_controller_unit_conformance(default_params):
         s = rng.uniform(-0.99, 0.99) * default_params.epsilon
         st = state_with_history(
             d=rng.uniform(0.1, 0.9),
-            delta_d=rng.uniform(default_params.delta_d_floor, 0.01),
+            delta_d=rng.uniform(DELTA_D_FLOOR, 0.01),
             delta_d_max=rng.uniform(default_params.delta_d_max_floor, 0.01),
             prev_slope_sign=rng.choice((-1, 1, None)),
             v=v, i=i, dv=dv, s=s,

@@ -22,7 +22,7 @@ from mpptbench.harness import (
     run_simulation,
     write_trace_csv,
 )
-from mpptbench.oracle import MppOracle
+from mpptbench.oracle import GRID_POINTS, MppOracle
 
 REPO = Path(__file__).resolve().parent.parent
 REPO_CONFIGS = sorted(REPO.glob("configs/*.yaml"))
@@ -33,6 +33,17 @@ def write_scenario(tmp_path: Path, body: str) -> Path:
     path.write_text(body)
     return path
 
+
+PANEL_FILE = """\
+name: my_panel
+cells_in_series: 36
+i_sc_a: 8.2
+v_oc_v: 22.1
+alpha_per_k: 0.0005
+ideality_factor: 1.2
+dv_di_oc_ohm: -0.6
+rated_power_w: 130.0
+"""
 
 MINIMAL = """\
 panel: bp_sx150
@@ -75,20 +86,12 @@ class TestScenarioLoading:
         assert sc.v_bus == "auto"
         assert sc.sim.duration == 0.05
 
-    def test_inline_cell(self, tmp_path):
-        body = """\
-cell:
-  cells_in_series: 36
-  i_sc_a: 8.2
-  v_oc_v: 22.1
-  alpha_per_k: 0.0005
-  ideality_factor: 1.2
-  dv_di_oc_ohm: -0.6
-controller:
-  kind: conventional
-profile: builtin-table1
-"""
+    def test_preset_file_by_path(self, tmp_path):
+        preset = tmp_path / "my_panel.yaml"
+        preset.write_text(PANEL_FILE)
+        body = f"panel: {preset}\ncontroller:\n  kind: conventional\nprofile: builtin-table1\n"
         sc = load_scenario(write_scenario(tmp_path, body))
+        assert sc.preset.name == "my_panel"
         assert sc.preset.cells_in_series == 36
         cell = sc.preset.cell_params()
         assert cell.i_sc_ref == 8.2
@@ -129,20 +132,14 @@ profile: builtin-table1
         with pytest.raises(ConfigError, match="cloud.csv"):
             load_scenario(write_scenario(tmp_path, body))
 
-    def test_panel_and_inline_cell_conflict(self, tmp_path):
-        body = """\
-panel: bp_sx150
-cell:
-  cells_in_series: 36
-  i_sc_a: 8.2
-  v_oc_v: 22.1
-  alpha_per_k: 0.0005
-  ideality_factor: 1.2
-  dv_di_oc_ohm: -0.6
-profile: builtin-table1
-"""
-        with pytest.raises(ConfigError, match="not both"):
+    def test_cell_section_is_not_a_panel(self, tmp_path):
+        body = "cell:\n  cells_in_series: 36\nprofile: builtin-table1\n"
+        with pytest.raises(ConfigError, match=r"scenario\.yaml:1: cell: unknown field"):
             load_scenario(write_scenario(tmp_path, body))
+
+    def test_scenario_without_panel_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"scenario\.yaml: panel: scenario needs a panel"):
+            load_scenario(write_scenario(tmp_path, "profile: builtin-table1\n"))
 
     def test_bad_converter_clamps(self, tmp_path):
         body = "panel: bp_sx150\nconverter:\n  d_min: 0.9\n  d_max: 0.1\n"
@@ -164,21 +161,6 @@ profile: builtin-table1
         assert shown.controller_params == minimal.controller_params
         assert shown.sim == minimal.sim
         assert shown == minimal
-
-
-INLINE_CELL = """\
-cell:
-  cells_in_series: 36
-  i_sc_a: 8.2
-  v_oc_v: 22.1
-  alpha_per_k: 0.0005
-  ideality_factor: 1.2
-  dv_di_oc_ohm: -0.6
-profile: builtin-table1
-sim:
-  duration_s: 0.05
-output_dir: {out}
-"""
 
 
 class TestErrorAttribution:
@@ -234,35 +216,21 @@ class TestErrorAttribution:
     @pytest.mark.parametrize(
         "old, new, where",
         [
-            ("  dv_di_oc_ohm: -0.6\n", "  dv_di_oc_ohm: -0.6\n  r_p_ohm: abc\n",
-             "scenario.yaml:8: cell.r_p_ohm: expected a number"),
-            ("  dv_di_oc_ohm: -0.6\n", "  dv_di_oc_ohm: -0.6\n  r_p_ohm: true\n",
-             "scenario.yaml:8: cell.r_p_ohm: expected a number, got True"),
-            ("  i_sc_a: 8.2\n", "  i_sc_a: -8.2\n", "scenario.yaml:1: cell: i_sc_ref must be > 0"),
-            ("  cells_in_series: 36\n", "  cells_in_series: 0\n",
-             "scenario.yaml:2: cell.cells_in_series: "),
-            ("  v_oc_v: 22.1\n", "", "scenario.yaml:1: cell.v_oc_v: required value is missing"),
-        ],
-        ids=["r_p_ohm", "r_p_ohm_bool", "i_sc_a", "cells_in_series", "missing_v_oc_v"],
-    )
-    def test_inline_cell(self, tmp_path, capsys, old, new, where):
-        body = INLINE_CELL.format(out=tmp_path / "out").replace(old, new)
-        config = write_scenario(tmp_path, body)
-        with pytest.raises(ConfigError, match=where):
-            load_scenario(config)
-        assert main(["run", "--config", str(config), "--quiet"]) == 1
-        assert where in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "old, new, where",
-        [
             ("i_sc_a: 4.75", "i_sc_a: -4.75", "bad_panel.yaml: i_sc_ref must be > 0"),
             ("i_sc_a: 4.75", "i_sc_a: true",
              "bad_panel.yaml:3: i_sc_a: expected a number, got True"),
             ("cells_in_series: 72", "cells_in_series: 72.5",
              "bad_panel.yaml:2: cells_in_series: expected an integer, got 72.5"),
+            ("cells_in_series: 72", "cells_in_series: 0",
+             "bad_panel.yaml:2: cells_in_series: cells_in_series must be >= 1"),
+            ("rated_power_w: 150.0", "rated_power_w: 150.0\nr_p_ohm: abc",
+             "bad_panel.yaml:9: r_p_ohm: expected a number"),
+            ("rated_power_w: 150.0", "rated_power_w: 150.0\nr_p_ohm: true",
+             "bad_panel.yaml:9: r_p_ohm: expected a number, got True"),
+            ("v_oc_v: 43.5\n", "", "bad_panel.yaml: v_oc_v: required value is missing"),
         ],
-        ids=["i_sc_a", "i_sc_a_bool", "cells_in_series"],
+        ids=["i_sc_a", "i_sc_a_bool", "cells_in_series", "cells_in_series_zero", "r_p_ohm",
+             "r_p_ohm_bool", "missing_v_oc_v"],
     )
     def test_preset_file(self, tmp_path, capsys, old, new, where):
         preset = tmp_path / "bad_panel.yaml"
@@ -307,30 +275,34 @@ def _settable_defaults(section, attr, cls, rename=None, fixed=()):
 
 SETTABLE_DEFAULTS = [
     *_settable_defaults(
-        "controller", "controller_params", ControllerParams,
-        fixed=("adaptive_upper_bound", "dv_dd_sign", "d_min", "d_max"),
+        "controller", "controller_params", ControllerParams, fixed=("d_min", "d_max")
     ),
     *_settable_defaults(
         "sim", "sim", SimConfig,
         rename={"control_interval": "control_interval_s", "duration": "duration_s"},
     ),
-    *_settable_defaults("cell", "preset", PanelPreset),
-    pytest.param("cell", "preset", "name", "inline", id="cell.name"),
-    pytest.param("cell", "preset", "rated_power_w", 0.0, id="cell.rated_power_w"),
 ]
 
 
 @pytest.mark.parametrize("section, attr, key, default", SETTABLE_DEFAULTS)
 def test_writing_a_default_equals_omitting_it(tmp_path, section, attr, key, default):
-    if section == "cell":
-        base = INLINE_CELL.format(out="out")
-        with_key = base.replace("cell:\n", f"cell:\n  {yaml.safe_dump({key: default})}", 1)
-    else:
-        base = "panel: bp_sx150\n"
-        with_key = f"{base}{section}:\n  {yaml.safe_dump({key: default})}"
+    base = "panel: bp_sx150\n"
+    with_key = f"{base}{section}:\n  {yaml.safe_dump({key: default})}"
     omitted = getattr(load_scenario(write_scenario(tmp_path, base)), attr)
     written = getattr(load_scenario(write_scenario(tmp_path, with_key)), attr)
     assert written == omitted
+
+
+@pytest.mark.parametrize(
+    "key, default",
+    [pytest.param(f.name, f.default, id=f"preset.{f.name}")
+     for f in dataclasses.fields(PanelPreset) if f.default is not dataclasses.MISSING],
+)
+def test_writing_a_preset_default_equals_omitting_it(tmp_path, key, default):
+    omitted, written = tmp_path / "omitted.yaml", tmp_path / "written.yaml"
+    omitted.write_text(PANEL_FILE)
+    written.write_text(PANEL_FILE + yaml.safe_dump({key: default}))
+    assert load_panel_preset(str(written)) == load_panel_preset(str(omitted))
 
 
 class TestCli:
@@ -451,6 +423,7 @@ class TestCli:
         p_mpp = float(printed.split("p_mpp_w:")[1].strip().splitlines()[0])
         assert 142.5 <= p_mpp <= 157.5
         rows = list(csv.DictReader((tmp_path / "out" / "pv_curve.csv").read_text().splitlines()))
+        assert len(rows) == GRID_POINTS
         volts = [float(r["voltage_v"]) for r in rows]
         powers = [float(r["power_w"]) for r in rows]
         assert volts == sorted(volts)
@@ -516,6 +489,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "degenerate" in err
         assert "Traceback" not in err
+
+    def test_noise_that_clamps_the_measured_voltage_to_zero_runs(self, tmp_path):
+        # +/-40 V of noise around a ~31 V operating point samples 0 V now and then
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "  duration_s: 0.05\n", "  duration_s: 1.0\n  noise_v: 40.0\n"
+        )
+        assert main(["run", "--config", str(write_scenario(tmp_path, body)), "--quiet"]) == 0
+        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
+        assert len(rows) == 100
 
     def test_invalid_environment_is_exit_2(self, tmp_path, capsys):
         config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))

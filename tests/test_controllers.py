@@ -9,6 +9,7 @@ import random
 import pytest
 
 from mpptbench.controllers import (
+    DELTA_D_FLOOR,
     FALLBACK_SLOPE_MAGNITUDE,
     ControllerParams,
     ControllerState,
@@ -52,15 +53,9 @@ def state_with_history(
 
 
 class TestSlopeTerm:
-    def test_hand_example_raw(self):
-        # dI/dV = -0.2/1, I/V = 4/30
-        raw, from_di_alone = slope_term(Measurement(30.0, 4.0), 29.0, 4.2, False, None)
-        assert raw == (4.0 - 4.2) / (30.0 - 29.0) + 4.0 / 30.0
-        assert raw == pytest.approx(-0.0667, abs=1e-4)
-        assert not from_di_alone
-
     def test_hand_example_normalized(self):
-        s, from_di_alone = slope_term(Measurement(30.0, 4.0), 29.0, 4.2, True, None)
+        # (dI/dV + I/V) * V/I = (-0.2/1 + 4/30) * 30/4
+        s, from_di_alone = slope_term(Measurement(30.0, 4.0), 29.0, 4.2, None)
         assert s == pytest.approx(-0.5, rel=1e-12)
         assert not from_di_alone
 
@@ -69,39 +64,51 @@ class TestSlopeTerm:
         def current(v):
             return 8.0 * (1.0 - v / 64.0)
 
-        s, _ = slope_term(Measurement(32.0, current(32.0)), 31.0, current(31.0), True, None)
+        s, _ = slope_term(Measurement(32.0, current(32.0)), 31.0, current(31.0), None)
         assert s == pytest.approx(0.0, abs=1e-12)
 
     def test_sign_matches_side_of_mpp(self):
         def current(v):
             return 8.0 * (1.0 - v / 64.0)
 
-        left, _ = slope_term(Measurement(20.0, current(20.0)), 19.0, current(19.0), True, None)
-        right, _ = slope_term(Measurement(45.0, current(45.0)), 44.0, current(44.0), True, None)
+        left, _ = slope_term(Measurement(20.0, current(20.0)), 19.0, current(19.0), None)
+        right, _ = slope_term(Measurement(45.0, current(45.0)), 44.0, current(44.0), None)
         assert left > 0 > right
 
     def test_dv_fallback_positive(self):
-        result = slope_term(Measurement(30.0, 4.2), 30.0, 4.0, True, None)
+        result = slope_term(Measurement(30.0, 4.2), 30.0, 4.0, None)
         assert result == (FALLBACK_SLOPE_MAGNITUDE, True)
 
     def test_dv_fallback_negative(self):
-        result = slope_term(Measurement(30.0, 3.5), 30.0, 4.0, True, None)
+        result = slope_term(Measurement(30.0, 3.5), 30.0, 4.0, None)
         assert result == (-FALLBACK_SLOPE_MAGNITUDE, True)
 
     def test_both_degenerate_reuses_history(self):
-        assert slope_term(Measurement(30.0, 4.0), 30.0, 4.0, True, 1) == (0.0, False)
+        assert slope_term(Measurement(30.0, 4.0), 30.0, 4.0, 1) == (0.0, False)
 
     def test_both_degenerate_without_history_raises(self):
         with pytest.raises(DegenerateSampleError):
-            slope_term(Measurement(30.0, 4.0), 30.0, 4.0, True, None)
+            slope_term(Measurement(30.0, 4.0), 30.0, 4.0, None)
 
     def test_zero_current_plateau_points_left(self):
-        result = slope_term(Measurement(36.0, 0.0), 35.0, 0.0, True, None)
+        result = slope_term(Measurement(36.0, 0.0), 35.0, 0.0, None)
         assert result == (-FALLBACK_SLOPE_MAGNITUDE, False)
+
+    def test_zero_voltage_points_right(self):
+        # measurement noise can clamp the sampled voltage to 0
+        result = slope_term(Measurement(0.0, 4.7), 0.6, 4.6, None)
+        assert result == (FALLBACK_SLOPE_MAGNITUDE, False)
+
+    def test_zero_voltage_sample_raises_the_voltage(self, default_params):
+        st = state_with_history(d=0.5, prev_slope_sign=+1, v=0.6, i=4.6, dv=0.1)
+        for step in (conventional_step, revised_step):
+            out = step(st, Measurement(0.0, 4.7), default_params)
+            assert out.action is StepAction.MOVED_RIGHT
+            assert out.slope_term == FALLBACK_SLOPE_MAGNITUDE
 
     def test_constructed_slope_helper(self):
         meas, pv, pi = meas_with_slope(-1.5)
-        s, _ = slope_term(meas, pv, pi, True, None)
+        s, _ = slope_term(meas, pv, pi, None)
         assert s == pytest.approx(-1.5, rel=1e-12)
 
 
@@ -130,7 +137,6 @@ class TestConventionalStep:
         out = conventional_step(st, Measurement(32.0, current(32.0)), default_params)
         assert out.new_state.d == st.d
         assert out.action is StepAction.HELD_AT_MPP
-        assert out.new_state.at_mpp
 
     def test_seed_step_perturbs_toward_higher_voltage(self, default_params):
         st = initial_state(0.5, default_params)
@@ -158,7 +164,6 @@ class TestRevisedStepHandTraces:
         assert out.new_state.d == st.d
         assert out.new_state.delta_d == default_params.delta_d_nominal == 0.001
         assert out.new_state.delta_d_max == default_params.delta_d_max_initial == 0.01
-        assert out.new_state.at_mpp
 
     def test_sign_change_applies_deacc_and_shrinks_bound(self, default_params):
         st = state_with_history(
@@ -184,7 +189,7 @@ class TestRevisedStepHandTraces:
         assert out.new_state.d == pytest.approx(0.5 - 0.01, rel=1e-12)
 
     def test_fixed_bound_variant_does_not_shrink(self):
-        params = ControllerParams(adaptive_upper_bound=False)
+        params = ControllerParams(delta_d_max_floor=0.01)
         st = state_with_history(
             d=0.5, delta_d=0.004, delta_d_max=0.01, prev_slope_sign=+1, s=-1.5
         )
@@ -211,7 +216,7 @@ class TestRevisedStepBehaviour:
             s = rng.uniform(-0.99, 0.99) * default_params.epsilon
             st = state_with_history(
                 d=rng.uniform(0.1, 0.9),
-                delta_d=rng.uniform(default_params.delta_d_floor, 0.01),
+                delta_d=rng.uniform(DELTA_D_FLOOR, 0.01),
                 delta_d_max=rng.uniform(0.002, 0.01),
                 prev_slope_sign=rng.choice((-1, 1, None)),
                 v=v, i=i, dv=dv, s=s,
@@ -269,7 +274,7 @@ class TestRevisedStepBehaviour:
         out = revised_step(st, meas, params)
         assert out.new_state.d == st.d
         assert out.action is StepAction.HELD_AT_MPP
-        assert not out.new_state.at_mpp
+        assert out.new_state.delta_d == 0.01  # not the reset a slope-test hold applies
 
     def test_seed_step_kicks_at_bound(self, default_params):
         st = initial_state(0.55, default_params)
@@ -303,7 +308,7 @@ class TestBoundDiscipline:
         for _ in range(steps):
             out = controller.step(Measurement(v, i))
             st = controller.state
-            assert params.delta_d_floor <= st.delta_d <= st.delta_d_max
+            assert DELTA_D_FLOOR <= st.delta_d <= st.delta_d_max
             assert params.delta_d_max_floor <= st.delta_d_max <= params.delta_d_max_initial
             if st.delta_d_max > prev_bound and out.action is not StepAction.HELD_AT_MPP:
                 bound_increased_outside_hold = True
@@ -317,6 +322,20 @@ class TestBoundDiscipline:
 
     def test_invariants_hold_with_other_factors(self):
         assert self._drive(ControllerParams(acc=1.3, deacc=0.9)) is False
+
+    def test_fixed_bound_kind_keeps_its_initial_bound(self, default_params):
+        rng = random.Random(7)
+        controller = MpptController("revised-fixed-bound", default_params, 0.5)
+        v, i = 30.0, 4.0
+        signs = set()
+        for _ in range(400):
+            out = controller.step(Measurement(v, i))
+            assert controller.state.delta_d_max == default_params.delta_d_max_initial
+            if out.action is not StepAction.HELD_AT_MPP:
+                signs.add(controller.state.prev_slope_sign)
+            v = max(1.0, v + rng.uniform(-1.0, 1.0))
+            i = max(0.0, i + rng.uniform(-0.3, 0.3))
+        assert {-1, 1} <= signs  # the walk flipped the slope sign
 
 
 class TestDirectionCorrectness:
@@ -347,11 +366,11 @@ class TestControllerWrapper:
         with pytest.raises(ValueError):
             MpptController("p-and-o", default_params, 0.5)
 
-    def test_kind_sets_adaptive_flag(self, default_params):
+    def test_kind_sets_bound_floor(self, default_params):
         fixed = MpptController("revised-fixed-bound", default_params, 0.5)
         adaptive = MpptController("revised-adaptive-bound", default_params, 0.5)
-        assert not fixed.params.adaptive_upper_bound
-        assert adaptive.params.adaptive_upper_bound
+        assert fixed.params.delta_d_max_floor == fixed.params.delta_d_max_initial
+        assert adaptive.params == default_params
 
     def test_initial_duty_validated(self, default_params):
         with pytest.raises(ValueError):
@@ -370,8 +389,6 @@ class TestParamsValidation:
             ControllerParams(epsilon=0.0)
         with pytest.raises(ValueError):
             ControllerParams(delta_d_max_floor=0.05)
-        with pytest.raises(ValueError):
-            ControllerParams(dv_dd_sign=0)
 
 
 class TestMeasurementContract:

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mpptbench.oracle import MppOracle, find_mpp
+from mpptbench.oracle import GRID_POINTS, MppOracle, find_mpp
 from mpptbench.pvmodel import EnvCondition
 
 # (g, t) at full sun, a hot dim sky and a cold near-dark one
@@ -43,9 +43,9 @@ def test_monotone_in_irradiance(bp_panel):
 @pytest.mark.parametrize("g, t", PEAK_CONDITIONS)
 def test_beats_every_grid_sample(bp_panel, g, t):
     env = EnvCondition(g=g, t=t)
-    result = find_mpp(bp_panel, env, grid_points=2000)
+    result = find_mpp(bp_panel, env)
     v_oc = bp_panel.open_circuit_voltage(env)
-    grid = np.linspace(0.0, v_oc, 2000)
+    grid = np.linspace(0.0, v_oc, GRID_POINTS)
     power = grid * bp_panel.current_at(grid, env)
     assert result.p_mpp >= power.max()
 
@@ -71,11 +71,6 @@ def test_deterministic(bp_panel, stc):
     a = find_mpp(bp_panel, stc)
     b = find_mpp(bp_panel, stc)
     assert dataclasses.astuple(a) == dataclasses.astuple(b)
-
-
-def test_grid_points_floor(bp_panel, stc):
-    with pytest.raises(ValueError):
-        find_mpp(bp_panel, stc, grid_points=50)
 
 
 def test_cache_returns_identical_result(bp_panel, stc):
