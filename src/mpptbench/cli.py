@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import CSV_DURATION_REQUIRED, ConfigError, ScenarioConfig, load_scenario
+from .config import ConfigError, ScenarioConfig, load_scenario
 from .controllers import DegenerateSampleError
 from .harness import (
     SimulationError,
@@ -24,7 +24,7 @@ from .harness import (
     write_trace_csv,
 )
 from .oracle import GRID_POINTS, MppOracle
-from .profiles import celsius_to_kelvin, load_profile_csv
+from .profiles import celsius_to_kelvin
 from .pvmodel import EnvCondition, ModelError
 
 __all__ = ["main"]
@@ -67,17 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioConfig:
-    scenario = load_scenario(args.config)
-    if args.profile is not None:
-        csv_path = Path(args.profile)
-        if not csv_path.exists():
-            raise ConfigError(f"profile CSV not found: {csv_path}")
-        if scenario.sim.duration is None:
-            raise ConfigError(
-                f"{args.config}: sim.duration_s: {CSV_DURATION_REQUIRED}: {csv_path}"
-            )
-        scenario.profile = load_profile_csv(csv_path)
-        scenario.profile_source = str(csv_path)
+    scenario = load_scenario(args.config, args.profile)
     if args.out is not None:
         scenario.output_dir = Path(args.out)
     scenario.output_dir.mkdir(parents=True, exist_ok=True)

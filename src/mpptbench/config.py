@@ -1,11 +1,12 @@
 """Scenario configuration: YAML loading, validation, and assembly.
 
-A scenario file names a panel preset (bundled, or a preset file by path),
-the array layout in panels, the converter and controller settings, a
-profile source, and the simulation settings.  A preset file and the
-controller and sim sections load into PanelPreset, ControllerParams and
-SimConfig, whose fields give the keys, value types and defaults.
-Validation failures report the offending field with its line in the file.
+A scenario file names a panel preset (bundled, or a preset file by a
+path relative to the scenario file), the array layout in panels, the
+converter and controller settings, a profile source, and the simulation
+settings.  A preset file and the controller and sim sections load into
+PanelPreset, ControllerParams and SimConfig, whose fields give the keys,
+value types and defaults.  Validation failures report the offending
+field with its line in the file.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ class ConfigError(Exception):
     """A scenario file failed to load or validate."""
 
 
-# A CSV row gives only a start time, so a CSV profile has no end of its own.
-CSV_DURATION_REQUIRED = "required with a CSV profile, which has no end time of its own"
-
-
 @dataclass(frozen=True)
 class PanelPreset:
     """Panel-level datasheet values plus the series cell count."""
@@ -50,7 +47,6 @@ class PanelPreset:
     rated_power_w: float
     t_ref_k: float = 298.0
     g_ref_w_m2: float = 1000.0
-    r_p_ohm: float | None = None
 
     def __post_init__(self):
         if self.cells_in_series < 1:
@@ -65,7 +61,6 @@ class PanelPreset:
             alpha=self.alpha_per_k,
             n=self.ideality_factor,
             dv_di_oc=self.dv_di_oc_ohm / n,
-            r_p=None if self.r_p_ohm is None else self.r_p_ohm / n,
             t_ref=self.t_ref_k,
             g_ref=self.g_ref_w_m2,
         )
@@ -78,9 +73,6 @@ class ScenarioConfig:
     preset: PanelPreset
     panels_series: int
     panels_parallel: int
-    band_gap_denominator_sign: int
-    solver_tolerance: float
-    solver_max_iterations: int
     v_bus: float | str  # volts or "auto"
     controller_kind: str
     controller_params: ControllerParams
@@ -94,13 +86,7 @@ class ScenarioConfig:
         layout = ArrayConfig(
             n_series=cells * self.panels_series, n_parallel=self.panels_parallel
         )
-        return PVArray(
-            cell=self.preset.cell_params(),
-            layout=layout,
-            solver_tol=self.solver_tolerance,
-            solver_max_iter=self.solver_max_iterations,
-            band_gap_denominator_sign=self.band_gap_denominator_sign,
-        )
+        return PVArray(cell=self.preset.cell_params(), layout=layout)
 
     def build_converter(self, array: PVArray, oracle: MppOracle) -> BuckBoost:
         """Converter with the bus sized so the STC MPP sits at duty 0.5."""
@@ -249,10 +235,15 @@ def _root(text: str, source: Path | str) -> _Section:
     return _Section(data, lines, source)
 
 
-def load_panel_preset(name_or_path: str) -> PanelPreset:
-    """Load a preset by bundled name (e.g. bp_sx150) or from a YAML path."""
-    path = Path(name_or_path)
-    if path.suffix in (".yaml", ".yml") and path.exists():
+def load_panel_preset(name_or_path: str, directory: Path = Path()) -> PanelPreset:
+    """Load a preset by bundled name (e.g. bp_sx150) or from a YAML path.
+
+    A relative path is taken from directory.
+    """
+    if Path(name_or_path).suffix in (".yaml", ".yml"):
+        path = directory / name_or_path
+        if not path.is_file():
+            raise ConfigError(f"panel preset file not found: {path}")
         return _root(path.read_text(), path).build(PanelPreset)
     ref = resources.files("mpptbench").joinpath(f"data/{name_or_path}.yaml")
     if not ref.is_file():
@@ -260,14 +251,20 @@ def load_panel_preset(name_or_path: str) -> PanelPreset:
     return _root(ref.read_text(), f"preset {name_or_path}").build(PanelPreset)
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a scenario YAML file."""
+def load_scenario(path: str | Path, profile_source: str | None = None) -> ScenarioConfig:
+    """Parse and validate a scenario YAML file.
+
+    Relative preset and profile paths in the file are taken from its
+    directory.  A given profile_source (the CLI's --profile) replaces the
+    file's `profile:`; its errors name `--profile`, and a relative path
+    is taken from the working directory.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
     root = _root(path.read_text(), path)
     root.reject_unknown(
-        {"panel", "array", "model", "converter", "controller", "profile", "sim", "output_dir"}
+        {"panel", "array", "converter", "controller", "profile", "sim", "output_dir"}
     )
 
     panel_name = root.get("panel")
@@ -276,7 +273,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if not isinstance(panel_name, str):
         raise root.error("panel", f"expected a preset name, got {panel_name!r}")
     try:
-        preset = load_panel_preset(panel_name)
+        preset = load_panel_preset(panel_name, path.parent)
     except ConfigError as exc:
         raise root.error("panel", str(exc)) from None
 
@@ -288,20 +285,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     panels_parallel = arr.integer("panels_parallel", 1)
     if panels_parallel < 1:
         raise arr.error("panels_parallel", "must be >= 1")
-
-    model = root.section("model")
-    model.reject_unknown(
-        {"band_gap_denominator_sign", "solver_tolerance_a", "solver_max_iterations"}
-    )
-    bg_sign = model.integer("band_gap_denominator_sign", -1)
-    if bg_sign not in (-1, 1):
-        raise model.error("band_gap_denominator_sign", "must be -1 or +1")
-    solver_tol = model.number("solver_tolerance_a", 1e-9)
-    if solver_tol <= 0:
-        raise model.error("solver_tolerance_a", "must be > 0")
-    solver_iters = model.integer("solver_max_iterations", 100)
-    if solver_iters < 1:
-        raise model.error("solver_max_iterations", "must be >= 1")
 
     conv = root.section("converter")
     conv.reject_unknown({"v_bus", "d_min", "d_max"})
@@ -323,28 +306,33 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if kind not in CONTROLLER_KINDS:
         raise ctrl.error("kind", f"must be one of {', '.join(CONTROLLER_KINDS)}")
 
-    profile_source = root.get("profile", "builtin-table1")
+    key, directory = "--profile", Path()
+    if profile_source is None:
+        key, directory = "profile", path.parent
+        profile_source = root.get("profile", "builtin-table1")
     if not isinstance(profile_source, str):
-        raise root.error("profile", f"expected 'builtin-table1' or a CSV path, got {profile_source!r}")
+        raise root.error(key, f"expected 'builtin-table1' or a CSV path, got {profile_source!r}")
     if profile_source == "builtin-table1":
         profile = builtin_table1_profile()
     else:
-        csv_path = Path(profile_source)
-        if not csv_path.is_absolute():
-            csv_path = path.parent / csv_path
+        csv_path = directory / profile_source
         if not csv_path.exists():
-            raise root.error("profile", f"profile CSV not found: {csv_path}")
+            raise root.error(key, f"profile CSV not found: {csv_path}")
         try:
             profile = load_profile_csv(csv_path)
         except ValueError as exc:
-            raise root.error("profile", str(exc)) from None
+            raise root.error(key, str(exc)) from None
 
     sim_sec = root.section("sim")
     sim = sim_sec.build(
         SimConfig, rename={"control_interval": "control_interval_s", "duration": "duration_s"}
     )
     if sim.duration is None and profile_source != "builtin-table1":
-        raise sim_sec.error("duration_s", f"{CSV_DURATION_REQUIRED}: {profile_source}")
+        # a CSV row gives only a start time, so a CSV profile has no end of its own
+        raise sim_sec.error(
+            "duration_s",
+            f"required with a CSV profile, which has no end time of its own: {profile_source}",
+        )
     if sim.initial_duty != "auto" and not d_min <= sim.initial_duty <= d_max:
         # the converter would clamp it, so the first two samples coincide
         raise sim_sec.error(
@@ -359,9 +347,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         preset=preset,
         panels_series=panels_series,
         panels_parallel=panels_parallel,
-        band_gap_denominator_sign=bg_sign,
-        solver_tolerance=solver_tol,
-        solver_max_iterations=solver_iters,
         v_bus=v_bus,
         controller_kind=kind,
         controller_params=controller_params,

@@ -182,7 +182,6 @@ class SegmentMetrics:
     """
 
     t_start: float
-    t_end: float
     g: float
     n_steps: int
     assessable: bool
@@ -270,7 +269,6 @@ def compute_metrics(
         segments.append(
             SegmentMetrics(
                 t_start=seg[0].t,
-                t_end=seg[-1].t + dt,
                 g=seg[0].g,
                 n_steps=len(seg),
                 assessable=len(seg) >= hold_steps,

@@ -31,7 +31,6 @@ class MppResult:
     v_mpp: float
     i_mpp: float
     p_mpp: float
-    env: EnvCondition
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -62,7 +61,7 @@ def find_mpp(array: PVArray, env: EnvCondition) -> MppResult:
     give bit-identical results.
     """
     if env.g <= 0:
-        return MppResult(v_mpp=0.0, i_mpp=0.0, p_mpp=0.0, env=env)
+        return MppResult(v_mpp=0.0, i_mpp=0.0, p_mpp=0.0)
 
     v_oc = array.open_circuit_voltage(env)
     grid = np.linspace(0.0, v_oc, GRID_POINTS)
@@ -76,7 +75,7 @@ def find_mpp(array: PVArray, env: EnvCondition) -> MppResult:
     hi = float(grid[min(GRID_POINTS - 1, best + 1)])
     v_mpp, _ = _golden_max(p_of, lo, hi, _REFINE_TOLERANCE_V)
     i_mpp = float(array.current_at(v_mpp, env))
-    return MppResult(v_mpp=v_mpp, i_mpp=i_mpp, p_mpp=v_mpp * i_mpp, env=env)
+    return MppResult(v_mpp=v_mpp, i_mpp=i_mpp, p_mpp=v_mpp * i_mpp)
 
 
 class MppOracle:

@@ -85,7 +85,7 @@ def load_profile_csv(path: str | Path) -> EnvProfile:
     A row gives only a start time, so the returned duration is the last
     segment's start time, which would leave that segment out of a run:
     a scenario with a CSV profile must set sim.duration_s, and
-    load_scenario and the CLI reject one that does not.
+    load_scenario rejects one that does not.
     """
     path = Path(path)
     segments: list[EnvSegment] = []

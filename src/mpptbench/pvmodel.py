@@ -1,11 +1,9 @@
 """Single-diode solar cell model with temperature and irradiance dependence.
 
-The cell is the usual equivalent circuit: a photon current source in
-parallel with a diode, a series resistance R_s, and an optional shunt
-resistance R_p (neglected by default, i.e. infinite).  The terminal
-current solves the implicit equation
+The cell is a photon current source in parallel with a diode, behind a
+series resistance R_s.  The terminal current solves the implicit equation
 
-    I = I_ph - I_0 * (exp(q*(V + I*R_s)/(n*k*T)) - 1) - (V + I*R_s)/R_p
+    I = I_ph - I_0 * (exp(q*(V + I*R_s)/(n*k*T)) - 1)
 
 which is solved by Newton's method started at min(I_ph, I_cap), where
 I_cap follows from an upper bound on the diode voltage at the root.
@@ -100,7 +98,6 @@ class CellParams:
     alpha: temperature coefficient of short-circuit current, 1/K
     n: diode ideality factor
     dv_di_oc: I-V slope dV/dI at open circuit, ohms (negative)
-    r_p: shunt resistance, ohms; None means neglected (infinite)
     """
 
     i_sc_ref: float
@@ -108,7 +105,6 @@ class CellParams:
     alpha: float
     n: float
     dv_di_oc: float
-    r_p: float | None = None
     t_ref: float = 298.0
     g_ref: float = 1000.0
 
@@ -121,8 +117,6 @@ class CellParams:
             raise ValueError("ideality factor n must be >= 1")
         if self.dv_di_oc >= 0:
             raise ValueError("dv_di_oc must be < 0 (I-V curve falls through open circuit)")
-        if self.r_p is not None and self.r_p <= 0:
-            raise ValueError("r_p must be > 0 when finite")
         if self.t_ref <= 0:
             raise ValueError("t_ref must be > 0")
         if self.g_ref <= 0:
@@ -241,17 +235,16 @@ def _solve_current(
     i_0: float,
     vt: float,
     r_s: float,
-    g_p: float,
     tol: float,
     max_iter: int,
 ) -> np.ndarray:
     """Newton on the single-diode residual from a start right of the root.
 
     For R_s > 0 the residual
-    f(I) = I_ph - I_0*expm1((V+I*R_s)/vt) - (V+I*R_s)*g_p - I
+    f(I) = I_ph - I_0*expm1((V+I*R_s)/vt) - I
     is strictly decreasing and concave in I.  f(-V/R_s) >= 0 and
     f(I_ph) <= 0, so the root's diode voltage x = V + I*R_s is >= 0 and
-    I <= I_ph.  There I_0*expm1(x/vt) = I_ph - x*g_p - I <= I_ph + V/R_s,
+    I <= I_ph.  There I_0*expm1(x/vt) = I_ph - I <= I_ph + V/R_s,
     so x <= x_cap = vt*log1p((I_ph + V/R_s)/I_0) and I <= I_cap =
     (x_cap - V)/R_s.  Newton started at min(I_ph, I_cap), right of the
     root, therefore moves left without passing it: each step lowers I
@@ -264,19 +257,19 @@ def _solve_current(
     there the rounding of f can flip its sign, and a current of
     thousands of amperes cannot meet an absolute tolerance of 1e-9 A.
     Lanes still unconverged after max_iter steps raise ConvergenceError.
-    R_s = 0 has the closed form I_ph - I_0*expm1(V/vt) - V*g_p, guarded
+    R_s = 0 has the closed form I_ph - I_0*expm1(V/vt), guarded
     against overflow, which would otherwise give -inf.
     """
     if r_s == 0.0:
         if np.any(v / vt > MAX_EXP_ARGUMENT):
             raise NumericRangeError("diode exponent exceeds the overflow guard; check V and params")
-        return i_ph - i_0 * np.expm1(v / vt) - v * g_p
+        return i_ph - i_0 * np.expm1(v / vt)
 
     i = np.minimum(i_ph, (vt * np.log1p((i_ph + v / r_s) / i_0) - v) / r_s)
     for _ in range(max_iter + 1):
         vd = v + i * r_s
-        f = i_ph - i_0 * np.expm1(vd / vt) - vd * g_p - i
-        step = f / (-i_0 * np.exp(vd / vt) * r_s / vt - r_s * g_p - 1.0)
+        f = i_ph - i_0 * np.expm1(vd / vt) - i
+        step = f / (-i_0 * np.exp(vd / vt) * r_s / vt - 1.0)
         done = (np.abs(f) < tol) | (np.abs(step) <= 8 * np.spacing(np.abs(i)))
         if done.all():
             return i
@@ -290,7 +283,6 @@ def _solve_current_scalar(
     i_0: float,
     vt: float,
     r_s: float,
-    g_p: float,
     tol: float,
     max_iter: int,
 ) -> float:
@@ -306,15 +298,15 @@ def _solve_current_scalar(
     if r_s == 0.0:
         if v / vt > MAX_EXP_ARGUMENT:
             raise NumericRangeError("diode exponent exceeds the overflow guard; check V and params")
-        return i_ph - i_0 * float(np.expm1(v / vt)) - v * g_p
+        return i_ph - i_0 * float(np.expm1(v / vt))
 
     i = min(i_ph, (vt * float(np.log1p((i_ph + v / r_s) / i_0)) - v) / r_s)
     for _ in range(max_iter + 1):
         vd = v + i * r_s
-        f = i_ph - i_0 * float(np.expm1(vd / vt)) - vd * g_p - i
+        f = i_ph - i_0 * float(np.expm1(vd / vt)) - i
         if abs(f) < tol:
             return i
-        step = f / (-i_0 * float(np.exp(vd / vt)) * r_s / vt - r_s * g_p - 1.0)
+        step = f / (-i_0 * float(np.exp(vd / vt)) * r_s / vt - 1.0)
         if abs(step) <= 8 * math.ulp(i):
             return i
         i = i - step
@@ -329,31 +321,15 @@ def open_circuit_voltage(
 ) -> float:
     """Per-cell open-circuit voltage (V) at the given conditions.
 
-    Root of the terminal equation at I = 0; closed form when the shunt
-    is neglected, otherwise a short bisection. Zero irradiance gives 0.
+    Root of the terminal equation at I = 0, in closed form.  Zero
+    irradiance gives 0.
     """
     i_ph = photon_current(params, env)
     if i_ph <= 0:
         return 0.0
     i_0 = saturation_current(params, env, constants, band_gap_denominator_sign)
     vt = _thermal_voltage(params, env.t, constants)
-    v_diode = vt * math.log(i_ph / i_0 + 1.0)
-    if params.r_p is None:
-        return v_diode
-
-    def h(v):  # current balance at open circuit; strictly decreasing in v
-        return i_ph - i_0 * math.expm1(v / vt) - v / params.r_p
-
-    lo, hi = 0.0, v_diode
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    return vt * math.log(i_ph / i_0 + 1.0)
 
 
 class PVArray:
@@ -361,10 +337,12 @@ class PVArray:
 
     Bundles the cell parameters, derived series resistance, and solver
     settings so callers can evaluate the array I-V curve with one object.
+    Scenarios give only the cell and the layout, so the defaults here are
+    the solver settings and band-gap form every run uses.
 
-    The solver constants of each environment (I_ph, I_0, V_t and the
-    shunt conductance) are memoized per (g, t), so the memo grows by one
-    entry per distinct condition, as MppOracle's cache does.  A scalar
+    The solver constants of each environment (I_ph, I_0 and V_t) are
+    memoized per (g, t), so the memo grows by one entry per distinct
+    condition, as MppOracle's cache does.  A scalar
     voltage is solved in Python floats, an array in numpy; both give
     the same floats.  Results are pure functions of the arguments:
     concurrent threads can at worst compute one memo entry twice, with
@@ -391,10 +369,10 @@ class PVArray:
         self.r_s = derive_series_resistance(cell, constants) if r_s is None else r_s
         if self.r_s < 0:
             raise ValueError("r_s must be >= 0")  # the Newton solve needs it
-        self._solver_constants: dict[tuple[float, float], tuple[float, float, float, float]] = {}
+        self._solver_constants: dict[tuple[float, float], tuple[float, float, float]] = {}
 
-    def _constants_at(self, env: EnvCondition) -> tuple[float, float, float, float]:
-        """(i_ph, i_0, vt, g_p) of the cell at env, memoized per (g, t)."""
+    def _constants_at(self, env: EnvCondition) -> tuple[float, float, float]:
+        """(i_ph, i_0, vt) of the cell at env, memoized per (g, t)."""
         key = (env.g, env.t)
         found = self._solver_constants.get(key)
         if found is None:
@@ -403,7 +381,6 @@ class PVArray:
                 photon_current(cell, env),
                 saturation_current(cell, env, self.constants, self.band_gap_denominator_sign),
                 _thermal_voltage(cell, env.t, self.constants),
-                0.0 if cell.r_p is None else 1.0 / cell.r_p,
             )
             self._solver_constants[key] = found
         return found
@@ -420,10 +397,8 @@ class PVArray:
             if np.any(v_cell < 0):
                 raise ValueError("cell voltage must be >= 0")
             solve = _solve_current
-        i_ph, i_0, vt, g_p = self._constants_at(env)
-        i_cell = solve(
-            v_cell, i_ph, i_0, vt, self.r_s, g_p, self.solver_tol, self.solver_max_iter
-        )
+        i_ph, i_0, vt = self._constants_at(env)
+        i_cell = solve(v_cell, i_ph, i_0, vt, self.r_s, self.solver_tol, self.solver_max_iter)
         return self.layout.n_parallel * i_cell
 
     def open_circuit_voltage(self, env: EnvCondition) -> float:

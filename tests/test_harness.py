@@ -201,7 +201,6 @@ class TestMetrics:
         assert len(trace) == 1 and trace[0].p_deviation > 0
         metrics = compute_metrics(trace, control_interval=cfg.control_interval)
         assert metrics.energy_deficit == trace[0].p_deviation * 0.1
-        assert metrics.segments[0].t_end == 0.1
 
     def test_one_record_trace_without_interval_is_rejected(self):
         with pytest.raises(ValueError, match="control_interval"):

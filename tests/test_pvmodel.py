@@ -3,7 +3,6 @@ and the exact scaling laws."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -52,9 +51,7 @@ def bisect_current(params, r_s, env, v, lo, hi, tol=1e-10):
     vt = params.n * K * env.t / Q
 
     def residual(i):
-        vd = v + i * r_s
-        shunt = 0.0 if params.r_p is None else vd / params.r_p
-        return i_ph - i_0 * math.expm1(vd / vt) - shunt - i
+        return i_ph - i_0 * math.expm1((v + i * r_s) / vt) - i
 
     flo = residual(lo)
     assert flo * residual(hi) <= 0, "oracle bracket does not straddle the root"
@@ -251,20 +248,6 @@ class TestCellCurrent:
             with pytest.raises(ValueError, match=">= 0"):
                 bp_panel.current_at(72 * v, stc)
 
-    def test_finite_shunt_reduces_current(self, bp_cell, stc):
-        shunted = CellParams(
-            i_sc_ref=bp_cell.i_sc_ref,
-            v_oc_ref=bp_cell.v_oc_ref,
-            alpha=bp_cell.alpha,
-            n=bp_cell.n,
-            dv_di_oc=bp_cell.dv_di_oc,
-            r_p=5.0,
-        )
-        r_s = derive_series_resistance(bp_cell)
-        i_inf = one_cell(bp_cell, r_s).current_at(0.4, stc)
-        i_fin = one_cell(shunted, r_s).current_at(0.4, stc)
-        assert i_fin < i_inf
-
 
 class TestOpenCircuitVoltage:
     def test_matches_root_of_cell_current(self, bp_cell, stc):
@@ -277,19 +260,6 @@ class TestOpenCircuitVoltage:
 
     def test_zero_irradiance(self, bp_cell):
         assert open_circuit_voltage(bp_cell, EnvCondition(g=0.0, t=298.0)) == 0.0
-
-    def test_finite_shunt(self, bp_cell, stc):
-        shunted = CellParams(
-            i_sc_ref=bp_cell.i_sc_ref,
-            v_oc_ref=bp_cell.v_oc_ref,
-            alpha=bp_cell.alpha,
-            n=bp_cell.n,
-            dv_di_oc=bp_cell.dv_di_oc,
-            r_p=5.0,
-        )
-        v_oc = open_circuit_voltage(shunted, stc)
-        assert v_oc < open_circuit_voltage(bp_cell, stc)
-        assert abs(one_cell(shunted, 0.0).current_at(v_oc, stc)) < 1e-8
 
 
 class TestArrayScaling:
@@ -327,20 +297,18 @@ class TestScalarPath:
         return [0.0, *interior, v_oc, 1.05 * v_oc]
 
     @pytest.mark.parametrize("layout", [ArrayConfig(1, 1), ArrayConfig(4, 2)], ids=str)
-    @pytest.mark.parametrize("r_p", [None, 5.0])
     @pytest.mark.parametrize("t", [273.15, 298.0, 330.0])
     @pytest.mark.parametrize("g", [0.0, 20.0, 150.0, 1000.0])
-    def test_bit_identical_to_one_element_array(self, bp_cell, layout, r_p, t, g):
-        cell = dataclasses.replace(bp_cell, r_p=r_p)
-        array = PVArray(cell=cell, layout=layout)
+    def test_bit_identical_to_one_element_array(self, bp_cell, layout, t, g):
+        array = PVArray(cell=bp_cell, layout=layout)
         env = EnvCondition(g=g, t=t)
         for v in self.voltages(array, env):
             scalar = array.current_at(v, env)
             assert type(scalar) is float
             assert scalar.hex() == float(array.current_at(np.array([v]), env)[0]).hex()
             v_cell = v / layout.n_series
-            one = one_cell(cell, array.r_s).current_at(v_cell, env)
-            lane = one_cell(cell, array.r_s).current_at(np.array([v_cell]), env)[0]
+            one = one_cell(bp_cell, array.r_s).current_at(v_cell, env)
+            lane = one_cell(bp_cell, array.r_s).current_at(np.array([v_cell]), env)[0]
             assert type(one) is float
             assert one.hex() == float(lane).hex()
 
@@ -411,11 +379,9 @@ def newton_path(cell, r_s, env, v, tol, max_steps):
     """
     i_ph, i_0 = photon_current(cell, env), saturation_current(cell, env)
     vt = cell.n * K * env.t / Q
-    g_p = 0.0 if cell.r_p is None else 1.0 / cell.r_p
 
     def residual(i):
-        vd = v + i * r_s
-        return i_ph - i_0 * float(np.expm1(vd / vt)) - vd * g_p - i
+        return i_ph - i_0 * float(np.expm1((v + i * r_s) / vt)) - i
 
     i = i_ph
     if r_s > 0:
@@ -423,7 +389,7 @@ def newton_path(cell, r_s, env, v, tol, max_steps):
     path = [(i, residual(i))]
     while abs(path[-1][1]) >= tol and len(path) <= max_steps:
         i, f = path[-1]
-        df = -i_0 * float(np.exp((v + i * r_s) / vt)) * r_s / vt - r_s * g_p - 1.0
+        df = -i_0 * float(np.exp((v + i * r_s) / vt)) * r_s / vt - 1.0
         if abs(f / df) <= 8 * math.ulp(i):
             break
         i = i - f / df
@@ -438,7 +404,6 @@ valid_cells = st.builds(
     alpha=st.floats(-0.001, 0.002),
     n=st.floats(1.0, 2.0),
     dv_di_oc=st.floats(-0.1, -1e-4),
-    r_p=st.none() | st.floats(0.5, 1000.0),
 )
 environments = st.builds(
     EnvCondition, g=st.just(0.0) | st.floats(0.0, 1200.0), t=st.floats(230.0, 360.0)
@@ -514,8 +479,6 @@ class TestValidation:
             CellParams(i_sc_ref=4.75, v_oc_ref=0.6, alpha=0.0, n=0.9, dv_di_oc=-0.01)
         with pytest.raises(ValueError):
             CellParams(i_sc_ref=4.75, v_oc_ref=0.6, alpha=0.0, n=1.3, dv_di_oc=0.01)
-        with pytest.raises(ValueError):
-            CellParams(i_sc_ref=4.75, v_oc_ref=0.6, alpha=0.0, n=1.3, dv_di_oc=-0.01, r_p=-5)
 
     def test_env_invariants(self):
         with pytest.raises(ValueError):
