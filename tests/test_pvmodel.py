@@ -297,10 +297,12 @@ class TestScalarPath:
         return [0.0, *interior, v_oc, 1.05 * v_oc]
 
     @pytest.mark.parametrize("layout", [ArrayConfig(1, 1), ArrayConfig(4, 2)], ids=str)
+    # derived R_s runs the Newton solve, R_s = 0 its closed form
+    @pytest.mark.parametrize("r_s", [None, 0.0], ids=["r_s_derived", "r_s_zero"])
     @pytest.mark.parametrize("t", [273.15, 298.0, 330.0])
     @pytest.mark.parametrize("g", [0.0, 20.0, 150.0, 1000.0])
-    def test_bit_identical_to_one_element_array(self, bp_cell, layout, t, g):
-        array = PVArray(cell=bp_cell, layout=layout)
+    def test_bit_identical_to_one_element_array(self, bp_cell, layout, r_s, t, g):
+        array = PVArray(cell=bp_cell, layout=layout, r_s=r_s)
         env = EnvCondition(g=g, t=t)
         for v in self.voltages(array, env):
             scalar = array.current_at(v, env)
