@@ -83,7 +83,7 @@ def _simulate(scenario: ScenarioConfig, kinds: list[str]):
     for kind in kinds:
         controller = scenario.build_controller(d0, kind)
         trace = run_simulation(array, converter, controller, scenario.profile, scenario.sim, oracle)
-        yield kind, trace, compute_metrics(trace, control_interval=scenario.sim.control_interval)
+        yield kind, trace, compute_metrics(trace, control_interval=scenario.sim.control_interval_s)
 
 
 def _cmd_run(args) -> int:

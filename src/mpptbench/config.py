@@ -4,14 +4,16 @@ A scenario file names a panel preset (bundled, or a preset file by a
 path relative to the scenario file), the array layout in panels, the
 converter and controller settings, a profile source, and the simulation
 settings.  A preset file and the controller and sim sections load into
-PanelPreset, ControllerParams and SimConfig, whose fields give the keys,
-value types and defaults.  Validation failures report the offending
-field with its line in the file.
+PanelPreset, ControllerParams and SimConfig, whose field names are the
+keys and whose fields give the value types and defaults.  A preset's
+datasheet values are taken at STC.  A number must be a finite float.
+Validation failures report the offending field with its line in the file.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -35,9 +37,8 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class PanelPreset:
-    """Panel-level datasheet values plus the series cell count."""
+    """Panel-level datasheet values at STC plus the series cell count."""
 
-    name: str
     cells_in_series: int
     i_sc_a: float
     v_oc_v: float
@@ -45,8 +46,6 @@ class PanelPreset:
     ideality_factor: float
     dv_di_oc_ohm: float
     rated_power_w: float
-    t_ref_k: float = 298.0
-    g_ref_w_m2: float = 1000.0
 
     def __post_init__(self):
         if self.cells_in_series < 1:
@@ -61,8 +60,6 @@ class PanelPreset:
             alpha=self.alpha_per_k,
             n=self.ideality_factor,
             dv_di_oc=self.dv_di_oc_ohm / n,
-            t_ref=self.t_ref_k,
-            g_ref=self.g_ref_w_m2,
         )
 
 
@@ -144,6 +141,8 @@ class _Section:
         value = self._value(key, default)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise self.error(key, f"expected a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too large for a float
+            raise self.error(key, f"expected a finite float, got {value!r}")
         return float(value)
 
     def integer(self, key: str, default: int | None = None) -> int:
@@ -173,38 +172,28 @@ class _Section:
             if key not in known:
                 raise self.error(key, "unknown field")
 
-    def build(
-        self,
-        cls: type,
-        rename: dict[str, str] | None = None,
-        extra: tuple[str, ...] = (),
-        **fixed: Any,
-    ) -> Any:
+    def build(self, cls: type, extra: tuple[str, ...] = (), **fixed: Any) -> Any:
         """The dataclass cls, from this section.
 
-        Known keys: the fields of cls not given in fixed, renamed field ->
-        key by rename, plus extra, which the caller reads.  A value is
-        checked against its field's annotation; an absent key leaves the
-        default of cls.  A ValueError from cls is reported at the first
-        key, in file order, whose field it names as a whole word.
+        Known keys: the names of the fields of cls not given in fixed,
+        plus extra, which the caller reads.  A value is checked against
+        its field's annotation; an absent key leaves the default of cls.
+        A ValueError from cls is reported at the first key, in file
+        order, that it names as a whole word.
         """
         hints = get_type_hints(cls)
-        rename = rename or {}
-        keys = {rename.get(f.name, f.name): f for f in fields(cls) if f.name not in fixed}
+        keys = {f.name: f for f in fields(cls) if f.name not in fixed}
         self.reject_unknown(keys.keys() | set(extra))
         values = dict(fixed)
         for key, field in keys.items():
             if key in self.data:
-                values[field.name] = self._typed(key, hints[field.name])
+                values[key] = self._typed(key, hints[key])
             elif field.default is MISSING:
                 raise self.error(key, "required value is missing")
         try:
             return cls(**values)
         except ValueError as exc:
-            named = (
-                key for key in self.data
-                if key in keys and re.search(rf"\b{keys[key].name}\b", str(exc))
-            )
+            named = (key for key in self.data if key in keys and re.search(rf"\b{key}\b", str(exc)))
             raise self.error(next(named, None), str(exc)) from None
 
     def _typed(self, key: str, hint: Any) -> Any:
@@ -292,8 +281,8 @@ def load_scenario(path: str | Path, profile_source: str | None = None) -> Scenar
     if v_bus != "auto":
         if isinstance(v_bus, bool) or not isinstance(v_bus, (int, float)):
             raise conv.error("v_bus", 'expected a voltage or "auto"')
-        if v_bus <= 0:
-            raise conv.error("v_bus", "must be > 0")
+        if not 0 < v_bus <= sys.float_info.max:
+            raise conv.error("v_bus", "must be > 0 and a finite float")
         v_bus = float(v_bus)
     d_min = conv.number("d_min", BuckBoost.d_min)
     d_max = conv.number("d_max", BuckBoost.d_max)
@@ -324,10 +313,8 @@ def load_scenario(path: str | Path, profile_source: str | None = None) -> Scenar
             raise root.error(key, str(exc)) from None
 
     sim_sec = root.section("sim")
-    sim = sim_sec.build(
-        SimConfig, rename={"control_interval": "control_interval_s", "duration": "duration_s"}
-    )
-    if sim.duration is None and profile_source != "builtin-table1":
+    sim = sim_sec.build(SimConfig)
+    if sim.duration_s is None and profile_source != "builtin-table1":
         # a CSV row gives only a start time, so a CSV profile has no end of its own
         raise sim_sec.error(
             "duration_s",

@@ -105,8 +105,8 @@ class ControllerParams:
     epsilon: float = 5e-4
     acc: float = 1.2
     deacc: float = 0.8
-    d_min: float = 0.05
-    d_max: float = 0.95
+    d_min: float = BuckBoost.d_min
+    d_max: float = BuckBoost.d_max
 
     def __post_init__(self):
         if not (0.0 < self.delta_d_nominal <= self.delta_d_max_initial < 1.0):

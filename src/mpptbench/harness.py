@@ -57,14 +57,14 @@ class SimulationError(Exception):
 class SimConfig:
     """Control cadence, run length, and initialization.
 
-    duration None falls back to the profile's duration.  initial_duty
+    duration_s None falls back to the profile's duration.  initial_duty
     "auto" starts the run at initial_voltage_fraction of the first
     segment's MPP voltage, which forces a visible tracking transient.
     Optional uniform measurement noise is driven by a seeded generator.
     """
 
-    control_interval: float = 0.010
-    duration: float | None = None
+    control_interval_s: float = 0.010
+    duration_s: float | None = None
     initial_duty: float | str = "auto"
     initial_voltage_fraction: float = 0.9
     noise_v: float = 0.0
@@ -72,10 +72,10 @@ class SimConfig:
     noise_seed: int = 0
 
     def __post_init__(self):
-        if self.control_interval <= 0:
-            raise ValueError("control_interval must be > 0")
-        if self.duration is not None and self.duration < self.control_interval:
-            raise ValueError("duration must be >= control_interval")
+        if self.control_interval_s <= 0:
+            raise ValueError("control_interval_s must be > 0")
+        if self.duration_s is not None and self.duration_s < self.control_interval_s:
+            raise ValueError("duration_s must be >= control_interval_s")
         if isinstance(self.initial_duty, str):
             if self.initial_duty != "auto":
                 raise ValueError('initial_duty must be a number in (0, 1) or "auto"')
@@ -127,8 +127,8 @@ def run_simulation(
     oracle: MppOracle,
 ) -> list[SimRecord]:
     """Drive the loop on the control cadence; fully deterministic."""
-    dt = cfg.control_interval
-    duration = cfg.duration if cfg.duration is not None else profile.duration
+    dt = cfg.control_interval_s
+    duration = cfg.duration_s if cfg.duration_s is not None else profile.duration
     n_steps = max(1, round(duration / dt))
     rng = random.Random(cfg.noise_seed) if (cfg.noise_v > 0 or cfg.noise_i > 0) else None
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,6 +83,8 @@ def load_profile_csv(path: str | Path) -> EnvProfile:
     """Load a profile from CSV with header time_s,irradiance_w_m2,temperature_c.
 
     Temperatures are given in celsius and converted at this boundary.
+    A value that is not a finite number, or that EnvCondition rejects,
+    is reported as path:row.
     A row gives only a start time, so the returned duration is the last
     segment's start time, which would leave that segment out of a run:
     a scenario with a CSV profile must set sim.duration_s, and
@@ -103,9 +106,11 @@ def load_profile_csv(path: str | Path) -> EnvProfile:
                 raise ValueError(f"{path}:{row_num}: expected 3 columns, got {len(row)}")
             try:
                 t, g, temp_c = (float(cell) for cell in row)
+                if not all(map(math.isfinite, (t, g, temp_c))):
+                    raise ValueError("expected finite numbers")
+                segments.append(EnvSegment(t, EnvCondition(g=g, t=celsius_to_kelvin(temp_c))))
             except ValueError as exc:
-                raise ValueError(f"{path}:{row_num}: non-numeric value ({exc})") from None
-            segments.append(EnvSegment(t, EnvCondition(g=g, t=celsius_to_kelvin(temp_c))))
+                raise ValueError(f"{path}:{row_num}: {exc}") from None
     if not segments:
         raise ValueError(f"{path}: profile has no data rows")
     duration = max(segments[-1].t_start, segments[0].t_start + 1e-9)

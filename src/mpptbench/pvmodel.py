@@ -14,7 +14,9 @@ the residual tolerance or where the step reaches the float spacing of
 I; R_s = 0 has a closed form.  A solve that exhausts its iterations
 raises ConvergenceError.
 Arrays of identical, identically illuminated cells scale linearly in
-series (voltage) and parallel (current).
+series (voltage) and parallel (current).  The datasheet values are
+taken at STC, which is also the reference (T_ref, G_ref) of the
+temperature and irradiance scaling.
 
 The control loop and the MPP oracle's refinement solve one voltage at a
 time, so a scalar voltage takes a plain-float copy of the numpy Newton
@@ -46,7 +48,6 @@ __all__ = [
     "reference_saturation_current",
     "saturation_current",
     "derive_series_resistance",
-    "open_circuit_voltage",
     "PVArray",
 ]
 
@@ -93,8 +94,8 @@ class CellParams:
     Voltages and the open-circuit slope are per cell; divide panel-level
     datasheet numbers by the cell count before constructing this.
 
-    i_sc_ref: short-circuit current at reference conditions, A
-    v_oc_ref: open-circuit voltage at reference conditions, V
+    i_sc_ref: short-circuit current at STC, A
+    v_oc_ref: open-circuit voltage at STC, V
     alpha: temperature coefficient of short-circuit current, 1/K
     n: diode ideality factor
     dv_di_oc: I-V slope dV/dI at open circuit, ohms (negative)
@@ -105,8 +106,6 @@ class CellParams:
     alpha: float
     n: float
     dv_di_oc: float
-    t_ref: float = 298.0
-    g_ref: float = 1000.0
 
     def __post_init__(self):
         if self.i_sc_ref <= 0:
@@ -117,10 +116,6 @@ class CellParams:
             raise ValueError("ideality factor n must be >= 1")
         if self.dv_di_oc >= 0:
             raise ValueError("dv_di_oc must be < 0 (I-V curve falls through open circuit)")
-        if self.t_ref <= 0:
-            raise ValueError("t_ref must be > 0")
-        if self.g_ref <= 0:
-            raise ValueError("g_ref must be > 0")
 
 
 @dataclass(frozen=True)
@@ -143,13 +138,14 @@ class EnvCondition:
     t: float
 
     def __post_init__(self):
-        if self.g < 0:
+        if not self.g >= 0:  # written so that NaN fails
             raise ValueError("irradiance g must be >= 0")
-        if self.t <= 0:
+        if not self.t > 0:
             raise ValueError("temperature t must be > 0 K")
 
 
-# Standard test conditions (1000 W/m^2, 25 degC taken as 298 K).
+# Standard test conditions (1000 W/m^2, 25 degC taken as 298 K): the
+# reference condition of the datasheet values in CellParams.
 STC = EnvCondition(g=1000.0, t=298.0)
 
 
@@ -171,9 +167,9 @@ def band_gap(t: float, denominator_sign: int = -1) -> float:
 
 def photon_current(params: CellParams, env: EnvCondition) -> float:
     """Light-generated current (A): linear in irradiance, linear temperature correction."""
-    base = params.i_sc_ref * (1.0 + params.alpha * (env.t - params.t_ref))
+    base = params.i_sc_ref * (1.0 + params.alpha * (env.t - STC.t))
     # irradiance scaling applied last so the linearity in g is exact in floats
-    return (env.g / params.g_ref) * base
+    return (env.g / STC.g) * base
 
 
 def _thermal_voltage(params: CellParams, t: float, constants: PhysicalConstants) -> float:
@@ -183,8 +179,8 @@ def _thermal_voltage(params: CellParams, t: float, constants: PhysicalConstants)
 def reference_saturation_current(
     params: CellParams, constants: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> float:
-    """Diode reverse saturation current at reference temperature (A)."""
-    x = params.v_oc_ref / _thermal_voltage(params, params.t_ref, constants)
+    """Diode reverse saturation current at the STC temperature (A)."""
+    x = params.v_oc_ref / _thermal_voltage(params, STC.t, constants)
     if x > MAX_EXP_ARGUMENT:
         raise NumericRangeError(f"saturation-current exponent {x:.1f} exceeds {MAX_EXP_ARGUMENT}")
     return params.i_sc_ref / (math.exp(x) - 1.0)
@@ -203,10 +199,10 @@ def saturation_current(
     """
     i0_ref = reference_saturation_current(params, constants)
     eg = band_gap(env.t, band_gap_denominator_sign)
-    x = -constants.q * eg / (params.n * constants.k) * (1.0 / env.t - 1.0 / params.t_ref)
+    x = -constants.q * eg / (params.n * constants.k) * (1.0 / env.t - 1.0 / STC.t)
     if abs(x) > MAX_EXP_ARGUMENT:
         raise NumericRangeError(f"saturation-current exponent {x:.1f} exceeds {MAX_EXP_ARGUMENT}")
-    return i0_ref * (env.t / params.t_ref) ** 3 * math.exp(x)
+    return i0_ref * (env.t / STC.t) ** 3 * math.exp(x)
 
 
 def derive_series_resistance(
@@ -217,7 +213,7 @@ def derive_series_resistance(
     R_s = -dV/dI|oc - n*k*T_ref / (I_0ref * q * exp(q*V_oc/(n*k*T_ref)))
     """
     i0_ref = reference_saturation_current(params, constants)
-    vt = _thermal_voltage(params, params.t_ref, constants)
+    vt = _thermal_voltage(params, STC.t, constants)
     diode_term = vt / (i0_ref * math.exp(params.v_oc_ref / vt))
     r_s = -params.dv_di_oc - diode_term
     if r_s < 0:
@@ -313,25 +309,6 @@ def _solve_current_scalar(
     raise ConvergenceError("Newton did not converge", max_iter, abs(f))
 
 
-def open_circuit_voltage(
-    params: CellParams,
-    env: EnvCondition,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    band_gap_denominator_sign: int = -1,
-) -> float:
-    """Per-cell open-circuit voltage (V) at the given conditions.
-
-    Root of the terminal equation at I = 0, in closed form.  Zero
-    irradiance gives 0.
-    """
-    i_ph = photon_current(params, env)
-    if i_ph <= 0:
-        return 0.0
-    i_0 = saturation_current(params, env, constants, band_gap_denominator_sign)
-    vt = _thermal_voltage(params, env.t, constants)
-    return vt * math.log(i_ph / i_0 + 1.0)
-
-
 class PVArray:
     """A uniform array of one cell type with a fixed series/parallel layout.
 
@@ -402,8 +379,11 @@ class PVArray:
         return self.layout.n_parallel * i_cell
 
     def open_circuit_voltage(self, env: EnvCondition) -> float:
-        """Array-level open-circuit voltage (V)."""
-        v_cell = open_circuit_voltage(
-            self.cell, env, self.constants, self.band_gap_denominator_sign
-        )
-        return v_cell * self.layout.n_series
+        """Array-level open-circuit voltage (V): the closed-form root at I = 0.
+
+        Zero irradiance gives 0.
+        """
+        i_ph, i_0, vt = self._constants_at(env)
+        if i_ph <= 0:
+            return 0.0
+        return vt * math.log(i_ph / i_0 + 1.0) * self.layout.n_series

@@ -61,7 +61,7 @@ def plant(bp_panel, bp_oracle):
 def run_table1(plant, kind: str, params: ControllerParams):
     array, converter, oracle = plant
     profile = builtin_table1_profile()
-    cfg = SimConfig(control_interval=CONTROL_INTERVAL, initial_duty="auto")
+    cfg = SimConfig(control_interval_s=CONTROL_INTERVAL, initial_duty="auto")
     d0 = resolve_initial_duty(cfg, converter, oracle, profile.env_at(0.0))
     controller = MpptController(kind, params, d0)
     t0 = time.perf_counter()
@@ -106,7 +106,7 @@ def test_criterion_1_model_soundness(bp_panel):
 
 def test_criterion_2_photon_linearity(bp_cell):
     ratios = [
-        photon_current(bp_cell, EnvCondition(g=g, t=bp_cell.t_ref)) / (g / bp_cell.g_ref)
+        photon_current(bp_cell, EnvCondition(g=g, t=STC.t)) / (g / STC.g)
         for g in (20.0, 200.0, 500.0, 1000.0)
     ]
     spread = (max(ratios) - min(ratios)) / ratios[0]
@@ -157,7 +157,7 @@ def test_criterion_5_conventional_oscillation(plant):
     t0 = time.perf_counter()
     trace = run_simulation(
         array, converter, controller, profile,
-        SimConfig(control_interval=CONTROL_INTERVAL), oracle,
+        SimConfig(control_interval_s=CONTROL_INTERVAL), oracle,
     )
     elapsed = time.perf_counter() - t0
     hold_steps = round(SETTLE_HOLD_S / CONTROL_INTERVAL)

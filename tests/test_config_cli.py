@@ -12,7 +12,7 @@ import yaml
 
 from mpptbench import oracle as oracle_module
 from mpptbench.cli import main
-from mpptbench.config import ConfigError, PanelPreset, load_panel_preset, load_scenario
+from mpptbench.config import ConfigError, load_panel_preset, load_scenario
 from mpptbench.controllers import ControllerParams
 from mpptbench.harness import (
     SimConfig,
@@ -35,7 +35,6 @@ def write_scenario(tmp_path: Path, body: str) -> Path:
 
 
 PANEL_FILE = """\
-name: my_panel
 cells_in_series: 36
 i_sc_a: 8.2
 v_oc_v: 22.1
@@ -84,14 +83,13 @@ class TestScenarioLoading:
         sc = load_scenario(write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "o")))
         assert sc.controller_kind == "revised-adaptive-bound"
         assert sc.v_bus == "auto"
-        assert sc.sim.duration == 0.05
+        assert sc.sim.duration_s == 0.05
 
     def test_preset_file_by_path(self, tmp_path):
         preset = tmp_path / "my_panel.yaml"
         preset.write_text(PANEL_FILE)
         body = f"panel: {preset}\ncontroller:\n  kind: conventional\nprofile: builtin-table1\n"
         sc = load_scenario(write_scenario(tmp_path, body))
-        assert sc.preset.name == "my_panel"
         assert sc.preset.cells_in_series == 36
         cell = sc.preset.cell_params()
         assert cell.i_sc_ref == 8.2
@@ -105,7 +103,7 @@ class TestScenarioLoading:
         (tmp_path / "pp" / "s.yaml").write_text(body)
         (tmp_path / "pp" / "gone.yaml").write_text(body.replace("my_panel", "missing"))
         monkeypatch.chdir(tmp_path)
-        assert load_scenario("pp/s.yaml").preset.name == "my_panel"
+        assert load_scenario("pp/s.yaml").preset.cells_in_series == 36
         assert main(["run", "--config", "pp/s.yaml", "--quiet"]) == 0
         assert main(["run", "--config", "pp/gone.yaml", "--quiet"]) == 1
         err = capsys.readouterr().err
@@ -244,14 +242,22 @@ class TestErrorAttribution:
             # the cell model has no shunt resistance
             ("rated_power_w: 150.0", "rated_power_w: 150.0\nr_p_ohm: 1000.0",
              "bad_panel.yaml:9: r_p_ohm: unknown field"),
+            # the reference condition is STC, and a bundled preset is named by its file
+            ("rated_power_w: 150.0", "rated_power_w: 150.0\nt_ref_k: 298.0",
+             "bad_panel.yaml:9: t_ref_k: unknown field"),
+            ("rated_power_w: 150.0", "rated_power_w: 150.0\ng_ref_w_m2: 1000.0",
+             "bad_panel.yaml:9: g_ref_w_m2: unknown field"),
+            ("# bad panel", "name: bad",
+             "bad_panel.yaml:1: name: unknown field"),
         ],
         ids=["i_sc_a", "i_sc_a_bool", "cells_in_series", "cells_in_series_zero",
-             "missing_v_oc_v", "removed_r_p_ohm"],
+             "missing_v_oc_v", "removed_r_p_ohm", "removed_t_ref_k", "removed_g_ref_w_m2",
+             "removed_name"],
     )
     def test_preset_file(self, tmp_path, capsys, old, new, where):
         preset = tmp_path / "bad_panel.yaml"
         preset.write_text(
-            "name: bad\ncells_in_series: 72\ni_sc_a: 4.75\nv_oc_v: 43.5\n"
+            "# bad panel\ncells_in_series: 72\ni_sc_a: 4.75\nv_oc_v: 43.5\n"
             "alpha_per_k: 0.00065\nideality_factor: 1.3\ndv_di_oc_ohm: -1.10\n"
             "rated_power_w: 150.0\n".replace(old, new)
         )
@@ -260,6 +266,56 @@ class TestErrorAttribution:
         assert main(["run", "--config", str(config), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert f"scenario.yaml:1: panel: {preset.parent}/" in err and where in err
+
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ("  kind: revised-adaptive-bound\n",
+             "  kind: revised-adaptive-bound\n  epsilon: .nan\n",
+             "scenario.yaml:4: controller.epsilon: expected a finite float, got nan"),
+            ("  duration_s: 0.05\n", "  duration_s: 0.05\n  noise_v: .nan\n",
+             "scenario.yaml:7: sim.noise_v: expected a finite float, got nan"),
+            ("  duration_s: 0.05\n", "  duration_s: 0.05\n  control_interval_s: .nan\n",
+             "scenario.yaml:7: sim.control_interval_s: expected a finite float, got nan"),
+            ("profile:", "converter:\n  v_bus: .inf\nprofile:",
+             "scenario.yaml:5: converter.v_bus: must be > 0 and a finite float"),
+            ("  kind: revised-adaptive-bound\n",
+             f"  kind: revised-adaptive-bound\n  acc: {10**400}\n",
+             f"scenario.yaml:4: controller.acc: expected a finite float, got {10**400}"),
+            ("bp_sx150", "{preset}", "my_panel.yaml:2: i_sc_a: expected a finite float, got nan"),
+        ],
+        ids=["controller.epsilon", "sim.noise_v", "sim.control_interval_s", "converter.v_bus",
+             "controller.acc_too_large", "preset.i_sc_a"],
+    )
+    def test_non_finite_number_is_rejected_at_its_key(self, tmp_path, capsys, old, new, where):
+        preset = tmp_path / "my_panel.yaml"
+        preset.write_text(PANEL_FILE.replace("i_sc_a: 8.2", "i_sc_a: .nan"))
+        body = MINIMAL.replace(old, new).format(out=tmp_path / "out", preset=preset)
+        config = write_scenario(tmp_path, body)
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            load_scenario(config)
+        assert main(["run", "--config", str(config), "--quiet"]) == 1
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "row, where",
+        [
+            ("0.5,nan,25", "rows.csv:3: expected finite numbers"),
+            ("nan,800,25", "rows.csv:3: expected finite numbers"),
+            ("0.5,-5,25", "rows.csv:3: irradiance g must be >= 0"),
+        ],
+        ids=["nan_irradiance", "nan_start", "negative_irradiance"],
+    )
+    def test_bad_profile_value_is_a_config_error_at_its_row(self, tmp_path, capsys, row, where):
+        (tmp_path / "rows.csv").write_text(
+            f"time_s,irradiance_w_m2,temperature_c\n0.0,1000,25\n{row}\n1.0,200,25\n"
+        )
+        body = MINIMAL.format(out=tmp_path / "out").replace("builtin-table1", "rows.csv")
+        config = write_scenario(tmp_path, body)
+        assert main(["run", "--config", str(config), "--quiet"]) == 1
+        assert f"scenario.yaml:4: profile: {tmp_path}/{where}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_initial_duty_at_the_clamp_runs(self, tmp_path):
         body = MINIMAL.format(out=tmp_path / "out").replace(
@@ -279,11 +335,9 @@ class TestErrorAttribution:
         assert float(rows[0]["v_v"]) == 40.0 * (1.0 - d) / d
 
 
-def _settable_defaults(section, attr, cls, rename=None, fixed=()):
-    rename = rename or {}
+def _settable_defaults(section, attr, cls, fixed=()):
     return [
-        pytest.param(section, attr, rename.get(f.name, f.name), f.default,
-                     id=f"{section}.{rename.get(f.name, f.name)}")
+        pytest.param(section, attr, f.name, f.default, id=f"{section}.{f.name}")
         for f in dataclasses.fields(cls)
         if f.name not in fixed and f.default is not dataclasses.MISSING
     ]
@@ -293,10 +347,7 @@ SETTABLE_DEFAULTS = [
     *_settable_defaults(
         "controller", "controller_params", ControllerParams, fixed=("d_min", "d_max")
     ),
-    *_settable_defaults(
-        "sim", "sim", SimConfig,
-        rename={"control_interval": "control_interval_s", "duration": "duration_s"},
-    ),
+    *_settable_defaults("sim", "sim", SimConfig),
 ]
 
 
@@ -307,18 +358,6 @@ def test_writing_a_default_equals_omitting_it(tmp_path, section, attr, key, defa
     omitted = getattr(load_scenario(write_scenario(tmp_path, base)), attr)
     written = getattr(load_scenario(write_scenario(tmp_path, with_key)), attr)
     assert written == omitted
-
-
-@pytest.mark.parametrize(
-    "key, default",
-    [pytest.param(f.name, f.default, id=f"preset.{f.name}")
-     for f in dataclasses.fields(PanelPreset) if f.default is not dataclasses.MISSING],
-)
-def test_writing_a_preset_default_equals_omitting_it(tmp_path, key, default):
-    omitted, written = tmp_path / "omitted.yaml", tmp_path / "written.yaml"
-    omitted.write_text(PANEL_FILE)
-    written.write_text(PANEL_FILE + yaml.safe_dump({key: default}))
-    assert load_panel_preset(str(written)) == load_panel_preset(str(omitted))
 
 
 class TestCli:

@@ -42,7 +42,7 @@ def make_record(t, dev=0.0, p_mpp=150.0, d=0.5, g=1000.0, v=34.5, v_mpp=34.5,
 
 class TestRunSimulation:
     def test_single_step_run(self, bp_panel, bp_converter, bp_oracle):
-        cfg = SimConfig(control_interval=0.01, duration=0.01, initial_duty=0.5)
+        cfg = SimConfig(control_interval_s=0.01, duration_s=0.01, initial_duty=0.5)
         controller = MpptController("revised-adaptive-bound", ControllerParams(), 0.5)
         trace = run_simulation(
             bp_panel, bp_converter, controller, constant_profile(), cfg, bp_oracle
@@ -55,7 +55,7 @@ class TestRunSimulation:
     ):
         d_mpp = bp_converter.duty_for_voltage(bp_oracle.find(stc).v_mpp)
         controller = MpptController("revised-adaptive-bound", ControllerParams(), d_mpp)
-        cfg = SimConfig(duration=1.0, initial_duty=d_mpp)
+        cfg = SimConfig(duration_s=1.0, initial_duty=d_mpp)
         trace = run_simulation(
             bp_panel, bp_converter, controller, constant_profile(), cfg, bp_oracle
         )
@@ -69,7 +69,7 @@ class TestRunSimulation:
         self, bp_panel, bp_converter, bp_oracle
     ):
         controller = MpptController("conventional", ControllerParams(), 0.45)
-        cfg = SimConfig(duration=0.2, initial_duty=0.45)
+        cfg = SimConfig(duration_s=0.2, initial_duty=0.45)
         trace = run_simulation(
             bp_panel, bp_converter, controller, constant_profile(), cfg, bp_oracle
         )
@@ -80,7 +80,7 @@ class TestRunSimulation:
         self, bp_panel, bp_converter, bp_oracle
     ):
         controller = MpptController("conventional", ControllerParams(), 0.45)
-        cfg = SimConfig(duration=0.1, initial_duty=0.45)
+        cfg = SimConfig(duration_s=0.1, initial_duty=0.45)
         trace = run_simulation(
             bp_panel, bp_converter, controller, constant_profile(), cfg, bp_oracle
         )
@@ -103,7 +103,7 @@ class TestRunSimulation:
             )
             trace = run_simulation(
                 bp_panel, bp_converter, controller, builtin_table1_profile(),
-                SimConfig(duration=1.0, initial_duty=0.55), bp_oracle,
+                SimConfig(duration_s=1.0, initial_duty=0.55), bp_oracle,
             )
             path = tmp_path / f"trace{run}.csv"
             write_trace_csv(trace, path)
@@ -113,7 +113,7 @@ class TestRunSimulation:
     def test_measurement_noise_is_seeded(self, bp_panel, bp_converter, bp_oracle):
         def run_once():
             controller = MpptController("conventional", ControllerParams(), 0.5)
-            cfg = SimConfig(duration=0.3, initial_duty=0.5, noise_v=0.05, noise_i=0.01,
+            cfg = SimConfig(duration_s=0.3, initial_duty=0.5, noise_v=0.05, noise_i=0.01,
                             noise_seed=3)
             return run_simulation(
                 bp_panel, bp_converter, controller, constant_profile(), cfg, bp_oracle
@@ -193,13 +193,13 @@ class TestMetrics:
     def test_one_step_run_integrates_over_its_control_interval(
         self, bp_panel, bp_converter, bp_oracle
     ):
-        cfg = SimConfig(control_interval=0.1, duration=0.1, initial_duty=0.55)
+        cfg = SimConfig(control_interval_s=0.1, duration_s=0.1, initial_duty=0.55)
         controller = MpptController("revised-adaptive-bound", ControllerParams(), 0.55)
         trace = run_simulation(
             bp_panel, bp_converter, controller, constant_profile(), cfg, bp_oracle
         )
         assert len(trace) == 1 and trace[0].p_deviation > 0
-        metrics = compute_metrics(trace, control_interval=cfg.control_interval)
+        metrics = compute_metrics(trace, control_interval=cfg.control_interval_s)
         assert metrics.energy_deficit == trace[0].p_deviation * 0.1
 
     def test_one_record_trace_without_interval_is_rejected(self):
@@ -292,9 +292,9 @@ class TestTraceCsv:
 class TestSimConfigValidation:
     def test_invariants(self):
         with pytest.raises(ValueError):
-            SimConfig(control_interval=0.0)
+            SimConfig(control_interval_s=0.0)
         with pytest.raises(ValueError):
-            SimConfig(duration=0.001, control_interval=0.01)
+            SimConfig(duration_s=0.001, control_interval_s=0.01)
         with pytest.raises(ValueError):
             SimConfig(initial_duty="half")
         with pytest.raises(ValueError):
@@ -333,7 +333,7 @@ class TestSimulationFailure:
         with pytest.raises(SimulationError) as err:
             run_simulation(
                 array, bp_converter, controller, constant_profile(),
-                SimConfig(duration=0.1, initial_duty=0.5), bp_oracle,
+                SimConfig(duration_s=0.1, initial_duty=0.5), bp_oracle,
             )
         assert err.value.t == 0.0
         assert err.value.partial_trace == []

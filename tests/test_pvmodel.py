@@ -24,11 +24,11 @@ from mpptbench.pvmodel import (
     ConvergenceError,
     DatasheetError,
     EnvCondition,
+    STC,
     NumericRangeError,
     PVArray,
     band_gap,
     derive_series_resistance,
-    open_circuit_voltage,
     photon_current,
     reference_saturation_current,
     saturation_current,
@@ -99,14 +99,14 @@ class TestBandGap:
 
 class TestPhotonCurrent:
     def test_reference_conditions(self, bp_cell):
-        env = EnvCondition(g=bp_cell.g_ref, t=bp_cell.t_ref)
+        env = EnvCondition(g=STC.g, t=STC.t)
         assert photon_current(bp_cell, env) == bp_cell.i_sc_ref
 
     def test_zero_irradiance(self, bp_cell):
-        assert photon_current(bp_cell, EnvCondition(g=0.0, t=bp_cell.t_ref)) == 0.0
+        assert photon_current(bp_cell, EnvCondition(g=0.0, t=STC.t)) == 0.0
 
     def test_half_irradiance(self, bp_cell):
-        env = EnvCondition(g=500.0, t=bp_cell.t_ref)
+        env = EnvCondition(g=500.0, t=STC.t)
         assert photon_current(bp_cell, env) == pytest.approx(4.75 / 2, rel=1e-15)
 
     @given(g=st.floats(min_value=0.0, max_value=2000.0, allow_nan=False))
@@ -117,14 +117,14 @@ class TestPhotonCurrent:
         )
         t = 310.0
         lhs = photon_current(cell, EnvCondition(g=g, t=t))
-        rhs = (g / cell.g_ref) * photon_current(cell, EnvCondition(g=cell.g_ref, t=t))
+        rhs = (g / STC.g) * photon_current(cell, EnvCondition(g=STC.g, t=t))
         assert lhs == rhs  # bit-for-bit
 
 
 class TestSaturationCurrent:
     def test_reference_value_frozen(self, bp_cell):
         # independent evaluation of i_sc / (exp(q*v_oc/(n*k*T)) - 1)
-        vt = bp_cell.n * K * bp_cell.t_ref / Q
+        vt = bp_cell.n * K * STC.t / Q
         expected = bp_cell.i_sc_ref / (math.exp(bp_cell.v_oc_ref / vt) - 1.0)
         assert reference_saturation_current(bp_cell) == expected
         assert reference_saturation_current(bp_cell) == pytest.approx(
@@ -132,7 +132,7 @@ class TestSaturationCurrent:
         )
 
     def test_unity_scaling_at_reference_temperature(self, bp_cell):
-        env = EnvCondition(g=1000.0, t=bp_cell.t_ref)
+        env = EnvCondition(g=1000.0, t=STC.t)
         assert saturation_current(bp_cell, env) == reference_saturation_current(bp_cell)
 
     def test_grows_with_temperature(self, bp_cell):
@@ -157,7 +157,7 @@ class TestSeriesResistance:
 
     def test_zero_at_boundary(self, bp_cell):
         i0 = reference_saturation_current(bp_cell)
-        vt = bp_cell.n * K * bp_cell.t_ref / Q
+        vt = bp_cell.n * K * STC.t / Q
         diode_term = vt / (i0 * math.exp(bp_cell.v_oc_ref / vt))
         cell = CellParams(
             i_sc_ref=bp_cell.i_sc_ref,
@@ -198,7 +198,7 @@ class TestCellCurrent:
 
     def test_zero_current_at_open_circuit(self, bp_cell, stc):
         r_s = derive_series_resistance(bp_cell)
-        v_oc = open_circuit_voltage(bp_cell, stc)
+        v_oc = one_cell(bp_cell, r_s).open_circuit_voltage(stc)
         assert abs(one_cell(bp_cell, r_s).current_at(v_oc, stc)) < 1e-8
 
     def test_against_bisection_oracle(self, bp_cell, stc):
@@ -213,7 +213,7 @@ class TestCellCurrent:
         i_ph = photon_current(bp_cell, stc)
         i_0 = saturation_current(bp_cell, stc)
         vt = bp_cell.n * K * stc.t / Q
-        v_oc = open_circuit_voltage(bp_cell, stc)
+        v_oc = one_cell(bp_cell, 0.0).open_circuit_voltage(stc)
         v = np.linspace(0.0, v_oc, 200)
         for r_s in (derive_series_resistance(bp_cell), 0.0):  # Newton, then the closed form
             i = one_cell(bp_cell, r_s).current_at(v, stc)
@@ -222,13 +222,13 @@ class TestCellCurrent:
 
     def test_strictly_decreasing_in_voltage(self, bp_cell, stc):
         r_s = derive_series_resistance(bp_cell)
-        v_oc = open_circuit_voltage(bp_cell, stc)
+        v_oc = one_cell(bp_cell, r_s).open_circuit_voltage(stc)
         i = one_cell(bp_cell, r_s).current_at(np.linspace(0.0, v_oc, 300), stc)
         assert np.all(np.diff(i) < 0)
 
     def test_power_unimodal(self, bp_cell, stc):
         r_s = derive_series_resistance(bp_cell)
-        v_oc = open_circuit_voltage(bp_cell, stc)
+        v_oc = one_cell(bp_cell, r_s).open_circuit_voltage(stc)
         v = np.linspace(0.0, v_oc, 2000)
         p = v * one_cell(bp_cell, r_s).current_at(v, stc)
         signs = np.sign(np.diff(p))
@@ -251,15 +251,28 @@ class TestCellCurrent:
 
 class TestOpenCircuitVoltage:
     def test_matches_root_of_cell_current(self, bp_cell, stc):
-        v_oc = open_circuit_voltage(bp_cell, stc)
+        v_oc = one_cell(bp_cell, 0.0).open_circuit_voltage(stc)
         assert abs(one_cell(bp_cell, 0.0).current_at(v_oc, stc)) < 1e-9
 
     def test_reproduces_datasheet_at_stc(self, bp_cell, stc):
         # v_oc_ref is derived from the same diode equation, so STC round-trips
-        assert open_circuit_voltage(bp_cell, stc) == pytest.approx(43.5 / 72, rel=1e-9)
+        v_oc = one_cell(bp_cell, 0.0).open_circuit_voltage(stc)
+        assert v_oc == pytest.approx(43.5 / 72, rel=1e-9)
 
     def test_zero_irradiance(self, bp_cell):
-        assert open_circuit_voltage(bp_cell, EnvCondition(g=0.0, t=298.0)) == 0.0
+        dark = EnvCondition(g=0.0, t=298.0)
+        assert one_cell(bp_cell, 0.0).open_circuit_voltage(dark) == 0.0
+
+    @pytest.mark.parametrize(
+        "env", [STC, EnvCondition(g=20.0, t=298.0), EnvCondition(g=650.0, t=310.0)], ids=str
+    )
+    def test_is_the_closed_form_of_the_cell_constants(self, bp_cell, env):
+        array = PVArray(bp_cell, ArrayConfig(4, 2))
+        vt = bp_cell.n * K * env.t / Q
+        i_ph = photon_current(bp_cell, env)
+        i_0 = saturation_current(bp_cell, env)
+        expected = vt * math.log(i_ph / i_0 + 1.0) * 4
+        assert array.open_circuit_voltage(env) == expected  # bit-for-bit
 
 
 class TestArrayScaling:
@@ -487,6 +500,10 @@ class TestValidation:
             EnvCondition(g=-1.0, t=298.0)
         with pytest.raises(ValueError):
             EnvCondition(g=100.0, t=0.0)
+        with pytest.raises(ValueError):
+            EnvCondition(g=math.nan, t=298.0)
+        with pytest.raises(ValueError):
+            EnvCondition(g=100.0, t=math.nan)
 
     def test_array_config_invariants(self):
         with pytest.raises(ValueError):

@@ -82,3 +82,21 @@ def test_compare_matches_the_shipped_config_fingerprint(name, tmp_path):
     config = ROOT / "configs" / f"{name}.yaml"
     assert main(["compare", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
     assert outputs.fingerprint(tmp_path) == SHIPPED_FINGERPRINTS[name]
+
+
+def test_traced_pass_reproduces_table1_through_the_pinned_api(tmp_path, monkeypatch):
+    """The benchmark's traced pass subclasses PVArray, MppOracle, EnvProfile,
+    BuckBoost and MpptController and rebuilds them from their attributes,
+    so a changed signature fails here, not only in the benchmark."""
+    monkeypatch.syspath_prepend(str(BENCH))  # for its `from outputs import ...`
+    traced_pass = _bench_module("traced_pass")
+    workload = workloads.generate("table1", 0, tmp_path / "inputs")
+    tracer = traced_pass.Tracer()
+    out = tmp_path / "out"
+    traced_pass.traced_compare(workload.config, out, tracer)
+    assert outputs.fingerprint(out) == REFERENCE["table1"]["fingerprint"]
+    metrics = {name: value for name, (value, _) in traced_pass.layer_metrics(tracer, out).items()}
+    assert metrics["pvmodel.scalar_calls"] == 2706
+    assert metrics["pvmodel.vector_calls"] == 45
+    assert metrics["oracle.find_misses"] == 45
+    assert metrics["harness.steps"] == 1500
