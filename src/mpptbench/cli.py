@@ -25,7 +25,7 @@ from .harness import (
 )
 from .oracle import GRID_POINTS, MppOracle
 from .profiles import celsius_to_kelvin
-from .pvmodel import EnvCondition, ModelError
+from .pvmodel import EnvCondition
 
 __all__ = ["main"]
 
@@ -169,10 +169,10 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": _cmd_run, "compare": _cmd_compare, "oracle": _cmd_oracle}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, DegenerateSampleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DegenerateSampleError, ModelError, SimulationError, ValueError) as exc:
+    except (SimulationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,8 @@ converter and controller settings, a profile source, and the simulation
 settings.  A preset file and the controller and sim sections load into
 PanelPreset, ControllerParams and SimConfig, whose field names are the
 keys and whose fields give the value types and defaults.  A preset's
-datasheet values are taken at STC.  A number must be a finite float.
+datasheet values are taken at STC, and must give a cell whose derived
+series resistance is > 0.  A number must be a finite float.
 Validation failures report the offending field with its line in the file.
 """
 
@@ -26,7 +27,7 @@ from .converter import BuckBoost
 from .harness import SimConfig
 from .oracle import MppOracle
 from .profiles import EnvProfile, builtin_table1_profile, load_profile_csv
-from .pvmodel import STC, ArrayConfig, CellParams, PVArray
+from .pvmodel import STC, ArrayConfig, CellParams, PVArray, derive_series_resistance
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_scenario", "load_panel_preset"]
 
@@ -45,12 +46,13 @@ class PanelPreset:
     alpha_per_k: float
     ideality_factor: float
     dv_di_oc_ohm: float
-    rated_power_w: float
 
     def __post_init__(self):
         if self.cells_in_series < 1:
             raise ValueError("cells_in_series must be >= 1")
-        self.cell_params()  # CellParams checks the electrical values
+        # CellParams checks each electrical value, and R_s > 0 (with I_0 at
+        # STC) that they are consistent, so a bad preset fails at its file
+        derive_series_resistance(self.cell_params())
 
     def cell_params(self) -> CellParams:
         n = self.cells_in_series

@@ -63,7 +63,7 @@ _DV_DD_SIGN = BuckBoost.sign_of_dv_dd
 
 
 class DegenerateSampleError(Exception):
-    """Both dV and dI are degenerate and no slope history exists."""
+    """The seed step did not move the sample: delta_d_nominal is too small."""
 
 
 class Measurement(NamedTuple):
@@ -130,7 +130,7 @@ class ControllerState:
     prev_slope_sign is None until the first slope has been computed and
     keeps the last tracking direction through holds, so a sudden
     environment change that reverses the direction registers as a sign
-    flip.
+    flip.  A hold on the first slope records that slope's sign.
     """
 
     d: float
@@ -169,8 +169,8 @@ def slope_term(
         if abs(di) < DI_DEGENERATE_A:
             if prev_slope_sign is None:
                 raise DegenerateSampleError(
-                    f"dV={dv:.3e} V and dI={di:.3e} A are both degenerate and no "
-                    "slope history exists"
+                    "controller.delta_d_nominal is too small for this converter: the seed "
+                    f"step moved the sample by dV={dv:.3e} V and dI={di:.3e} A, both degenerate"
                 )
             # nothing changed: zero slope keeps a held controller held
             return 0.0, False
@@ -241,13 +241,13 @@ def conventional_step(
     if state.prev_v is None:
         return _seed_step(state, meas, params, params.delta_d_nominal)
     s, _ = slope_term(meas, state.prev_v, state.prev_i, state.prev_slope_sign)
+    sign = 1 if s > 0 else -1
     if s == 0.0:
         new_state = ControllerState(
             d=state.d, delta_d=state.delta_d, delta_d_max=state.delta_d_max, prev_v=meas.v,
-            prev_i=meas.i, prev_slope_sign=state.prev_slope_sign,
+            prev_i=meas.i, prev_slope_sign=state.prev_slope_sign or sign,
         )
         return StepOutcome(new_state, StepAction.HELD_AT_MPP, s)
-    sign = 1 if s > 0 else -1
     d_new = _apply_move(state.d, sign, params.delta_d_nominal, params)
     new_state = ControllerState(
         d=d_new, delta_d=state.delta_d, delta_d_max=state.delta_d_max, prev_v=meas.v,
@@ -281,14 +281,14 @@ def revised_step(
         # environment just changed: restart the step from its nominal
         # value or the response to the new transient stays microscopic.
         delta_d = params.delta_d_nominal
+    sign = 1 if s > 0 else -1
     if abs(s) <= params.epsilon:
         new_state = ControllerState(
             d=state.d, delta_d=params.delta_d_nominal, delta_d_max=params.delta_d_max_initial,
-            prev_v=meas.v, prev_i=meas.i, prev_slope_sign=state.prev_slope_sign,
+            prev_v=meas.v, prev_i=meas.i, prev_slope_sign=state.prev_slope_sign or sign,
         )
         return StepOutcome(new_state, StepAction.HELD_AT_MPP, s)
 
-    sign = 1 if s > 0 else -1
     delta_d_max = state.delta_d_max
     if state.prev_slope_sign is None:
         factor = 1.0

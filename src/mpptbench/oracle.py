@@ -56,13 +56,10 @@ def find_mpp(array: PVArray, env: EnvCondition) -> MppResult:
 
     P(V) is strictly concave on [0, V_oc], so the grid neighbours of the
     best sample bracket the maximum and golden-section search lands
-    within _REFINE_TOLERANCE_V of it.  Zero irradiance yields the
-    degenerate result (0, 0, 0).  Deterministic: identical inputs
-    give bit-identical results.
+    within _REFINE_TOLERANCE_V of it.  Zero irradiance has V_oc = 0, so
+    every sample is V = 0, I = 0 and the result is (0.0, 0.0, 0.0).
+    Deterministic: identical inputs give bit-identical results.
     """
-    if env.g <= 0:
-        return MppResult(v_mpp=0.0, i_mpp=0.0, p_mpp=0.0)
-
     v_oc = array.open_circuit_voltage(env)
     grid = np.linspace(0.0, v_oc, GRID_POINTS)
     power = grid * array.current_at(grid, env)

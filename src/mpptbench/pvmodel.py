@@ -7,12 +7,12 @@ series resistance R_s.  The terminal current solves the implicit equation
 
 which is solved by Newton's method started at min(I_ph, I_cap), where
 I_cap follows from an upper bound on the diode voltage at the root.
-With R_s > 0 the iteration converges monotonically from there (see
-_solve_current), so it needs no damping and no fallback: every valid
-input takes a few steps, however far above open circuit.  It stops at
-the residual tolerance or where the step reaches the float spacing of
-I; R_s = 0 has a closed form.  A solve that exhausts its iterations
-raises ConvergenceError.
+R_s, derived from the open-circuit slope, must be > 0; the iteration
+then converges monotonically (see _solve_current), so it needs no
+damping and no fallback: every valid input takes a few steps, however
+far above open circuit and in the dark too.  It stops at the residual
+tolerance or where the step reaches the float spacing of I.  A solve
+that exhausts its iterations raises ConvergenceError.
 Arrays of identical, identically illuminated cells scale linearly in
 series (voltage) and parallel (current).  The datasheet values are
 taken at STC, which is also the reference (T_ref, G_ref) of the
@@ -55,8 +55,8 @@ __all__ = [
 MAX_EXP_ARGUMENT = 700.0
 
 
-class ModelError(Exception):
-    """Base class for cell-model failures."""
+class ModelError(ValueError):
+    """Base class for cell-model failures; a ValueError, so a loader reports it at its value."""
 
 
 class NumericRangeError(ModelError):
@@ -216,11 +216,11 @@ def derive_series_resistance(
     vt = _thermal_voltage(params, STC.t, constants)
     diode_term = vt / (i0_ref * math.exp(params.v_oc_ref / vt))
     r_s = -params.dv_di_oc - diode_term
-    if r_s < 0:
+    if not r_s > 0:
         raise DatasheetError(
-            f"derived series resistance is negative ({r_s:.3e} ohm): the open-circuit "
-            f"slope |dV/dI|={-params.dv_di_oc:.3e} is smaller than the diode term "
-            f"{diode_term:.3e}"
+            f"derived series resistance is {r_s:.3e} ohm, not > 0: the open-circuit "
+            f"slope |dV/dI|={-params.dv_di_oc:.3e} ohm is not larger than the diode term "
+            f"{diode_term:.3e} ohm"
         )
     return r_s
 
@@ -236,7 +236,7 @@ def _solve_current(
 ) -> np.ndarray:
     """Newton on the single-diode residual from a start right of the root.
 
-    For R_s > 0 the residual
+    With R_s > 0 the residual
     f(I) = I_ph - I_0*expm1((V+I*R_s)/vt) - I
     is strictly decreasing and concave in I.  f(-V/R_s) >= 0 and
     f(I_ph) <= 0, so the root's diode voltage x = V + I*R_s is >= 0 and
@@ -253,14 +253,7 @@ def _solve_current(
     there the rounding of f can flip its sign, and a current of
     thousands of amperes cannot meet an absolute tolerance of 1e-9 A.
     Lanes still unconverged after max_iter steps raise ConvergenceError.
-    R_s = 0 has the closed form I_ph - I_0*expm1(V/vt), guarded
-    against overflow, which would otherwise give -inf.
     """
-    if r_s == 0.0:
-        if np.any(v / vt > MAX_EXP_ARGUMENT):
-            raise NumericRangeError("diode exponent exceeds the overflow guard; check V and params")
-        return i_ph - i_0 * np.expm1(v / vt)
-
     i = np.minimum(i_ph, (vt * np.log1p((i_ph + v / r_s) / i_0) - v) / r_s)
     for _ in range(max_iter + 1):
         vd = v + i * r_s
@@ -291,11 +284,6 @@ def _solve_current_scalar(
     np.spacing at a fraction of its cost on a float, and the step is
     only computed when the residual is not yet met.
     """
-    if r_s == 0.0:
-        if v / vt > MAX_EXP_ARGUMENT:
-            raise NumericRangeError("diode exponent exceeds the overflow guard; check V and params")
-        return i_ph - i_0 * float(np.expm1(v / vt))
-
     i = min(i_ph, (vt * float(np.log1p((i_ph + v / r_s) / i_0)) - v) / r_s)
     for _ in range(max_iter + 1):
         vd = v + i * r_s
@@ -314,6 +302,7 @@ class PVArray:
 
     Bundles the cell parameters, derived series resistance, and solver
     settings so callers can evaluate the array I-V curve with one object.
+    A given r_s must be > 0, as a derived one is.
     Scenarios give only the cell and the layout, so the defaults here are
     the solver settings and band-gap form every run uses.
 
@@ -344,8 +333,8 @@ class PVArray:
         self.solver_tol = solver_tol
         self.solver_max_iter = solver_max_iter
         self.r_s = derive_series_resistance(cell, constants) if r_s is None else r_s
-        if self.r_s < 0:
-            raise ValueError("r_s must be >= 0")  # the Newton solve needs it
+        if not self.r_s > 0:
+            raise ValueError("r_s must be > 0")  # the Newton solve needs it
         self._solver_constants: dict[tuple[float, float], tuple[float, float, float]] = {}
 
     def _constants_at(self, env: EnvCondition) -> tuple[float, float, float]:

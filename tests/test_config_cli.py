@@ -41,7 +41,7 @@ v_oc_v: 22.1
 alpha_per_k: 0.0005
 ideality_factor: 1.2
 dv_di_oc_ohm: -0.6
-rated_power_w: 130.0
+# rated 130 W at STC
 """
 
 MINIMAL = """\
@@ -240,32 +240,43 @@ class TestErrorAttribution:
              "bad_panel.yaml:2: cells_in_series: cells_in_series must be >= 1"),
             ("v_oc_v: 43.5\n", "", "bad_panel.yaml: v_oc_v: required value is missing"),
             # the cell model has no shunt resistance
-            ("rated_power_w: 150.0", "rated_power_w: 150.0\nr_p_ohm: 1000.0",
+            ("# rated 150 W", "# rated 150 W\nr_p_ohm: 1000.0",
              "bad_panel.yaml:9: r_p_ohm: unknown field"),
             # the reference condition is STC, and a bundled preset is named by its file
-            ("rated_power_w: 150.0", "rated_power_w: 150.0\nt_ref_k: 298.0",
+            ("# rated 150 W", "# rated 150 W\nt_ref_k: 298.0",
              "bad_panel.yaml:9: t_ref_k: unknown field"),
-            ("rated_power_w: 150.0", "rated_power_w: 150.0\ng_ref_w_m2: 1000.0",
+            ("# rated 150 W", "# rated 150 W\ng_ref_w_m2: 1000.0",
              "bad_panel.yaml:9: g_ref_w_m2: unknown field"),
             ("# bad panel", "name: bad",
              "bad_panel.yaml:1: name: unknown field"),
+            # no program code reads the rating
+            ("# rated 150 W", "rated_power_w: 150.0",
+             "bad_panel.yaml:8: rated_power_w: unknown field"),
+            # values that each pass their own check but give no cell: R_s < 0 ...
+            ("dv_di_oc_ohm: -1.10", "dv_di_oc_ohm: -0.001",
+             "bad_panel.yaml: derived series resistance is -7.012e-03 ohm, not > 0"),
+            # ... and 43.5 V across one cell, whose I_0 underflows exp's range
+            ("cells_in_series: 72", "cells_in_series: 1",
+             "bad_panel.yaml: saturation-current exponent 1303.5 exceeds 700.0"),
         ],
         ids=["i_sc_a", "i_sc_a_bool", "cells_in_series", "cells_in_series_zero",
              "missing_v_oc_v", "removed_r_p_ohm", "removed_t_ref_k", "removed_g_ref_w_m2",
-             "removed_name"],
+             "removed_name", "removed_rated_power_w", "inconsistent_negative_r_s",
+             "inconsistent_i_0_overflow"],
     )
     def test_preset_file(self, tmp_path, capsys, old, new, where):
         preset = tmp_path / "bad_panel.yaml"
         preset.write_text(
             "# bad panel\ncells_in_series: 72\ni_sc_a: 4.75\nv_oc_v: 43.5\n"
             "alpha_per_k: 0.00065\nideality_factor: 1.3\ndv_di_oc_ohm: -1.10\n"
-            "rated_power_w: 150.0\n".replace(old, new)
+            "# rated 150 W\n".replace(old, new)
         )
         body = MINIMAL.format(out=tmp_path / "out").replace("bp_sx150", str(preset))
         config = write_scenario(tmp_path, body)
         assert main(["run", "--config", str(config), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert f"scenario.yaml:1: panel: {preset.parent}/" in err and where in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "old, new, where",
@@ -556,16 +567,35 @@ class TestCli:
         rows = list(csv.reader((out / "trace.csv").read_text().splitlines()))
         assert len(rows) == 1 + 500  # 5.0 s at 10 ms
 
-    def test_degenerate_first_samples_are_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_too_small_delta_d_nominal_is_a_config_error(self, tmp_path, capsys, command):
+        """A seed step that cannot move the sample can never run."""
         body = MINIMAL.format(out=tmp_path / "out").replace(
             "  kind: revised-adaptive-bound\n",
             "  kind: conventional\n  delta_d_nominal: 1.0e-12\n",
         )
         config = write_scenario(tmp_path, body)
-        assert main(["run", "--config", str(config), "--quiet"]) == 2
+        assert main([command, "--config", str(config), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "degenerate" in err
-        assert "Traceback" not in err
+        assert err.startswith(
+            "config error: controller.delta_d_nominal is too small for this converter: "
+            "the seed step moved the sample by dV="
+        )
+        assert re.search(r"dV=-?\d\.\d{3}e-\d+ V and dI=-?\d\.\d{3}e-\d+ A", err)
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_a_hold_on_the_first_secant_stays_held(self, tmp_path, command):
+        """From this duty the revised controller's first secant passes the MPP test."""
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "  duration_s: 0.05\n", "  duration_s: 1.0\n  initial_duty: 0.50592\n"
+        )
+        config = write_scenario(tmp_path, body)
+        assert main([command, "--config", str(config), "--quiet"]) == 0
+        name = "trace.csv" if command == "run" else "trace_revised_adaptive.csv"
+        rows = list(csv.DictReader((tmp_path / "out" / name).read_text().splitlines()))
+        assert len(rows) == 100
+        assert rows[1]["action"] == rows[2]["action"] == "held_at_mpp"
 
     def test_noise_that_clamps_the_measured_voltage_to_zero_runs(self, tmp_path):
         # +/-40 V of noise around a ~31 V operating point samples 0 V now and then

@@ -289,6 +289,16 @@ class TestRevisedStepBehaviour:
         with pytest.raises(DegenerateSampleError):
             controller.step(Measurement(30.0, 4.0))
 
+    def test_hold_on_the_first_secant_stays_held(self, default_params):
+        meas, prev_v, prev_i = meas_with_slope(-1e-4)
+        controller = MpptController("revised-adaptive-bound", default_params, 0.5)
+        controller.step(Measurement(prev_v, prev_i))  # the seed step
+        first = controller.step(meas)
+        assert first.action is StepAction.HELD_AT_MPP
+        assert first.new_state.prev_slope_sign == -1  # the held slope's sign
+        again = controller.step(meas)  # duty and conditions unchanged
+        assert again.action is StepAction.HELD_AT_MPP and again.slope_term == 0.0
+
     def test_determinism(self, default_params):
         st = state_with_history(d=0.5, delta_d=0.004, prev_slope_sign=+1, s=-1.5)
         meas, _, _ = meas_with_slope(-1.5)
