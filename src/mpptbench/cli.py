@@ -1,6 +1,6 @@
 """Command-line entry point: run, compare, oracle.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime/solver error.
+Exit codes: 0 success, 1 configuration or usage error, 2 runtime/solver error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .controllers import DegenerateSampleError
 from .harness import (
-    SimulationError,
     compute_metrics,
     format_metrics,
     run_simulation,
@@ -46,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="scenario YAML file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--profile", default=None, help="profile CSV (overrides config)")
         p.add_argument("--quiet", action="store_true", help="suppress the summary printout")
 
     p_run = sub.add_parser("run", help="run one simulation, write trace.csv and metrics.txt")
@@ -67,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioConfig:
-    scenario = load_scenario(args.config, args.profile)
+    scenario = load_scenario(args.config)
     if args.out is not None:
         scenario.output_dir = Path(args.out)
     scenario.output_dir.mkdir(parents=True, exist_ok=True)
@@ -165,14 +163,17 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
     handlers = {"run": _cmd_run, "compare": _cmd_compare, "oracle": _cmd_oracle}
     try:
         return handlers[args.command](args)
     except (ConfigError, DegenerateSampleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (SimulationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -242,13 +242,11 @@ def load_panel_preset(name_or_path: str, directory: Path = Path()) -> PanelPrese
     return _root(ref.read_text(), f"preset {name_or_path}").build(PanelPreset)
 
 
-def load_scenario(path: str | Path, profile_source: str | None = None) -> ScenarioConfig:
+def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse and validate a scenario YAML file.
 
     Relative preset and profile paths in the file are taken from its
-    directory.  A given profile_source (the CLI's --profile) replaces the
-    file's `profile:`; its errors name `--profile`, and a relative path
-    is taken from the working directory.
+    directory.
     """
     path = Path(path)
     if not path.exists():
@@ -297,30 +295,26 @@ def load_scenario(path: str | Path, profile_source: str | None = None) -> Scenar
     if kind not in CONTROLLER_KINDS:
         raise ctrl.error("kind", f"must be one of {', '.join(CONTROLLER_KINDS)}")
 
-    key, directory = "--profile", Path()
-    if profile_source is None:
-        key, directory = "profile", path.parent
-        profile_source = root.get("profile", "builtin-table1")
-    if not isinstance(profile_source, str):
-        raise root.error(key, f"expected 'builtin-table1' or a CSV path, got {profile_source!r}")
-    if profile_source == "builtin-table1":
+    source = root.get("profile", "builtin-table1")
+    if not isinstance(source, str):
+        raise root.error("profile", f"expected 'builtin-table1' or a CSV path, got {source!r}")
+    if source == "builtin-table1":
         profile = builtin_table1_profile()
     else:
-        csv_path = directory / profile_source
+        csv_path = path.parent / source
         if not csv_path.exists():
-            raise root.error(key, f"profile CSV not found: {csv_path}")
+            raise root.error("profile", f"profile CSV not found: {csv_path}")
         try:
             profile = load_profile_csv(csv_path)
         except ValueError as exc:
-            raise root.error(key, str(exc)) from None
+            raise root.error("profile", str(exc)) from None
 
     sim_sec = root.section("sim")
     sim = sim_sec.build(SimConfig)
-    if sim.duration_s is None and profile_source != "builtin-table1":
-        # a CSV row gives only a start time, so a CSV profile has no end of its own
+    if sim.duration_s is None and profile.duration is None:
         raise sim_sec.error(
             "duration_s",
-            f"required with a CSV profile, which has no end time of its own: {profile_source}",
+            f"required with a CSV profile, which has no end time of its own: {source}",
         )
     if sim.initial_duty != "auto" and not d_min <= sim.initial_duty <= d_max:
         # the converter would clamp it, so the first two samples coincide
@@ -339,7 +333,7 @@ def load_scenario(path: str | Path, profile_source: str | None = None) -> Scenar
         v_bus=v_bus,
         controller_kind=kind,
         controller_params=controller_params,
-        profile_source=profile_source,
+        profile_source=source,
         profile=profile,
         sim=sim,
         output_dir=Path(output_dir),

@@ -18,7 +18,7 @@ from pathlib import Path
 from .controllers import Measurement, MpptController, StepAction
 from .converter import BuckBoost
 from .oracle import MppOracle
-from .pvmodel import EnvCondition, ModelError, PVArray
+from .pvmodel import EnvCondition, PVArray
 from .profiles import EnvProfile
 
 # A segment settles once the relative power deviation stays below
@@ -31,7 +31,6 @@ __all__ = [
     "SETTLE_HOLD_S",
     "SimConfig",
     "SimRecord",
-    "SimulationError",
     "SegmentMetrics",
     "TrackingMetrics",
     "run_simulation",
@@ -43,24 +42,15 @@ __all__ = [
 ]
 
 
-class SimulationError(Exception):
-    """Array solver failure mid-run; carries the partial trace."""
-
-    def __init__(self, t: float, partial_trace: list[SimRecord], cause: Exception):
-        super().__init__(f"simulation aborted at t={t:.3f} s: {cause}")
-        self.t = t
-        self.partial_trace = partial_trace
-        self.cause = cause
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Control cadence, run length, and initialization.
 
-    duration_s None falls back to the profile's duration.  initial_duty
-    "auto" starts the run at initial_voltage_fraction of the first
-    segment's MPP voltage, which forces a visible tracking transient.
-    Optional uniform measurement noise is driven by a seeded generator.
+    duration_s None falls back to the profile's duration, which a CSV
+    profile does not have.  initial_duty "auto" starts the run at
+    initial_voltage_fraction of the first segment's MPP voltage, which
+    forces a visible tracking transient.  Optional uniform measurement
+    noise is driven by a seeded generator.
     """
 
     control_interval_s: float = 0.010
@@ -129,6 +119,8 @@ def run_simulation(
     """Drive the loop on the control cadence; fully deterministic."""
     dt = cfg.control_interval_s
     duration = cfg.duration_s if cfg.duration_s is not None else profile.duration
+    if duration is None:
+        raise ValueError("duration_s is required: the profile has no end of its own")
     n_steps = max(1, round(duration / dt))
     rng = random.Random(cfg.noise_seed) if (cfg.noise_v > 0 or cfg.noise_i > 0) else None
 
@@ -139,11 +131,8 @@ def run_simulation(
         mpp = oracle.find(env)
         d_active = controller.state.d
         v = converter.terminal_voltage(d_active)
-        try:
-            i_raw = float(array.current_at(v, env))
-        except ModelError as exc:
-            raise SimulationError(t, records, exc) from exc
-        i = max(0.0, i_raw)  # source convention: a blocking diode stops reverse current
+        # source convention: a blocking diode stops reverse current
+        i = max(0.0, float(array.current_at(v, env)))
         v_meas, i_meas = v, i
         if rng is not None:
             v_meas = max(0.0, v + rng.uniform(-cfg.noise_v, cfg.noise_v))

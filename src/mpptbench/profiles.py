@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .pvmodel import EnvCondition
+from .pvmodel import STC, EnvCondition
 
 __all__ = [
     "EnvSegment",
@@ -34,10 +34,14 @@ class EnvSegment(NamedTuple):
 
 @dataclass(frozen=True)
 class EnvProfile:
-    """Ordered step changes of (irradiance, temperature), plus a duration."""
+    """Ordered step changes of (irradiance, temperature), plus a duration.
+
+    duration None means the profile has no end of its own, so a run
+    must set one.
+    """
 
     segments: tuple[EnvSegment, ...]
-    duration: float
+    duration: float | None
 
     def __post_init__(self):
         if not self.segments:
@@ -47,7 +51,7 @@ class EnvProfile:
         starts = tuple(s.t_start for s in self.segments)
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("segment start times must be strictly increasing")
-        if self.duration <= 0:
+        if self.duration is not None and self.duration <= 0:
             raise ValueError("duration must be > 0")
         object.__setattr__(self, "_starts", starts)
 
@@ -62,7 +66,7 @@ class EnvProfile:
         return self.segments[bisect_right(self._starts, t, 1) - 1].env
 
 
-# Benchmark cloud transient: 16 irradiance steps over 5 s at constant 298 K.
+# Benchmark cloud transient: 16 irradiance steps over 5 s at the STC temperature.
 _TABLE1_STEPS = (
     (0.0, 1000.0), (0.2, 20.0), (0.7, 200.0), (0.9, 300.0),
     (1.2, 400.0), (1.5, 500.0), (1.9, 650.0), (2.5, 850.0),
@@ -72,9 +76,9 @@ _TABLE1_STEPS = (
 
 
 def builtin_table1_profile() -> EnvProfile:
-    """The bundled cloud-transient benchmark profile (5 s, 16 steps, 298 K)."""
+    """The bundled cloud-transient benchmark profile (5 s, 16 steps, STC temperature)."""
     segments = tuple(
-        EnvSegment(t_start=t, env=EnvCondition(g=g, t=298.0)) for t, g in _TABLE1_STEPS
+        EnvSegment(t_start=t, env=EnvCondition(g=g, t=STC.t)) for t, g in _TABLE1_STEPS
     )
     return EnvProfile(segments=segments, duration=5.0)
 
@@ -84,11 +88,10 @@ def load_profile_csv(path: str | Path) -> EnvProfile:
 
     Temperatures are given in celsius and converted at this boundary.
     A value that is not a finite number, or that EnvCondition rejects,
-    is reported as path:row.
-    A row gives only a start time, so the returned duration is the last
-    segment's start time, which would leave that segment out of a run:
-    a scenario with a CSV profile must set sim.duration_s, and
-    load_scenario rejects one that does not.
+    and a start time that is not 0.0 on the first row or not above the
+    previous row's, is reported as path:row.
+    A row gives only a start time, so the profile has no end of its own
+    (duration None): a run on it must set sim.duration_s.
     """
     path = Path(path)
     segments: list[EnvSegment] = []
@@ -108,10 +111,13 @@ def load_profile_csv(path: str | Path) -> EnvProfile:
                 t, g, temp_c = (float(cell) for cell in row)
                 if not all(map(math.isfinite, (t, g, temp_c))):
                     raise ValueError("expected finite numbers")
+                if not segments and t != 0.0:
+                    raise ValueError("first segment must start at t = 0.0")
+                if segments and t <= segments[-1].t_start:
+                    raise ValueError("segment start times must be strictly increasing")
                 segments.append(EnvSegment(t, EnvCondition(g=g, t=celsius_to_kelvin(temp_c))))
             except ValueError as exc:
                 raise ValueError(f"{path}:{row_num}: {exc}") from None
     if not segments:
         raise ValueError(f"{path}: profile has no data rows")
-    duration = max(segments[-1].t_start, segments[0].t_start + 1e-9)
-    return EnvProfile(segments=tuple(segments), duration=duration)
+    return EnvProfile(segments=tuple(segments), duration=None)

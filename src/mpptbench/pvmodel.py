@@ -12,7 +12,7 @@ then converges monotonically (see _solve_current), so it needs no
 damping and no fallback: every valid input takes a few steps, however
 far above open circuit and in the dark too.  It stops at the residual
 tolerance or where the step reaches the float spacing of I.  A solve
-that exhausts its iterations raises ConvergenceError.
+that exhausts its iterations raises ValueError.
 Arrays of identical, identically illuminated cells scale linearly in
 series (voltage) and parallel (current).  The datasheet values are
 taken at STC, which is also the reference (T_ref, G_ref) of the
@@ -39,10 +39,6 @@ __all__ = [
     "ArrayConfig",
     "EnvCondition",
     "STC",
-    "ModelError",
-    "NumericRangeError",
-    "ConvergenceError",
-    "DatasheetError",
     "band_gap",
     "photon_current",
     "reference_saturation_current",
@@ -53,27 +49,6 @@ __all__ = [
 
 # Guard for exp() arguments; beyond this the result is not representable.
 MAX_EXP_ARGUMENT = 700.0
-
-
-class ModelError(ValueError):
-    """Base class for cell-model failures; a ValueError, so a loader reports it at its value."""
-
-
-class NumericRangeError(ModelError):
-    """An intermediate quantity left the representable/valid range."""
-
-
-class ConvergenceError(ModelError):
-    """The implicit-current solver did not reach the residual tolerance."""
-
-    def __init__(self, message: str, iterations: int, residual: float):
-        super().__init__(f"{message} (iterations={iterations}, residual={residual:.3e} A)")
-        self.iterations = iterations
-        self.residual = residual
-
-
-class DatasheetError(ModelError):
-    """Datasheet-derived parameters are mutually inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -161,7 +136,7 @@ def band_gap(t: float, denominator_sign: int = -1) -> float:
         raise ValueError("temperature must be > 0 K")
     denom = t + denominator_sign * 1108.0
     if denom == 0.0:
-        raise NumericRangeError("band-gap denominator vanishes at this temperature")
+        raise ValueError("band-gap denominator vanishes at this temperature")
     return 1.16 - 0.000702 * t * t / denom
 
 
@@ -182,7 +157,7 @@ def reference_saturation_current(
     """Diode reverse saturation current at the STC temperature (A)."""
     x = params.v_oc_ref / _thermal_voltage(params, STC.t, constants)
     if x > MAX_EXP_ARGUMENT:
-        raise NumericRangeError(f"saturation-current exponent {x:.1f} exceeds {MAX_EXP_ARGUMENT}")
+        raise ValueError(f"saturation-current exponent {x:.1f} exceeds {MAX_EXP_ARGUMENT}")
     return params.i_sc_ref / (math.exp(x) - 1.0)
 
 
@@ -201,7 +176,7 @@ def saturation_current(
     eg = band_gap(env.t, band_gap_denominator_sign)
     x = -constants.q * eg / (params.n * constants.k) * (1.0 / env.t - 1.0 / STC.t)
     if abs(x) > MAX_EXP_ARGUMENT:
-        raise NumericRangeError(f"saturation-current exponent {x:.1f} exceeds {MAX_EXP_ARGUMENT}")
+        raise ValueError(f"saturation-current exponent {x:.1f} exceeds {MAX_EXP_ARGUMENT}")
     return i0_ref * (env.t / STC.t) ** 3 * math.exp(x)
 
 
@@ -217,7 +192,7 @@ def derive_series_resistance(
     diode_term = vt / (i0_ref * math.exp(params.v_oc_ref / vt))
     r_s = -params.dv_di_oc - diode_term
     if not r_s > 0:
-        raise DatasheetError(
+        raise ValueError(
             f"derived series resistance is {r_s:.3e} ohm, not > 0: the open-circuit "
             f"slope |dV/dI|={-params.dv_di_oc:.3e} ohm is not larger than the diode term "
             f"{diode_term:.3e} ohm"
@@ -252,7 +227,7 @@ def _solve_current(
     A lane stops at |f| < tol, or where the step falls to 8 ulps of I:
     there the rounding of f can flip its sign, and a current of
     thousands of amperes cannot meet an absolute tolerance of 1e-9 A.
-    Lanes still unconverged after max_iter steps raise ConvergenceError.
+    Lanes still unconverged after max_iter steps raise ValueError.
     """
     i = np.minimum(i_ph, (vt * np.log1p((i_ph + v / r_s) / i_0) - v) / r_s)
     for _ in range(max_iter + 1):
@@ -263,7 +238,8 @@ def _solve_current(
         if done.all():
             return i
         i = np.where(done, i, i - step)
-    raise ConvergenceError("Newton did not converge", max_iter, float(np.abs(f[~done]).max()))
+    residual = float(np.abs(f[~done]).max())
+    raise ValueError(f"Newton did not converge (iterations={max_iter}, residual={residual:.3e} A)")
 
 
 def _solve_current_scalar(
@@ -294,7 +270,7 @@ def _solve_current_scalar(
         if abs(step) <= 8 * math.ulp(i):
             return i
         i = i - step
-    raise ConvergenceError("Newton did not converge", max_iter, abs(f))
+    raise ValueError(f"Newton did not converge (iterations={max_iter}, residual={abs(f):.3e} A)")
 
 
 class PVArray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import re
@@ -11,7 +12,7 @@ import pytest
 import yaml
 
 from mpptbench import oracle as oracle_module
-from mpptbench.cli import main
+from mpptbench.cli import _build_parser, main
 from mpptbench.config import ConfigError, load_panel_preset, load_scenario
 from mpptbench.controllers import ControllerParams
 from mpptbench.harness import (
@@ -315,8 +316,9 @@ class TestErrorAttribution:
             ("0.5,nan,25", "rows.csv:3: expected finite numbers"),
             ("nan,800,25", "rows.csv:3: expected finite numbers"),
             ("0.5,-5,25", "rows.csv:3: irradiance g must be >= 0"),
+            ("0.0,900,25", "rows.csv:3: segment start times must be strictly increasing"),
         ],
-        ids=["nan_irradiance", "nan_start", "negative_irradiance"],
+        ids=["nan_irradiance", "nan_start", "negative_irradiance", "repeated_start"],
     )
     def test_bad_profile_value_is_a_config_error_at_its_row(self, tmp_path, capsys, row, where):
         (tmp_path / "rows.csv").write_text(
@@ -398,22 +400,42 @@ class TestCli:
         assert main(["run", "--config", str(config)]) == 1
         assert "gone.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "c.yaml", "--bogus"],
+            ["run", "--config", "c.yaml", "--profile", "x.csv"],
+            ["run"],
+            [],
+        ],
+        ids=["unknown_flag", "removed_profile_flag", "no_config", "no_command"],
+    )
+    def test_usage_error_is_exit_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage: mpptbench" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["top", "run"])
+    def test_help_is_exit_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: mpptbench")
+
+    def test_each_subcommand_has_its_reviewed_option_set(self):
+        """A new flag must change this test, so it is reviewed."""
+        [sub] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: {flag for action in p._actions for flag in action.option_strings}
+            - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        common = {"--config", "--out", "--quiet"}
+        assert options == {"run": common, "compare": common, "oracle": common | {"--g", "--temp"}}
+
     def test_out_flag_overrides_config(self, tmp_path):
         config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "ignored"))
         out = tmp_path / "elsewhere"
         assert main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
         assert (out / "trace.csv").exists()
         assert not (tmp_path / "ignored").exists()
-
-    def test_profile_flag_overrides_config(self, tmp_path):
-        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
-        toy = tmp_path / "toy.csv"
-        toy.write_text("time_s,irradiance_w_m2,temperature_c\n0.0,500,25\n")
-        assert main(
-            ["run", "--config", str(config), "--profile", str(toy), "--quiet"]
-        ) == 0
-        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
-        assert float(rows[0]["g_w_m2"]) == 500.0
 
     TWO_ROW_CSV = "time_s,irradiance_w_m2,temperature_c\n0.0,1000,25\n1.0,200,25\n"
 
@@ -443,32 +465,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "sim.duration_s" in err and ":0:" not in err
 
-    def test_profile_flag_without_duration_is_exit_1(self, tmp_path, capsys):
-        two = tmp_path / "two.csv"
-        two.write_text(self.TWO_ROW_CSV)
-        body = MINIMAL.format(out=tmp_path / "out").replace("  duration_s: 0.05\n", "")
-        config = write_scenario(tmp_path, body)
-        assert main(["run", "--config", str(config), "--profile", str(two), "--quiet"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "sim.duration_s" in err
-        assert not (tmp_path / "out" / "trace.csv").exists()
-
-    def test_malformed_profile_is_a_config_error_by_flag_and_by_file(
+    def test_malformed_profile_is_a_config_error_at_its_key(
         self, tmp_path, monkeypatch, capsys
     ):
-        """--profile goes through the loader of `profile:`, from the working directory."""
+        """`profile:` is read from the scenario's directory, not the working directory."""
         (tmp_path / "pp").mkdir()
         for csv_path in (tmp_path / "bad.csv", tmp_path / "pp" / "bad.csv"):
             csv_path.write_text("t,g,temp_c\n0.0,1000,25\n")
         body = MINIMAL.format(out=tmp_path / "out")
-        (tmp_path / "pp" / "plain.yaml").write_text(body)
         (tmp_path / "pp" / "named.yaml").write_text(body.replace("builtin-table1", "bad.csv"))
         monkeypatch.chdir(tmp_path)
-        flag = ["run", "--config", "pp/plain.yaml", "--profile", "bad.csv", "--quiet"]
-        assert main(flag) == 1
-        assert capsys.readouterr().err.startswith(
-            "config error: pp/plain.yaml: --profile: bad.csv: expected header"
-        )
         assert main(["run", "--config", "pp/named.yaml", "--quiet"]) == 1
         assert capsys.readouterr().err.startswith(
             "config error: pp/named.yaml:4: profile: pp/bad.csv: expected header"
@@ -489,13 +495,12 @@ class TestCli:
         assert float(rows[0]["g_w_m2"]) == 0.0 and float(rows[0]["d"]) == 0.5
 
     def test_csv_profile_runs_its_last_segment(self, tmp_path):
-        two = tmp_path / "two.csv"
-        two.write_text(self.TWO_ROW_CSV)
+        (tmp_path / "two.csv").write_text(self.TWO_ROW_CSV)
         body = MINIMAL.format(out=tmp_path / "out").replace(
             "duration_s: 0.05", "duration_s: 1.5"
         )
-        config = write_scenario(tmp_path, body)
-        assert main(["run", "--config", str(config), "--profile", str(two), "--quiet"]) == 0
+        config = write_scenario(tmp_path, body.replace("builtin-table1", "two.csv"))
+        assert main(["run", "--config", str(config), "--quiet"]) == 0
         rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
         assert len(rows) == 150
         assert {float(r["g_w_m2"]) for r in rows[100:]} == {200.0}

@@ -21,7 +21,7 @@ from mpptbench.harness import (
     write_trace_csv,
 )
 from mpptbench.oracle import MppOracle
-from mpptbench.profiles import EnvProfile, EnvSegment, builtin_table1_profile
+from mpptbench.profiles import EnvProfile, EnvSegment, builtin_table1_profile, load_profile_csv
 from mpptbench.pvmodel import EnvCondition
 
 
@@ -323,19 +323,26 @@ class TestControllerContrast:
 
 
 class TestSimulationFailure:
-    def test_solver_failure_carries_partial_trace(self, bp_cell, bp_converter, bp_oracle):
-        from mpptbench.harness import SimulationError
+    def test_solver_failure_propagates_as_a_value_error(self, bp_cell, bp_converter, bp_oracle):
         from mpptbench.pvmodel import ArrayConfig, PVArray
 
         # one Newton step cannot meet the tolerance, so the first solve fails
         array = PVArray(cell=bp_cell, layout=ArrayConfig(n_series=72), solver_max_iter=1)
         controller = MpptController("conventional", ControllerParams(), 0.5)
-        with pytest.raises(SimulationError) as err:
+        with pytest.raises(ValueError, match=r"^Newton did not converge \(iterations=1, "):
             run_simulation(
                 array, bp_converter, controller, constant_profile(),
                 SimConfig(duration_s=0.1, initial_duty=0.5), bp_oracle,
             )
-        assert err.value.t == 0.0
-        assert err.value.partial_trace == []
-        assert "Newton did not converge" in str(err.value)
-        assert "aborted" in str(err.value)
+
+    def test_profile_without_an_end_needs_duration_s(
+        self, bp_panel, bp_converter, bp_oracle, tmp_path
+    ):
+        path = tmp_path / "two.csv"
+        path.write_text("time_s,irradiance_w_m2,temperature_c\n0.0,1000,25\n0.5,400,25\n")
+        controller = MpptController("conventional", ControllerParams(), 0.5)
+        with pytest.raises(ValueError, match="duration_s"):
+            run_simulation(
+                bp_panel, bp_converter, controller, load_profile_csv(path), SimConfig(),
+                bp_oracle,
+            )

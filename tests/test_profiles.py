@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
+from mpptbench import profiles
 from mpptbench.profiles import (
     EnvProfile,
     EnvSegment,
@@ -22,6 +24,11 @@ def test_builtin_profile_shape():
     assert profile.segments[0].env.g == 1000.0
     assert profile.duration == 5.0
     assert all(seg.env.t == 298.0 for seg in profile.segments)
+
+
+def test_builtin_profile_takes_its_temperature_from_stc(monkeypatch):
+    monkeypatch.setattr(profiles, "STC", EnvCondition(g=1000.0, t=300.0))
+    assert {seg.env.t for seg in builtin_table1_profile().segments} == {300.0}
 
 
 def test_builtin_profile_lookup_is_piecewise_constant():
@@ -73,6 +80,7 @@ def test_validation():
         )
     with pytest.raises(ValueError):
         EnvProfile(segments=(seg,), duration=0.0)
+    assert EnvProfile(segments=(seg,), duration=None).duration is None
 
 
 def test_csv_round_trip(tmp_path):
@@ -88,7 +96,7 @@ def test_csv_round_trip(tmp_path):
     assert profile.env_at(0.7).g == 400.0
     assert profile.env_at(0.0).t == celsius_to_kelvin(25.0) == 298.15
     assert profile.env_at(2.0).t == pytest.approx(303.15)
-    assert profile.duration == 1.5
+    assert profile.duration is None  # a row gives only a start time
 
 
 def test_csv_bad_header(tmp_path):
@@ -109,4 +117,22 @@ def test_csv_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("time_s,irradiance_w_m2,temperature_c\n")
     with pytest.raises(ValueError, match="no data rows"):
+        load_profile_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows, where",
+    [
+        ("0.0,1000,25\n0.5,400,25\n0.5,800,25\n",
+         "dup.csv:4: segment start times must be strictly increasing"),
+        ("0.0,1000,25\n0.5,400,25\n0.2,800,25\n",
+         "dup.csv:4: segment start times must be strictly increasing"),
+        ("0.1,1000,25\n0.5,400,25\n", "dup.csv:2: first segment must start at t = 0.0"),
+    ],
+    ids=["repeated", "decreasing", "late_first_row"],
+)
+def test_csv_start_time_errors_name_their_row(tmp_path, rows, where):
+    path = tmp_path / "dup.csv"
+    path.write_text("time_s,irradiance_w_m2,temperature_c\n" + rows)
+    with pytest.raises(ValueError, match=re.escape(where)):
         load_profile_csv(path)

@@ -4,6 +4,7 @@ and the exact scaling laws."""
 from __future__ import annotations
 
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -21,11 +22,8 @@ from mpptbench.pvmodel import (
     DEFAULT_CONSTANTS,
     ArrayConfig,
     CellParams,
-    ConvergenceError,
-    DatasheetError,
     EnvCondition,
     STC,
-    NumericRangeError,
     PVArray,
     band_gap,
     derive_series_resistance,
@@ -82,7 +80,7 @@ class TestBandGap:
         assert band_gap(350.0) == pytest.approx(1.2734498680738786, rel=1e-15)
 
     def test_singular_temperature(self):
-        with pytest.raises(NumericRangeError):
+        with pytest.raises(ValueError, match="band-gap denominator vanishes"):
             band_gap(1108.0)
 
     def test_varshni_switch(self):
@@ -144,7 +142,7 @@ class TestSaturationCurrent:
         cell = CellParams(
             i_sc_ref=4.75, v_oc_ref=50.0, alpha=0.00065, n=1.0, dv_di_oc=-0.01
         )
-        with pytest.raises(NumericRangeError):
+        with pytest.raises(ValueError, match="saturation-current exponent .* exceeds 700"):
             reference_saturation_current(cell)
 
 
@@ -166,7 +164,7 @@ class TestSeriesResistance:
             n=bp_cell.n,
             dv_di_oc=-diode_term,
         )
-        with pytest.raises(DatasheetError, match="derived series resistance is 0.000e[+]00 ohm"):
+        with pytest.raises(ValueError, match="derived series resistance is 0.000e[+]00 ohm"):
             derive_series_resistance(cell)
 
     def test_linearity_in_slope(self, bp_cell):
@@ -188,7 +186,7 @@ class TestSeriesResistance:
             n=bp_cell.n,
             dv_di_oc=-1e-6,  # slope smaller than the diode term
         )
-        with pytest.raises(DatasheetError):
+        with pytest.raises(ValueError, match="derived series resistance is -"):
             derive_series_resistance(cell)
 
 
@@ -326,13 +324,14 @@ class TestScalarPath:
     def test_exhausted_newton_raises_one_error_on_both_paths(self, bp_cell, stc):
         array = PVArray(cell=bp_cell, layout=ArrayConfig(72, 1), solver_max_iter=1)
         v = 0.8 * array.open_circuit_voltage(stc)
-        errors = []
+        messages = []
         for v_in in (v, np.array([v])):
-            with pytest.raises(ConvergenceError, match="Newton did not converge") as err:
+            with pytest.raises(ValueError, match=r"Newton did not converge \(iterations=1, ") as err:
                 array.current_at(v_in, stc)
-            errors.append((str(err.value), err.value.iterations, err.value.residual))
-        assert errors[0] == errors[1]
-        assert errors[0][1] == 1 and errors[0][2] >= array.solver_tol
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        residual = re.fullmatch(r".*residual=(\S+) A\)", messages[0]).group(1)
+        assert float(residual) >= array.solver_tol
 
     def test_shared_array_across_threads(self, bp_cell):
         envs = [EnvCondition(g=float(g), t=298.0) for g in range(50, 1001, 50)]
