@@ -6,11 +6,8 @@ Exit codes: 0 success, 1 configuration or usage error, 2 runtime/solver error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .controllers import DegenerateSampleError
@@ -22,7 +19,7 @@ from .harness import (
     write_metrics_report,
     write_trace_csv,
 )
-from .oracle import GRID_POINTS, MppOracle
+from .oracle import MppOracle, find_mpp, pv_curve
 from .profiles import celsius_to_kelvin
 from .pvmodel import EnvCondition
 
@@ -139,21 +136,22 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    try:
+        env = EnvCondition(g=args.g, t=celsius_to_kelvin(args.temp))
+    except ValueError as exc:
+        raise ConfigError(f"--g {args.g!r} --temp {args.temp!r}: {exc}") from None
     scenario = _load(args)
     array = scenario.build_array()
-    oracle = MppOracle(array)
-    env = EnvCondition(g=args.g, t=celsius_to_kelvin(args.temp))
-    mpp = oracle.find(env)
-    v_oc = array.open_circuit_voltage(env)
+    mpp = find_mpp(array, env)
+    voltage, current = pv_curve(array, env)
     curve_path = scenario.output_dir / "pv_curve.csv"
+    # CRLF rows as write_trace_csv writes them; the dark curve, all at V_oc = 0, has none
     with curve_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["voltage_v", "current_a", "power_w"])
-        if v_oc > 0:
-            grid = np.linspace(0.0, v_oc, GRID_POINTS)
-            current = np.asarray(array.current_at(grid, env))
-            for v, i in zip(grid, current):
-                writer.writerow([repr(float(v)), repr(float(i)), repr(float(v * i))])
+        fh.write("voltage_v,current_a,power_w\r\n")
+        if voltage[-1] > 0:
+            fh.writelines(
+                f"{v!r},{i!r},{v * i!r}\r\n" for v, i in zip(voltage.tolist(), current.tolist())
+            )
     print(f"v_mpp_v: {mpp.v_mpp:.6g}")
     print(f"i_mpp_a: {mpp.i_mpp:.6g}")
     print(f"p_mpp_w: {mpp.p_mpp:.6g}")

@@ -108,6 +108,9 @@ def _index_key_lines(node: Any, prefix: str, out: dict[str, int]) -> None:
         _index_key_lines(value_node, path, out)
 
 
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string", dict: "a mapping"}
+
+
 class _Section:
     """A mapping section of the file, with line-aware error reporting."""
 
@@ -129,44 +132,33 @@ class _Section:
         where = f"{self.file}:{self.lines[located]}" if located else str(self.file)
         return ConfigError(f"{where}: {path}: {message}" if path else f"{where}: {message}")
 
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.data.get(key, default)
+    def read(self, key: str, kind: Any, default: Any = None) -> Any:
+        """The value at key, or default when the key is absent, checked against kind.
 
-    def _value(self, key: str, default: Any) -> Any:
-        if key in self.data:
-            return self.data[key]
-        if default is None:
-            raise self.error(key, "required value is missing")
-        return default
-
-    def number(self, key: str, default: float | None = None) -> float:
-        value = self._value(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise self.error(key, f"expected a number, got {value!r}")
+        kind is float, int, str or dict, or a union of one of them with
+        None or str, as in a field annotation: a None or str value passes
+        when the union names its type.  A float is any finite int or
+        float, and is returned as a float.  A bool is never a number.
+        """
+        if key not in self.data:
+            return default
+        value = self.data[key]
+        kinds = get_args(kind) or (kind,)
+        if (value is None and type(None) in kinds) or (isinstance(value, str) and str in kinds):
+            return value
+        base = kinds[0]
+        allowed = (int, float) if base is float else base
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise self.error(key, f"expected {_KIND_NAMES[base]}, got {value!r}")
+        if base is not float:
+            return value
         if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too large for a float
             raise self.error(key, f"expected a finite float, got {value!r}")
         return float(value)
 
-    def integer(self, key: str, default: int | None = None) -> int:
-        value = self._value(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise self.error(key, f"expected an integer, got {value!r}")
-        return value
-
-    def string(self, key: str, default: str | None = None) -> str:
-        value = self._value(key, default)
-        if not isinstance(value, str):
-            raise self.error(key, f"expected a string, got {value!r}")
-        return value
-
-    _READERS = {float: number, int: integer, str: string}
-
     def section(self, key: str) -> "_Section":
-        value = self.get(key, {})
-        if value is None:
-            value = {}
-        if not isinstance(value, dict):
-            raise self.error(key, f"expected a mapping, got {value!r}")
+        """The mapping at key; an absent or null one is empty."""
+        value = self.read(key, dict | None) or {}
         return _Section(value, self.lines, self.file, self._path(key))
 
     def reject_unknown(self, known: set[str]) -> None:
@@ -189,7 +181,7 @@ class _Section:
         values = dict(fixed)
         for key, field in keys.items():
             if key in self.data:
-                values[key] = self._typed(key, hints[key])
+                values[key] = self.read(key, hints[key])
             elif field.default is MISSING:
                 raise self.error(key, "required value is missing")
         try:
@@ -197,14 +189,6 @@ class _Section:
         except ValueError as exc:
             named = (key for key in self.data if key in keys and re.search(rf"\b{key}\b", str(exc)))
             raise self.error(next(named, None), str(exc)) from None
-
-    def _typed(self, key: str, hint: Any) -> Any:
-        """The value at key, checked against a field annotation."""
-        value = self.data[key]
-        kinds = get_args(hint) or (hint,)
-        if (value is None and type(None) in kinds) or (isinstance(value, str) and str in kinds):
-            return value
-        return self._READERS[kinds[0]](self, key)
 
 
 def _root(text: str, source: Path | str) -> _Section:
@@ -256,11 +240,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         {"panel", "array", "converter", "controller", "profile", "sim", "output_dir"}
     )
 
-    panel_name = root.get("panel")
+    panel_name = root.read("panel", str | None)
     if panel_name is None:
         raise root.error("panel", "scenario needs a panel preset name or preset file path")
-    if not isinstance(panel_name, str):
-        raise root.error("panel", f"expected a preset name, got {panel_name!r}")
     try:
         preset = load_panel_preset(panel_name, path.parent)
     except ConfigError as exc:
@@ -268,36 +250,32 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
     arr = root.section("array")
     arr.reject_unknown({"panels_series", "panels_parallel"})
-    panels_series = arr.integer("panels_series", 1)
+    panels_series = arr.read("panels_series", int, 1)
     if panels_series < 1:
         raise arr.error("panels_series", "must be >= 1")
-    panels_parallel = arr.integer("panels_parallel", 1)
+    panels_parallel = arr.read("panels_parallel", int, 1)
     if panels_parallel < 1:
         raise arr.error("panels_parallel", "must be >= 1")
 
     conv = root.section("converter")
     conv.reject_unknown({"v_bus", "d_min", "d_max"})
-    v_bus = conv.get("v_bus", "auto")
+    v_bus = conv.data.get("v_bus", "auto")
     if v_bus != "auto":
-        if isinstance(v_bus, bool) or not isinstance(v_bus, (int, float)):
-            raise conv.error("v_bus", 'expected a voltage or "auto"')
-        if not 0 < v_bus <= sys.float_info.max:
-            raise conv.error("v_bus", "must be > 0 and a finite float")
-        v_bus = float(v_bus)
-    d_min = conv.number("d_min", BuckBoost.d_min)
-    d_max = conv.number("d_max", BuckBoost.d_max)
+        v_bus = conv.read("v_bus", float)
+        if not v_bus > 0:
+            raise conv.error("v_bus", "must be > 0")
+    d_min = conv.read("d_min", float, BuckBoost.d_min)
+    d_max = conv.read("d_max", float, BuckBoost.d_max)
     if not (0.0 < d_min < d_max < 1.0):
         raise conv.error("d_min", "need 0 < d_min < d_max < 1")
 
     ctrl = root.section("controller")
     controller_params = ctrl.build(ControllerParams, extra=("kind",), d_min=d_min, d_max=d_max)
-    kind = ctrl.string("kind", "revised-adaptive-bound")
+    kind = ctrl.read("kind", str, "revised-adaptive-bound")
     if kind not in CONTROLLER_KINDS:
         raise ctrl.error("kind", f"must be one of {', '.join(CONTROLLER_KINDS)}")
 
-    source = root.get("profile", "builtin-table1")
-    if not isinstance(source, str):
-        raise root.error("profile", f"expected 'builtin-table1' or a CSV path, got {source!r}")
+    source = root.read("profile", str, "builtin-table1")
     if source == "builtin-table1":
         profile = builtin_table1_profile()
     else:
@@ -322,9 +300,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             "initial_duty", f"must lie in the converter's duty range [{d_min}, {d_max}]"
         )
 
-    output_dir = root.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise root.error("output_dir", f"expected a path, got {output_dir!r}")
+    output_dir = root.read("output_dir", str, "out")
 
     return ScenarioConfig(
         preset=preset,

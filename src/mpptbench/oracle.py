@@ -14,7 +14,7 @@ import numpy as np
 
 from .pvmodel import EnvCondition, PVArray
 
-__all__ = ["GRID_POINTS", "MppResult", "find_mpp", "MppOracle"]
+__all__ = ["GRID_POINTS", "MppResult", "pv_curve", "find_mpp", "MppOracle"]
 
 # Voltage samples in the sweep from 0 to V_oc.
 GRID_POINTS = 2000
@@ -51,19 +51,26 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
+def pv_curve(array: PVArray, env: EnvCondition) -> tuple[np.ndarray, np.ndarray]:
+    """The array's (voltage, current) at GRID_POINTS voltages from 0 to V_oc.
+
+    Zero irradiance has V_oc = 0, so every sample is V = 0, I = 0.
+    """
+    voltage = np.linspace(0.0, array.open_circuit_voltage(env), GRID_POINTS)
+    return voltage, array.current_at(voltage, env)
+
+
 def find_mpp(array: PVArray, env: EnvCondition) -> MppResult:
-    """Locate the MPP by grid sweep plus golden-section refinement.
+    """Locate the MPP by the pv_curve sweep plus golden-section refinement.
 
     P(V) is strictly concave on [0, V_oc], so the grid neighbours of the
     best sample bracket the maximum and golden-section search lands
-    within _REFINE_TOLERANCE_V of it.  Zero irradiance has V_oc = 0, so
-    every sample is V = 0, I = 0 and the result is (0.0, 0.0, 0.0).
+    within _REFINE_TOLERANCE_V of it.  Zero irradiance gives
+    (0.0, 0.0, 0.0).
     Deterministic: identical inputs give bit-identical results.
     """
-    v_oc = array.open_circuit_voltage(env)
-    grid = np.linspace(0.0, v_oc, GRID_POINTS)
-    power = grid * array.current_at(grid, env)
-    best = int(np.argmax(power))
+    grid, current = pv_curve(array, env)
+    best = int(np.argmax(grid * current))
 
     def p_of(v: float) -> float:
         return v * float(array.current_at(v, env))

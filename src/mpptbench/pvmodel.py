@@ -105,6 +105,26 @@ class ArrayConfig:
             raise ValueError("n_series and n_parallel must be >= 1")
 
 
+def band_gap(t: float, denominator_sign: int = -1) -> float:
+    """Band-gap energy (eV) as a function of temperature.
+
+    E_g = 1.16 - 0.000702 * T^2 / (T + denominator_sign * 1108)
+
+    The default denominator_sign=-1 keeps the literal (T - 1108) form,
+    whose E_g is > 0 only below 1108 K; +1 selects the standard Varshni
+    form for sensitivity studies.  An E_g that is not > 0 raises.
+    """
+    if not t > 0:  # written so that NaN fails
+        raise ValueError("temperature t must be > 0 K")
+    denom = t + denominator_sign * 1108.0
+    if denom == 0.0:
+        raise ValueError("band-gap denominator vanishes at this temperature")
+    eg = 1.16 - 0.000702 * t * t / denom
+    if not eg > 0:
+        raise ValueError(f"band gap at T = {t} K is {eg:.4g} eV, not > 0")
+    return eg
+
+
 @dataclass(frozen=True)
 class EnvCondition:
     """Irradiance g (W/m^2) and cell temperature t (K)."""
@@ -115,29 +135,12 @@ class EnvCondition:
     def __post_init__(self):
         if not self.g >= 0:  # written so that NaN fails
             raise ValueError("irradiance g must be >= 0")
-        if not self.t > 0:
-            raise ValueError("temperature t must be > 0 K")
+        band_gap(self.t)  # raises unless t > 0 K gives the cell model an E_g > 0
 
 
 # Standard test conditions (1000 W/m^2, 25 degC taken as 298 K): the
 # reference condition of the datasheet values in CellParams.
 STC = EnvCondition(g=1000.0, t=298.0)
-
-
-def band_gap(t: float, denominator_sign: int = -1) -> float:
-    """Band-gap energy (eV) as a function of temperature.
-
-    E_g = 1.16 - 0.000702 * T^2 / (T + denominator_sign * 1108)
-
-    The default denominator_sign=-1 keeps the literal (T - 1108) form;
-    +1 selects the standard Varshni form for sensitivity studies.
-    """
-    if t <= 0:
-        raise ValueError("temperature must be > 0 K")
-    denom = t + denominator_sign * 1108.0
-    if denom == 0.0:
-        raise ValueError("band-gap denominator vanishes at this temperature")
-    return 1.16 - 0.000702 * t * t / denom
 
 
 def photon_current(params: CellParams, env: EnvCondition) -> float:

@@ -160,6 +160,10 @@ profile: builtin-table1
         with pytest.raises(ConfigError, match="d_min"):
             load_scenario(write_scenario(tmp_path, body))
 
+    def test_null_section_loads_the_defaults(self, tmp_path):
+        null = load_scenario(write_scenario(tmp_path, "panel: bp_sx150\narray:\n"))
+        assert (null.panels_series, null.panels_parallel) == (1, 1)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_scenario(tmp_path / "nope.yaml")
@@ -199,13 +203,20 @@ class TestErrorAttribution:
             ("profile:", "converter:\n  v_bus: 0\nprofile:",
              "scenario.yaml:5: converter.v_bus: must be > 0"),
             ("profile:", "converter:\n  v_bus: true\nprofile:",
-             'scenario.yaml:5: converter.v_bus: expected a voltage or "auto"'),
+             "scenario.yaml:5: converter.v_bus: expected a number, got True"),
             ("profile:", "converter:\n  v_bus: fast\nprofile:",
-             'scenario.yaml:5: converter.v_bus: expected a voltage or "auto"'),
+             "scenario.yaml:5: converter.v_bus: expected a number, got 'fast'"),
             ("profile: builtin-table1", "profile: 5",
-             "scenario.yaml:4: profile: expected 'builtin-table1' or a CSV path, got 5"),
+             "scenario.yaml:4: profile: expected a string, got 5"),
             ("output_dir: {out}", "output_dir: 5",
-             "scenario.yaml:7: output_dir: expected a path, got 5"),
+             "scenario.yaml:7: output_dir: expected a string, got 5"),
+            ("panel: bp_sx150", "panel: 5", "scenario.yaml:1: panel: expected a string, got 5"),
+            ("  kind: revised-adaptive-bound", "  kind: 5",
+             "scenario.yaml:3: controller.kind: expected a string, got 5"),
+            ("profile:", "array: 5\nprofile:", "scenario.yaml:4: array: expected a mapping, got 5"),
+            ("  duration_s: 0.05\n", "  duration_s: 0.05\n  initial_voltage_fraction: 2.0\n",
+             "scenario.yaml:7: sim.initial_voltage_fraction: "
+             "initial_voltage_fraction must be in (0, 1.5]"),
             # the solver settings and band-gap form are constants, not keys
             ("profile:", "model:\nprofile:", "scenario.yaml:4: model: unknown field"),
             ("profile:", "model:\n  band_gap_denominator_sign: -1\nprofile:",
@@ -217,7 +228,8 @@ class TestErrorAttribution:
         ],
         ids=["deacc", "noise_i", "duration_s", "initial_duty", "panels_series",
              "panels_parallel", "v_bus_zero", "v_bus_bool", "v_bus_string", "profile",
-             "output_dir", "removed_model", "removed_model.band_gap_denominator_sign",
+             "output_dir", "panel", "controller.kind", "array", "initial_voltage_fraction",
+             "removed_model", "removed_model.band_gap_denominator_sign",
              "removed_model.solver_tolerance_a", "removed_model.solver_max_iterations"],
     )
     def test_preset_scenario(self, tmp_path, capsys, old, new, where):
@@ -226,6 +238,23 @@ class TestErrorAttribution:
         with pytest.raises(ConfigError, match=re.escape(where)):
             load_scenario(config)
         assert main(["run", "--config", str(config), "--quiet"]) == 1
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("panel: [bp_sx150\n", "scenario.yaml: YAML parse error: "),
+            ("- panel\n- bp_sx150\n", "scenario.yaml: top level must be a mapping"),
+            ("", "scenario.yaml: panel: scenario needs a panel preset name or preset file path"),
+        ],
+        ids=["parse_error", "top_level_list", "empty_file"],
+    )
+    def test_document_that_is_no_scenario(self, tmp_path, capsys, body, where):
+        config = write_scenario(tmp_path, body)
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            load_scenario(config)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert where in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -240,6 +269,7 @@ class TestErrorAttribution:
             ("cells_in_series: 72", "cells_in_series: 0",
              "bad_panel.yaml:2: cells_in_series: cells_in_series must be >= 1"),
             ("v_oc_v: 43.5\n", "", "bad_panel.yaml: v_oc_v: required value is missing"),
+            ("v_oc_v: 43.5", "v_oc_v: -1", "bad_panel.yaml: v_oc_ref must be > 0"),
             # the cell model has no shunt resistance
             ("# rated 150 W", "# rated 150 W\nr_p_ohm: 1000.0",
              "bad_panel.yaml:9: r_p_ohm: unknown field"),
@@ -261,7 +291,7 @@ class TestErrorAttribution:
              "bad_panel.yaml: saturation-current exponent 1303.5 exceeds 700.0"),
         ],
         ids=["i_sc_a", "i_sc_a_bool", "cells_in_series", "cells_in_series_zero",
-             "missing_v_oc_v", "removed_r_p_ohm", "removed_t_ref_k", "removed_g_ref_w_m2",
+             "missing_v_oc_v", "v_oc_v", "removed_r_p_ohm", "removed_t_ref_k", "removed_g_ref_w_m2",
              "removed_name", "removed_rated_power_w", "inconsistent_negative_r_s",
              "inconsistent_i_0_overflow"],
     )
@@ -290,7 +320,7 @@ class TestErrorAttribution:
             ("  duration_s: 0.05\n", "  duration_s: 0.05\n  control_interval_s: .nan\n",
              "scenario.yaml:7: sim.control_interval_s: expected a finite float, got nan"),
             ("profile:", "converter:\n  v_bus: .inf\nprofile:",
-             "scenario.yaml:5: converter.v_bus: must be > 0 and a finite float"),
+             "scenario.yaml:5: converter.v_bus: expected a finite float, got inf"),
             ("  kind: revised-adaptive-bound\n",
              f"  kind: revised-adaptive-bound\n  acc: {10**400}\n",
              f"scenario.yaml:4: controller.acc: expected a finite float, got {10**400}"),
@@ -317,8 +347,12 @@ class TestErrorAttribution:
             ("nan,800,25", "rows.csv:3: expected finite numbers"),
             ("0.5,-5,25", "rows.csv:3: irradiance g must be >= 0"),
             ("0.0,900,25", "rows.csv:3: segment start times must be strictly increasing"),
+            ("0.5,800", "rows.csv:3: expected 3 columns, got 2"),
+            # the band-gap form gives E_g <= 0 from 1108 K (835 degC) up
+            ("0.5,800,900", "rows.csv:3: band gap at T = 1173.15 K is -13.67 eV, not > 0"),
         ],
-        ids=["nan_irradiance", "nan_start", "negative_irradiance", "repeated_start"],
+        ids=["nan_irradiance", "nan_start", "negative_irradiance", "repeated_start",
+             "two_columns", "band_gap_not_positive"],
     )
     def test_bad_profile_value_is_a_config_error_at_its_row(self, tmp_path, capsys, row, where):
         (tmp_path / "rows.csv").write_text(
@@ -611,11 +645,23 @@ class TestCli:
         rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
         assert len(rows) == 100
 
-    def test_invalid_environment_is_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "g, temp, message",
+        [
+            ("-5", "25", "--g -5.0 --temp 25.0: irradiance g must be >= 0"),
+            ("nan", "25", "--g nan --temp 25.0: irradiance g must be >= 0"),
+            ("1000", "-300", "--g 1000.0 --temp -300.0: temperature t must be > 0 K"),
+            ("1000", "900",
+             "--g 1000.0 --temp 900.0: band gap at T = 1173.15 K is -13.67 eV, not > 0"),
+        ],
+        ids=["negative_g", "nan_g", "below_absolute_zero", "band_gap_not_positive"],
+    )
+    def test_invalid_environment_is_exit_1(self, tmp_path, capsys, g, temp, message):
         config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
-        code = main(["oracle", "--config", str(config), "--g", "-5", "--temp", "25"])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+        code = main(["oracle", "--config", str(config), "--g", g, "--temp", temp])
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestCompareSharesOneOracle:

@@ -399,6 +399,8 @@ class TestParamsValidation:
             ControllerParams(epsilon=0.0)
         with pytest.raises(ValueError):
             ControllerParams(delta_d_max_floor=0.05)
+        with pytest.raises(ValueError, match="d_min < d_max"):
+            ControllerParams(d_min=0.9, d_max=0.1)
 
 
 class TestMeasurementContract:

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 import pytest
 
-from mpptbench.oracle import GRID_POINTS, MppOracle, find_mpp
+from mpptbench.oracle import MppOracle, find_mpp, pv_curve
 from mpptbench.pvmodel import EnvCondition
 
 # (g, t) at full sun, a hot dim sky and a cold near-dark one
@@ -44,10 +43,9 @@ def test_monotone_in_irradiance(bp_panel):
 def test_beats_every_grid_sample(bp_panel, g, t):
     env = EnvCondition(g=g, t=t)
     result = find_mpp(bp_panel, env)
-    v_oc = bp_panel.open_circuit_voltage(env)
-    grid = np.linspace(0.0, v_oc, GRID_POINTS)
-    power = grid * bp_panel.current_at(grid, env)
-    assert result.p_mpp >= power.max()
+    voltage, current = pv_curve(bp_panel, env)
+    assert voltage[0] == 0.0 and voltage[-1] == bp_panel.open_circuit_voltage(env)
+    assert result.p_mpp >= (voltage * current).max()
 
 
 def test_optimality_near_the_peak(bp_panel):

@@ -99,6 +99,12 @@ def test_csv_round_trip(tmp_path):
     assert profile.duration is None  # a row gives only a start time
 
 
+def test_csv_blank_rows_are_skipped(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("time_s,irradiance_w_m2,temperature_c\n0.0,1000,25\n\n , ,\n0.5,400,25\n")
+    assert [seg.env.g for seg in load_profile_csv(path).segments] == [1000.0, 400.0]
+
+
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time,irradiance\n0,1000\n")

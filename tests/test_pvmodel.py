@@ -94,6 +94,14 @@ class TestBandGap:
         with pytest.raises(ValueError):
             band_gap(0.0)
 
+    @pytest.mark.parametrize("t", [1108.5, 1173.15, 5000.0])
+    def test_nonpositive_gap_raises(self, t):
+        # (T - 1108) > 0 turns the gap negative: -13.67 eV at 900 degC
+        with pytest.raises(ValueError, match=r"band gap at T = .* K is -\d.* eV, not > 0"):
+            band_gap(t)
+        with pytest.raises(ValueError, match="band gap at T"):
+            EnvCondition(g=1000.0, t=t)
+
 
 class TestPhotonCurrent:
     def test_reference_conditions(self, bp_cell):
@@ -137,6 +145,10 @@ class TestSaturationCurrent:
         i_310 = saturation_current(bp_cell, EnvCondition(g=1000.0, t=310.0))
         i_298 = saturation_current(bp_cell, EnvCondition(g=1000.0, t=298.0))
         assert i_310 > i_298
+
+    def test_band_gap_exponent_guard(self, bp_cell):
+        with pytest.raises(ValueError, match="saturation-current exponent -.* exceeds 700"):
+            saturation_current(bp_cell, EnvCondition(g=1000.0, t=3.0))
 
     def test_overflow_guard(self):
         cell = CellParams(
