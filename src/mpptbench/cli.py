@@ -6,22 +6,26 @@ Exit codes: 0 success, 1 configuration or usage error, 2 runtime/solver error.
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .controllers import DegenerateSampleError
+from .converter import BuckBoost
 from .harness import (
     compute_metrics,
     format_metrics,
-    run_simulation,
+    format_trace_csv,
     resolve_initial_duty,
-    write_metrics_report,
-    write_trace_csv,
+    run_simulation,
+    step_times,
 )
-from .oracle import MppOracle, find_mpp, pv_curve
+from .oracle import MppOracle, pv_curve, refine_mpp
 from .profiles import celsius_to_kelvin
-from .pvmodel import EnvCondition
+from .pvmodel import EnvCondition, PVArray
 
 __all__ = ["main"]
 
@@ -69,44 +73,128 @@ def _load(args) -> ScenarioConfig:
     return scenario
 
 
-def _simulate(scenario: ScenarioConfig, kinds: list[str]):
-    """Yield (kind, trace, metrics) per kind; one array and oracle serve every kind."""
+class _Plant(NamedTuple):
+    """The array, oracle, converter and initial duty that every controller kind shares."""
+
+    array: PVArray
+    oracle: MppOracle
+    converter: BuckBoost
+    d0: float
+
+
+def _plant(scenario: ScenarioConfig) -> _Plant:
     array = scenario.build_array()
     oracle = MppOracle(array)
     converter = scenario.build_converter(array, oracle)
     d0 = resolve_initial_duty(scenario.sim, converter, oracle, scenario.profile.env_at(0.0))
-    for kind in kinds:
-        controller = scenario.build_controller(d0, kind)
-        trace = run_simulation(array, converter, controller, scenario.profile, scenario.sim, oracle)
-        yield kind, trace, compute_metrics(trace, control_interval=scenario.sim.control_interval_s)
+    return _Plant(array, oracle, converter, d0)
+
+
+class _KindResult(NamedTuple):
+    """One kind's outputs as run and compare write and print them; cheap to pickle."""
+
+    steps: int
+    trace_csv: bytes  # format_trace_csv's text, encoded
+    report: str  # format_metrics' text
+    energy_deficit: float
+    max_voltage_overshoot: float
+
+
+def _run_kind(scenario: ScenarioConfig, plant: _Plant, kind: str) -> _KindResult:
+    """Simulate one controller kind on the shared plant and format its outputs."""
+    array, oracle, converter, d0 = plant
+    controller = scenario.build_controller(d0, kind)
+    trace = run_simulation(array, converter, controller, scenario.profile, scenario.sim, oracle)
+    metrics = compute_metrics(trace, control_interval=scenario.sim.control_interval_s)
+    return _KindResult(
+        len(trace),
+        format_trace_csv(trace).encode(),
+        format_metrics(metrics),
+        metrics.energy_deficit,
+        metrics.max_voltage_overshoot,
+    )
+
+
+def _fork(work: Callable[..., Any], *args: Any) -> tuple[int, int]:
+    """Start work(*args) in a forked child; return its pid and the read end of its pipe.
+
+    The child pickles (result, None) or (None, exception) into the pipe
+    and leaves by os._exit, so none of the parent's clean-up or buffered
+    output runs twice.
+    """
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(r)
+            try:
+                payload = pickle.dumps((work(*args), None))
+            except BaseException as exc:
+                payload = pickle.dumps((None, exc))
+            with open(w, "wb") as fh:
+                fh.write(payload)
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, r
+
+
+def _receive(r: int, kind: str):
+    """The result a _fork child sent; re-raise the exception it sent instead."""
+    try:
+        # unpickling straight from the pipe reads a large bytes value into place
+        with open(r, "rb", closefd=False) as fh:
+            result, exc = pickle.load(fh)
+    except (EOFError, pickle.UnpicklingError):
+        raise ValueError(f"the {kind} run ended without a result") from None
+    if exc is not None:
+        raise exc
+    return result
 
 
 def _cmd_run(args) -> int:
     scenario = _load(args)
-    [(_, trace, metrics)] = _simulate(scenario, [scenario.controller_kind])
+    result = _run_kind(scenario, _plant(scenario), scenario.controller_kind)
     trace_path = scenario.output_dir / "trace.csv"
-    write_trace_csv(trace, trace_path)
-    write_metrics_report(metrics, scenario.output_dir / "metrics.txt")
+    trace_path.write_bytes(result.trace_csv)
+    (scenario.output_dir / "metrics.txt").write_text(result.report)
     if not args.quiet:
-        print(f"{scenario.controller_kind}: {len(trace)} steps -> {trace_path}")
-        print(f"energy_deficit_j: {metrics.energy_deficit:.6g}")
+        print(f"{scenario.controller_kind}: {result.steps} steps -> {trace_path}")
+        print(f"energy_deficit_j: {result.energy_deficit:.6g}")
     return 0
 
 
 def _cmd_compare(args) -> int:
+    """Run each controller kind in its own forked child.
+
+    The oracle is warmed first with every condition the run visits, so
+    the children inherit its cache and each condition is swept once.
+    Results are read in kind order, so the first kind's failure is the
+    one raised, and files are written only after every kind succeeded.
+    """
     scenario = _load(args)
-    results = {}
-    for kind, trace, metrics in _simulate(scenario, list(_TRACE_FILES)):
-        write_trace_csv(trace, scenario.output_dir / _TRACE_FILES[kind])
-        results[kind] = metrics
+    plant = _plant(scenario)
+    for t in step_times(scenario.sim, scenario.profile):
+        plant.oracle.find(scenario.profile.env_at(t))
+    workers: list[tuple[int, int]] = []
+    try:
+        for kind in _TRACE_FILES:
+            workers.append(_fork(_run_kind, scenario, plant, kind))
+        results = {kind: _receive(r, kind) for kind, (_, r) in zip(_TRACE_FILES, workers)}
+    finally:
+        for pid, r in workers:
+            os.close(r)
+            os.waitpid(pid, 0)
+    for kind, result in results.items():
+        (scenario.output_dir / _TRACE_FILES[kind]).write_bytes(result.trace_csv)
 
     conv = results["conventional"]
     fixed = results["revised-fixed-bound"]
     adaptive = results["revised-adaptive-bound"]
     lines = []
-    for name, m in results.items():
+    for name, result in results.items():
         lines.append(f"== {name} ==")
-        lines.append(format_metrics(m).rstrip())
+        lines.append(result.report.rstrip())
         lines.append("")
     lines.append("== orderings ==")
     lines.append(
@@ -142,8 +230,8 @@ def _cmd_oracle(args) -> int:
         raise ConfigError(f"--g {args.g!r} --temp {args.temp!r}: {exc}") from None
     scenario = _load(args)
     array = scenario.build_array()
-    mpp = find_mpp(array, env)
     voltage, current = pv_curve(array, env)
+    mpp = refine_mpp(array, env, voltage, current)
     curve_path = scenario.output_dir / "pv_curve.csv"
     # CRLF rows as write_trace_csv writes them; the dark curve, all at V_oc = 0, has none
     with curve_path.open("w", newline="") as fh:

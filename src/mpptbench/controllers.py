@@ -123,8 +123,7 @@ class ControllerParams:
             raise ValueError("need 0 < d_min < d_max < 1")
 
 
-@dataclass(frozen=True)
-class ControllerState:
+class ControllerState(NamedTuple):
     """Controller memory carried between steps.
 
     prev_slope_sign is None until the first slope has been computed and

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .controllers import Measurement, MpptController, StepAction
 from .converter import BuckBoost
@@ -33,12 +34,13 @@ __all__ = [
     "SimRecord",
     "SegmentMetrics",
     "TrackingMetrics",
+    "step_times",
     "run_simulation",
     "compute_metrics",
     "trace_header",
+    "format_trace_csv",
     "write_trace_csv",
     "format_metrics",
-    "write_metrics_report",
 ]
 
 
@@ -79,8 +81,7 @@ class SimConfig:
             raise ValueError("noise_i must be >= 0")
 
 
-@dataclass(frozen=True)
-class SimRecord:
+class SimRecord(NamedTuple):
     t: float
     g: float
     temp: float
@@ -108,6 +109,15 @@ def resolve_initial_duty(
     return converter.duty_for_voltage(cfg.initial_voltage_fraction * mpp.v_mpp)
 
 
+def step_times(cfg: SimConfig, profile: EnvProfile) -> list[float]:
+    """The run's control instants: k * control_interval_s from 0 until the duration."""
+    dt = cfg.control_interval_s
+    duration = cfg.duration_s if cfg.duration_s is not None else profile.duration
+    if duration is None:
+        raise ValueError("duration_s is required: the profile has no end of its own")
+    return [k * dt for k in range(max(1, round(duration / dt)))]
+
+
 def run_simulation(
     array: PVArray,
     converter: BuckBoost,
@@ -116,17 +126,11 @@ def run_simulation(
     cfg: SimConfig,
     oracle: MppOracle,
 ) -> list[SimRecord]:
-    """Drive the loop on the control cadence; fully deterministic."""
-    dt = cfg.control_interval_s
-    duration = cfg.duration_s if cfg.duration_s is not None else profile.duration
-    if duration is None:
-        raise ValueError("duration_s is required: the profile has no end of its own")
-    n_steps = max(1, round(duration / dt))
+    """Drive the loop at the step_times instants; fully deterministic."""
     rng = random.Random(cfg.noise_seed) if (cfg.noise_v > 0 or cfg.noise_i > 0) else None
 
     records: list[SimRecord] = []
-    for k in range(n_steps):
-        t = k * dt
+    for t in step_times(cfg, profile):
         env = profile.env_at(t)
         mpp = oracle.find(env)
         d_active = controller.state.d
@@ -298,22 +302,25 @@ def trace_header() -> list[str]:
     ]
 
 
-def write_trace_csv(trace: list[SimRecord], path: str | Path) -> None:
-    """Write the trace with full float precision (byte-stable across runs).
+def format_trace_csv(trace: list[SimRecord]) -> str:
+    """The trace as CSV text with full float precision (byte-stable across runs).
 
-    The bytes are those of csv.writer's default dialect, written without
-    it: rows end in CRLF, that dialect's line terminator, and no field
-    needs quoting, because a float repr (nan, inf, -0.0, 1e-05) and an
-    action name hold no comma, quote or newline.
+    The text is that of csv.writer's default dialect, made without it:
+    rows end in CRLF, that dialect's line terminator, and no field needs
+    quoting, because a float repr (nan, inf, -0.0, 1e-05) and an action
+    name hold no comma, quote or newline.
     """
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(trace_header()) + "\r\n")
-        fh.writelines(
-            f"{r.t!r},{r.g!r},{r.temp!r},{r.v!r},{r.i!r},{r.p!r},{r.d!r},{r.delta_d!r},"
-            f"{r.delta_d_max!r},{r.p_mpp!r},{r.v_mpp!r},{r.p_deviation!r},{r.slope_term!r},"
-            f"{r.action}\r\n"
-            for r in trace
-        )
+    return ",".join(trace_header()) + "\r\n" + "".join(
+        f"{r.t!r},{r.g!r},{r.temp!r},{r.v!r},{r.i!r},{r.p!r},{r.d!r},{r.delta_d!r},"
+        f"{r.delta_d_max!r},{r.p_mpp!r},{r.v_mpp!r},{r.p_deviation!r},{r.slope_term!r},"
+        f"{r.action}\r\n"
+        for r in trace
+    )
+
+
+def write_trace_csv(trace: list[SimRecord], path: str | Path) -> None:
+    """Write format_trace_csv's text to path, CRLF line ends kept."""
+    Path(path).write_text(format_trace_csv(trace), newline="")
 
 
 def _fmt_settling(seg: SegmentMetrics) -> str:
@@ -343,7 +350,3 @@ def format_metrics(metrics: TrackingMetrics) -> str:
         )
         lines.append(f"{prefix}.end_relative_deviation: {seg.end_relative_deviation:.6g}")
     return "\n".join(lines) + "\n"
-
-
-def write_metrics_report(metrics: TrackingMetrics, path: str | Path) -> None:
-    Path(path).write_text(format_metrics(metrics))

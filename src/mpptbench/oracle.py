@@ -14,7 +14,7 @@ import numpy as np
 
 from .pvmodel import EnvCondition, PVArray
 
-__all__ = ["GRID_POINTS", "MppResult", "pv_curve", "find_mpp", "MppOracle"]
+__all__ = ["GRID_POINTS", "MppResult", "pv_curve", "refine_mpp", "find_mpp", "MppOracle"]
 
 # Voltage samples in the sweep from 0 to V_oc.
 GRID_POINTS = 2000
@@ -60,8 +60,10 @@ def pv_curve(array: PVArray, env: EnvCondition) -> tuple[np.ndarray, np.ndarray]
     return voltage, array.current_at(voltage, env)
 
 
-def find_mpp(array: PVArray, env: EnvCondition) -> MppResult:
-    """Locate the MPP by the pv_curve sweep plus golden-section refinement.
+def refine_mpp(
+    array: PVArray, env: EnvCondition, voltage: np.ndarray, current: np.ndarray
+) -> MppResult:
+    """Locate the MPP from a pv_curve sweep by golden-section refinement.
 
     P(V) is strictly concave on [0, V_oc], so the grid neighbours of the
     best sample bracket the maximum and golden-section search lands
@@ -69,26 +71,31 @@ def find_mpp(array: PVArray, env: EnvCondition) -> MppResult:
     (0.0, 0.0, 0.0).
     Deterministic: identical inputs give bit-identical results.
     """
-    grid, current = pv_curve(array, env)
-    best = int(np.argmax(grid * current))
+    best = int(np.argmax(voltage * current))
 
     def p_of(v: float) -> float:
         return v * float(array.current_at(v, env))
 
-    lo = float(grid[max(0, best - 1)])
-    hi = float(grid[min(GRID_POINTS - 1, best + 1)])
+    lo = float(voltage[max(0, best - 1)])
+    hi = float(voltage[min(GRID_POINTS - 1, best + 1)])
     v_mpp, _ = _golden_max(p_of, lo, hi, _REFINE_TOLERANCE_V)
     i_mpp = float(array.current_at(v_mpp, env))
     return MppResult(v_mpp=v_mpp, i_mpp=i_mpp, p_mpp=v_mpp * i_mpp)
+
+
+def find_mpp(array: PVArray, env: EnvCondition) -> MppResult:
+    """The MPP of one condition: refine_mpp on a fresh pv_curve sweep."""
+    return refine_mpp(array, env, *pv_curve(array, env))
 
 
 class MppOracle:
     """find_mpp with a per-(g, t) result cache.
 
     Piecewise-constant profiles revisit the same handful of conditions,
-    so each distinct environment is swept once; `compare` shares one
-    oracle across its three controllers.  The cache is a plain dict;
-    confine an instance to one thread or guard it externally.
+    so each distinct environment is swept once; `compare` warms one
+    oracle, and its three forked controllers inherit the cache.  The
+    cache is a plain dict; confine an instance to one thread or guard it
+    externally.
     """
 
     def __init__(self, array: PVArray):

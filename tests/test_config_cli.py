@@ -5,12 +5,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import os
 import re
 from pathlib import Path
 
 import pytest
 import yaml
 
+from mpptbench import controllers
 from mpptbench import oracle as oracle_module
 from mpptbench.cli import _build_parser, main
 from mpptbench.config import ConfigError, load_panel_preset, load_scenario
@@ -24,6 +26,7 @@ from mpptbench.harness import (
     write_trace_csv,
 )
 from mpptbench.oracle import GRID_POINTS, MppOracle
+from mpptbench.pvmodel import PVArray
 
 REPO = Path(__file__).resolve().parent.parent
 REPO_CONFIGS = sorted(REPO.glob("configs/*.yaml"))
@@ -562,6 +565,21 @@ class TestCli:
         )
         assert flips == 1  # unimodal power curve
 
+    def test_oracle_command_sweeps_the_curve_once(self, tmp_path, monkeypatch):
+        """The printed MPP is refined on the curve the command writes."""
+        array_calls = []
+        current_at = PVArray.current_at
+
+        def counting_current_at(self, v, env):
+            if not isinstance(v, float):
+                array_calls.append(len(v))
+            return current_at(self, v, env)
+
+        monkeypatch.setattr(PVArray, "current_at", counting_current_at)
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        assert main(["oracle", "--config", str(config), "--quiet"]) == 0
+        assert array_calls == [GRID_POINTS]
+
     def test_oracle_zero_irradiance(self, tmp_path, capsys):
         config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
         assert main(
@@ -705,3 +723,77 @@ class TestCompareSharesOneOracle:
         assert main(["compare", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
         assert len(calls) == 15  # 15 distinct conditions, not 15 per controller
         assert len(set(calls)) == 15
+
+    def test_no_child_sweeps_a_condition(self, tmp_path, monkeypatch):
+        """The warm-up leaves nothing for the forked kinds to sweep, counted across processes."""
+        log = tmp_path / "sweeps.log"
+        find_mpp = oracle_module.find_mpp
+
+        def logging_find_mpp(*args, **kwargs):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return find_mpp(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_module, "find_mpp", logging_find_mpp)
+        config = REPO / "configs" / "table1_adaptive.yaml"
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        assert log.read_text().splitlines() == [str(os.getpid())] * 15
+
+
+def no_child_is_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def bound_of(params: ControllerParams) -> str:
+    return "fixed" if params.delta_d_max_floor == params.delta_d_max_initial else "adaptive"
+
+
+class TestForkedCompare:
+    """compare runs each kind in a forked child; the parent reports and writes."""
+
+    @pytest.mark.parametrize("delta_d_nominal", ["0.001", "1.0e-12"], ids=["ok", "fails"])
+    def test_no_child_outlives_main(self, tmp_path, delta_d_nominal):
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "  kind: revised-adaptive-bound\n", f"  delta_d_nominal: {delta_d_nominal}\n"
+        )
+        config = write_scenario(tmp_path, body)
+        code = main(["compare", "--config", str(config), "--quiet"])
+        assert code == (0 if delta_d_nominal == "0.001" else 1)
+        assert no_child_is_left()
+
+    @pytest.mark.parametrize(
+        "failing, message",
+        [({"fixed", "adaptive"}, "fixed bound failed"), ({"adaptive"}, "adaptive bound failed")],
+        ids=["both_revised_kinds", "last_kind_only"],
+    )
+    def test_a_later_kind_failure_is_exit_2_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, failing, message
+    ):
+        """The first failing kind in kind order is reported; a forked child inherits the patch."""
+        revised_step = controllers.revised_step
+
+        def failing_step(state, meas, params):
+            if bound_of(params) in failing:
+                raise ValueError(f"{bound_of(params)} bound failed")
+            return revised_step(state, meas, params)
+
+        monkeypatch.setattr(controllers, "revised_step", failing_step)
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        assert main(["compare", "--config", str(config), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+        assert no_child_is_left()
+
+    def test_a_child_that_dies_without_a_result_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(controllers, "revised_step", lambda *args: os._exit(3))
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        assert main(["compare", "--config", str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the revised-fixed-bound run ended without a result\n"
+        assert list((tmp_path / "out").iterdir()) == []
+        assert no_child_is_left()

@@ -17,6 +17,7 @@ from mpptbench.harness import (
     compute_metrics,
     resolve_initial_duty,
     run_simulation,
+    step_times,
     trace_header,
     write_trace_csv,
 )
@@ -49,6 +50,16 @@ class TestRunSimulation:
         )
         assert len(trace) == 1
         assert trace[0].t == 0.0
+
+    def test_records_are_taken_at_the_step_times(self, bp_panel, bp_converter, bp_oracle):
+        cfg = SimConfig(control_interval_s=0.03, duration_s=1.0, initial_duty=0.5)
+        controller = MpptController("conventional", ControllerParams(), 0.5)
+        trace = run_simulation(
+            bp_panel, bp_converter, controller, constant_profile(), cfg, bp_oracle
+        )
+        times = step_times(cfg, constant_profile())
+        assert [r.t for r in trace] == times
+        assert len(times) == 33 and times[1] == 0.03
 
     def test_preplaced_at_mpp_freezes_after_initial_settle(
         self, bp_panel, bp_converter, bp_oracle, stc
@@ -255,7 +266,7 @@ class TestTraceCsv:
         assert fields[13] == StepAction.HELD_AT_MPP
 
     def test_bytes_match_csv_writer(self, tmp_path):
-        float_fields = [name for name in SimRecord.__dataclass_fields__ if name != "action"]
+        float_fields = [name for name in SimRecord._fields if name != "action"]
 
         def csv_writer_reference(trace, path):
             with path.open("w", newline="") as fh:
@@ -283,7 +294,7 @@ class TestTraceCsv:
 
     def test_nan_slope_serializes(self, tmp_path):
         rec = make_record(0.0)
-        rec = SimRecord(**{**rec.__dict__, "slope_term": math.nan})
+        rec = rec._replace(slope_term=math.nan)
         path = tmp_path / "trace.csv"
         write_trace_csv([rec], path)
         assert "nan" in path.read_text()
