@@ -16,9 +16,10 @@ from .config import ConfigError, ScenarioConfig, load_scenario
 from .controllers import DegenerateSampleError
 from .converter import BuckBoost
 from .harness import (
+    TRACE_HEADER,
     compute_metrics,
+    format_csv,
     format_metrics,
-    format_trace_csv,
     resolve_initial_duty,
     run_simulation,
     step_times,
@@ -94,7 +95,7 @@ class _KindResult(NamedTuple):
     """One kind's outputs as run and compare write and print them; cheap to pickle."""
 
     steps: int
-    trace_csv: bytes  # format_trace_csv's text, encoded
+    trace_csv: bytes  # the trace as format_csv's text, encoded
     report: str  # format_metrics' text
     energy_deficit: float
     max_voltage_overshoot: float
@@ -108,7 +109,7 @@ def _run_kind(scenario: ScenarioConfig, plant: _Plant, kind: str) -> _KindResult
     metrics = compute_metrics(trace, control_interval=scenario.sim.control_interval_s)
     return _KindResult(
         len(trace),
-        format_trace_csv(trace).encode(),
+        format_csv(TRACE_HEADER, trace).encode(),
         format_metrics(metrics),
         metrics.energy_deficit,
         metrics.max_voltage_overshoot,
@@ -232,14 +233,11 @@ def _cmd_oracle(args) -> int:
     array = scenario.build_array()
     voltage, current = pv_curve(array, env)
     mpp = refine_mpp(array, env, voltage, current)
+    header = ("voltage_v", "current_a", "power_w")
+    rows = zip(voltage.tolist(), current.tolist(), (voltage * current).tolist())
     curve_path = scenario.output_dir / "pv_curve.csv"
-    # CRLF rows as write_trace_csv writes them; the dark curve, all at V_oc = 0, has none
-    with curve_path.open("w", newline="") as fh:
-        fh.write("voltage_v,current_a,power_w\r\n")
-        if voltage[-1] > 0:
-            fh.writelines(
-                f"{v!r},{i!r},{v * i!r}\r\n" for v, i in zip(voltage.tolist(), current.tolist())
-            )
+    # the dark curve, all at V_oc = 0, is the header alone
+    curve_path.write_text(format_csv(header, rows if voltage[-1] > 0 else ()), newline="")
     print(f"v_mpp_v: {mpp.v_mpp:.6g}")
     print(f"i_mpp_a: {mpp.i_mpp:.6g}")
     print(f"p_mpp_w: {mpp.p_mpp:.6g}")

@@ -270,7 +270,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise conv.error("d_min", "need 0 < d_min < d_max < 1")
 
     ctrl = root.section("controller")
-    controller_params = ctrl.build(ControllerParams, extra=("kind",), d_min=d_min, d_max=d_max)
+    floor = ControllerParams.delta_d_max_floor  # the adaptive bound's floor is not a key
+    controller_params = ctrl.build(
+        ControllerParams, extra=("kind",), d_min=d_min, d_max=d_max, delta_d_max_floor=floor
+    )
     kind = ctrl.read("kind", str, "revised-adaptive-bound")
     if kind not in CONTROLLER_KINDS:
         raise ctrl.error("kind", f"must be one of {', '.join(CONTROLLER_KINDS)}")

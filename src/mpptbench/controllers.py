@@ -73,7 +73,7 @@ class Measurement(NamedTuple):
     i: float
 
     def validate(self) -> "Measurement":
-        if self.v < 0 or self.i < 0:
+        if not (self.v >= 0 and self.i >= 0):  # written so that NaN fails
             raise ValueError(f"measurement must be non-negative, got {self}")
         return self
 
@@ -113,9 +113,9 @@ class ControllerParams:
             raise ValueError("need 0 < delta_d_nominal <= delta_d_max_initial < 1")
         if not (0.0 < self.delta_d_max_floor <= self.delta_d_max_initial):
             raise ValueError("need 0 < delta_d_max_floor <= delta_d_max_initial")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
-        if self.acc <= 1.0:
+        if not self.acc > 1.0:
             raise ValueError("acc must be > 1")
         if not (0.0 < self.deacc < 1.0):
             raise ValueError("deacc must be in (0, 1)")

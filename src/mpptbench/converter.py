@@ -25,10 +25,12 @@ class BuckBoost:
     sign_of_dv_dd: int = -1
 
     def __post_init__(self):
-        if self.v_bus <= 0:
+        if not self.v_bus > 0:  # written so that NaN fails
             raise ValueError("v_bus must be > 0")
         if not (0.0 < self.d_min < self.d_max < 1.0):
             raise ValueError("duty clamps must satisfy 0 < d_min < d_max < 1")
+        if self.sign_of_dv_dd != -1:  # terminal_voltage and the controllers assume -1
+            raise ValueError("sign_of_dv_dd must be -1: raising d lowers the panel voltage")
 
     def clamp_duty(self, d: float) -> float:
         """d clamped into [d_min, d_max]."""
@@ -48,6 +50,6 @@ class BuckBoost:
 
         Inverse of terminal_voltage on the interior of the clamp range.
         """
-        if v_target <= 0:
+        if not v_target > 0:  # written so that NaN fails
             raise ValueError("v_target must be > 0")
         return self.clamp_duty(self.v_bus / (self.v_bus + v_target))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .controllers import Measurement, MpptController, StepAction
 from .converter import BuckBoost
@@ -37,8 +37,8 @@ __all__ = [
     "step_times",
     "run_simulation",
     "compute_metrics",
-    "trace_header",
-    "format_trace_csv",
+    "TRACE_HEADER",
+    "format_csv",
     "write_trace_csv",
     "format_metrics",
 ]
@@ -64,9 +64,9 @@ class SimConfig:
     noise_seed: int = 0
 
     def __post_init__(self):
-        if self.control_interval_s <= 0:
+        if not self.control_interval_s > 0:  # written so that NaN fails
             raise ValueError("control_interval_s must be > 0")
-        if self.duration_s is not None and self.duration_s < self.control_interval_s:
+        if self.duration_s is not None and not self.duration_s >= self.control_interval_s:
             raise ValueError("duration_s must be >= control_interval_s")
         if isinstance(self.initial_duty, str):
             if self.initial_duty != "auto":
@@ -75,9 +75,9 @@ class SimConfig:
             raise ValueError('initial_duty must be a number in (0, 1) or "auto"')
         if not (0.0 < self.initial_voltage_fraction <= 1.5):
             raise ValueError("initial_voltage_fraction must be in (0, 1.5]")
-        if self.noise_v < 0:
+        if not self.noise_v >= 0:
             raise ValueError("noise_v must be >= 0")
-        if self.noise_i < 0:
+        if not self.noise_i >= 0:
             raise ValueError("noise_i must be >= 0")
 
 
@@ -283,44 +283,29 @@ def compute_metrics(
     )
 
 
-def trace_header() -> list[str]:
-    return [
-        "t_s",
-        "g_w_m2",
-        "temp_k",
-        "v_v",
-        "i_a",
-        "p_w",
-        "d",
-        "delta_d",
-        "delta_d_max",
-        "p_mpp_w",
-        "v_mpp_v",
-        "p_deviation_w",
-        "slope_term",
-        "action",
-    ]
+TRACE_HEADER = (
+    "t_s", "g_w_m2", "temp_k", "v_v", "i_a", "p_w", "d", "delta_d", "delta_d_max",
+    "p_mpp_w", "v_mpp_v", "p_deviation_w", "slope_term", "action",
+)
 
 
-def format_trace_csv(trace: list[SimRecord]) -> str:
-    """The trace as CSV text with full float precision (byte-stable across runs).
+def format_csv(header: tuple[str, ...], rows: Iterable[tuple]) -> str:
+    """header and rows as CSV text, each field of a row tuple written as its str.
 
     The text is that of csv.writer's default dialect, made without it:
     rows end in CRLF, that dialect's line terminator, and no field needs
-    quoting, because a float repr (nan, inf, -0.0, 1e-05) and an action
-    name hold no comma, quote or newline.
+    quoting.  The str of a float is its full-precision repr (nan, inf,
+    -0.0, 1e-05), so identical runs give identical bytes, and neither it
+    nor an action name holds a comma, quote or newline.  A row of the
+    wrong length raises TypeError.
     """
-    return ",".join(trace_header()) + "\r\n" + "".join(
-        f"{r.t!r},{r.g!r},{r.temp!r},{r.v!r},{r.i!r},{r.p!r},{r.d!r},{r.delta_d!r},"
-        f"{r.delta_d_max!r},{r.p_mpp!r},{r.v_mpp!r},{r.p_deviation!r},{r.slope_term!r},"
-        f"{r.action}\r\n"
-        for r in trace
-    )
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    return "".join([line % row for row in (header, *rows)])
 
 
 def write_trace_csv(trace: list[SimRecord], path: str | Path) -> None:
-    """Write format_trace_csv's text to path, CRLF line ends kept."""
-    Path(path).write_text(format_trace_csv(trace), newline="")
+    """Write the trace, a SimRecord row per instant, as format_csv's text to path."""
+    Path(path).write_text(format_csv(TRACE_HEADER, trace), newline="")
 
 
 def _fmt_settling(seg: SegmentMetrics) -> str:

@@ -49,9 +49,9 @@ class EnvProfile:
         if self.segments[0].t_start != 0.0:
             raise ValueError("first segment must start at t = 0.0")
         starts = tuple(s.t_start for s in self.segments)
-        if any(b <= a for a, b in zip(starts, starts[1:])):
+        if not all(b > a for a, b in zip(starts, starts[1:])):  # written so that NaN fails
             raise ValueError("segment start times must be strictly increasing")
-        if self.duration is not None and self.duration <= 0:
+        if self.duration is not None and not self.duration > 0:
             raise ValueError("duration must be > 0")
         object.__setattr__(self, "_starts", starts)
 

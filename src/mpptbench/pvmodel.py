@@ -83,13 +83,13 @@ class CellParams:
     dv_di_oc: float
 
     def __post_init__(self):
-        if self.i_sc_ref <= 0:
+        if not self.i_sc_ref > 0:  # written so that NaN fails
             raise ValueError("i_sc_ref must be > 0")
-        if self.v_oc_ref <= 0:
+        if not self.v_oc_ref > 0:
             raise ValueError("v_oc_ref must be > 0")
-        if self.n < 1.0:
+        if not self.n >= 1.0:
             raise ValueError("ideality factor n must be >= 1")
-        if self.dv_di_oc >= 0:
+        if not self.dv_di_oc < 0:
             raise ValueError("dv_di_oc must be < 0 (I-V curve falls through open circuit)")
 
 
@@ -334,12 +334,12 @@ class PVArray:
         """Array current (A) at terminal voltage v_array (scalar or array)."""
         if isinstance(v_array, float) or np.ndim(v_array) == 0:
             v_cell = float(v_array) / self.layout.n_series
-            if v_cell < 0:
+            if not v_cell >= 0:  # written so that NaN fails
                 raise ValueError("cell voltage must be >= 0")
             solve = _solve_current_scalar
         else:
             v_cell = np.asarray(v_array, dtype=float) / self.layout.n_series
-            if np.any(v_cell < 0):
+            if not np.all(v_cell >= 0):
                 raise ValueError("cell voltage must be >= 0")
             solve = _solve_current
         i_ph, i_0, vt = self._constants_at(env)

@@ -228,12 +228,17 @@ class TestErrorAttribution:
              "scenario.yaml:4: model: unknown field"),
             ("profile:", "model:\n  solver_max_iterations: 100\nprofile:",
              "scenario.yaml:4: model: unknown field"),
+            # the adaptive bound's floor is a ControllerParams constant, not a key
+            ("  kind: revised-adaptive-bound\n",
+             "  kind: revised-adaptive-bound\n  delta_d_max_floor: 0.001\n",
+             "scenario.yaml:4: controller.delta_d_max_floor: unknown field"),
         ],
         ids=["deacc", "noise_i", "duration_s", "initial_duty", "panels_series",
              "panels_parallel", "v_bus_zero", "v_bus_bool", "v_bus_string", "profile",
              "output_dir", "panel", "controller.kind", "array", "initial_voltage_fraction",
              "removed_model", "removed_model.band_gap_denominator_sign",
-             "removed_model.solver_tolerance_a", "removed_model.solver_max_iterations"],
+             "removed_model.solver_tolerance_a", "removed_model.solver_max_iterations",
+             "removed_controller.delta_d_max_floor"],
     )
     def test_preset_scenario(self, tmp_path, capsys, old, new, where):
         body = MINIMAL.replace(old, new).format(out=tmp_path / "out")
@@ -395,7 +400,10 @@ def _settable_defaults(section, attr, cls, fixed=()):
 
 SETTABLE_DEFAULTS = [
     *_settable_defaults(
-        "controller", "controller_params", ControllerParams, fixed=("d_min", "d_max")
+        "controller",
+        "controller_params",
+        ControllerParams,
+        fixed=("d_min", "d_max", "delta_d_max_floor"),
     ),
     *_settable_defaults("sim", "sim", SimConfig),
 ]
@@ -586,6 +594,31 @@ class TestCli:
             ["oracle", "--config", str(config), "--g", "0", "--temp", "25", "--quiet"]
         ) == 0
         assert "p_mpp_w: 0" in capsys.readouterr().out
+        curve = (tmp_path / "out" / "pv_curve.csv").read_bytes()
+        assert curve == b"voltage_v,current_a,power_w\r\n"  # the header alone
+
+    def test_run_prints_its_summary(self, tmp_path, capsys):
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        assert main(["run", "--config", str(config)]) == 0
+        metrics = (tmp_path / "out" / "metrics.txt").read_text()
+        assert capsys.readouterr().out == (
+            f"revised-adaptive-bound: 5 steps -> {tmp_path / 'out' / 'trace.csv'}\n"
+            + metrics.splitlines()[0] + "\n"
+        )
+
+    def test_compare_prints_its_report(self, tmp_path, capsys):
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        assert main(["compare", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == (tmp_path / "out" / "comparison.txt").read_text()
+
+    def test_oracle_prints_the_mpp_then_the_curve_path(self, tmp_path, capsys):
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        assert main(["oracle", "--config", str(config)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.partition(": ")[0] for line in printed] == [
+            "v_mpp_v", "i_mpp_a", "p_mpp_w", "curve"
+        ]
+        assert printed[-1] == f"curve: {tmp_path / 'out' / 'pv_curve.csv'}"
 
     def test_compare_writes_three_traces_and_report(self, tmp_path):
         body = MINIMAL.format(out=tmp_path / "out").replace(

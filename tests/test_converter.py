@@ -80,3 +80,9 @@ def test_validation():
 
 def test_polarity_constant():
     assert BuckBoost(v_bus=34.5).sign_of_dv_dd == -1
+
+
+@pytest.mark.parametrize("sign", [1, 0, 7])
+def test_any_other_polarity_is_rejected(sign):
+    with pytest.raises(ValueError, match="sign_of_dv_dd must be -1"):
+        BuckBoost(30.0, 0.05, 0.95, sign)

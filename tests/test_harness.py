@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 
 import pytest
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 from mpptbench import harness
 from mpptbench.controllers import ControllerParams, MpptController, StepAction
 from mpptbench.harness import (
+    TRACE_HEADER,
     SimConfig,
     SimRecord,
     compute_metrics,
     resolve_initial_duty,
     run_simulation,
     step_times,
-    trace_header,
     write_trace_csv,
 )
 from mpptbench.oracle import MppOracle
@@ -249,18 +250,18 @@ def test_settle_scan_matches_the_window_definition(rel, hold_steps):
 
 class TestTraceCsv:
     def test_header_is_pinned(self):
-        assert trace_header() == [
+        assert TRACE_HEADER == (
             "t_s", "g_w_m2", "temp_k", "v_v", "i_a", "p_w", "d", "delta_d",
             "delta_d_max", "p_mpp_w", "v_mpp_v", "p_deviation_w", "slope_term",
             "action",
-        ]
+        )
 
     def test_round_trip_precision(self, tmp_path):
         trace = [make_record(0.0, dev=1.0 / 3.0)]
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == ",".join(trace_header())
+        assert lines[0] == ",".join(TRACE_HEADER)
         fields = lines[1].split(",")
         assert float(fields[11]) == 1.0 / 3.0  # full precision survives
         assert fields[13] == StepAction.HELD_AT_MPP
@@ -271,7 +272,7 @@ class TestTraceCsv:
         def csv_writer_reference(trace, path):
             with path.open("w", newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(trace_header())
+                writer.writerow(TRACE_HEADER)
                 for r in trace:
                     writer.writerow([repr(getattr(r, name)) for name in float_fields] + [r.action])
 
@@ -291,6 +292,13 @@ class TestTraceCsv:
         text = fast.read_text()
         for token in ("nan", "-inf", "-0.0", "1e-05", "1e+16", "-123.456", "held_at_mpp"):
             assert token in text
+        # a P-V curve row is a plain float tuple, written by the same formatter
+        header, row = ("voltage_v", "current_a", "power_w"), (math.inf, -0.0, 1e-05)
+        expected = io.StringIO()
+        csv.writer(expected).writerows([header, [repr(x) for x in row]])
+        assert harness.format_csv(header, [row]) == expected.getvalue()
+        with pytest.raises(TypeError):
+            harness.format_csv(header, [row[:2]])
 
     def test_nan_slope_serializes(self, tmp_path):
         rec = make_record(0.0)
