@@ -10,9 +10,10 @@ I_cap follows from an upper bound on the diode voltage at the root.
 R_s, derived from the open-circuit slope, must be > 0; the iteration
 then converges monotonically (see _solve_current), so it needs no
 damping and no fallback: every valid input takes a few steps, however
-far above open circuit and in the dark too.  It stops at the residual
-tolerance or where the step reaches the float spacing of I.  A solve
-that exhausts its iterations raises ValueError.
+far above open circuit and in the dark too.  It stops at a residual
+below SOLVER_TOL_A or where the step reaches the float spacing of I.  A
+solve that exhausts its iterations raises ValueError.  q and k (Q, K),
+SOLVER_TOL_A and the (T - 1108) band gap are constants, not arguments.
 Arrays of identical, identically illuminated cells scale linearly in
 series (voltage) and parallel (current).  The datasheet values are
 taken at STC, which is also the reference (T_ref, G_ref) of the
@@ -33,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PhysicalConstants",
-    "DEFAULT_CONSTANTS",
+    "Q",
+    "K",
+    "SOLVER_TOL_A",
     "CellParams",
     "ArrayConfig",
     "EnvCondition",
@@ -47,19 +49,14 @@ __all__ = [
     "PVArray",
 ]
 
+Q = 1.602e-19  # elementary charge, C
+K = 1.38e-23  # Boltzmann constant, J/K
+
+# Newton stops once the residual of the cell current is below this.
+SOLVER_TOL_A = 1e-9
+
 # Guard for exp() arguments; beyond this the result is not representable.
 MAX_EXP_ARGUMENT = 700.0
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Elementary charge (C) and Boltzmann constant (J/K)."""
-
-    q: float = 1.602e-19
-    k: float = 1.38e-23
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
 
 
 @dataclass(frozen=True)
@@ -87,6 +84,8 @@ class CellParams:
             raise ValueError("i_sc_ref must be > 0")
         if not self.v_oc_ref > 0:
             raise ValueError("v_oc_ref must be > 0")
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         if not self.n >= 1.0:
             raise ValueError("ideality factor n must be >= 1")
         if not self.dv_di_oc < 0:
@@ -105,18 +104,17 @@ class ArrayConfig:
             raise ValueError("n_series and n_parallel must be >= 1")
 
 
-def band_gap(t: float, denominator_sign: int = -1) -> float:
+def band_gap(t: float) -> float:
     """Band-gap energy (eV) as a function of temperature.
 
-    E_g = 1.16 - 0.000702 * T^2 / (T + denominator_sign * 1108)
+    E_g = 1.16 - 0.000702 * T^2 / (T - 1108)
 
-    The default denominator_sign=-1 keeps the literal (T - 1108) form,
-    whose E_g is > 0 only below 1108 K; +1 selects the standard Varshni
-    form for sensitivity studies.  An E_g that is not > 0 raises.
+    This literal form gives an E_g > 0 only below 1108 K; an E_g that is
+    not > 0 raises.
     """
     if not t > 0:  # written so that NaN fails
         raise ValueError("temperature t must be > 0 K")
-    denom = t + denominator_sign * 1108.0
+    denom = t - 1108.0
     if denom == 0.0:
         raise ValueError("band-gap denominator vanishes at this temperature")
     eg = 1.16 - 0.000702 * t * t / denom
@@ -150,48 +148,39 @@ def photon_current(params: CellParams, env: EnvCondition) -> float:
     return (env.g / STC.g) * base
 
 
-def _thermal_voltage(params: CellParams, t: float, constants: PhysicalConstants) -> float:
-    return params.n * constants.k * t / constants.q
+def _thermal_voltage(params: CellParams, t: float) -> float:
+    return params.n * K * t / Q
 
 
-def reference_saturation_current(
-    params: CellParams, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> float:
+def reference_saturation_current(params: CellParams) -> float:
     """Diode reverse saturation current at the STC temperature (A)."""
-    x = params.v_oc_ref / _thermal_voltage(params, STC.t, constants)
+    x = params.v_oc_ref / _thermal_voltage(params, STC.t)
     if x > MAX_EXP_ARGUMENT:
         raise ValueError(f"saturation-current exponent {x:.1f} exceeds {MAX_EXP_ARGUMENT}")
     return params.i_sc_ref / (math.exp(x) - 1.0)
 
 
-def saturation_current(
-    params: CellParams,
-    env: EnvCondition,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-    band_gap_denominator_sign: int = -1,
-) -> float:
+def saturation_current(params: CellParams, env: EnvCondition) -> float:
     """Saturation current at the given temperature (A).
 
     The reference value is scaled by (T/T_ref)^3 and the band-gap
     exponential; E_g is evaluated at the cell temperature.
     """
-    i0_ref = reference_saturation_current(params, constants)
-    eg = band_gap(env.t, band_gap_denominator_sign)
-    x = -constants.q * eg / (params.n * constants.k) * (1.0 / env.t - 1.0 / STC.t)
+    i0_ref = reference_saturation_current(params)
+    eg = band_gap(env.t)
+    x = -Q * eg / (params.n * K) * (1.0 / env.t - 1.0 / STC.t)
     if abs(x) > MAX_EXP_ARGUMENT:
         raise ValueError(f"saturation-current exponent {x:.1f} exceeds {MAX_EXP_ARGUMENT}")
     return i0_ref * (env.t / STC.t) ** 3 * math.exp(x)
 
 
-def derive_series_resistance(
-    params: CellParams, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> float:
+def derive_series_resistance(params: CellParams) -> float:
     """Series resistance (ohms) from the open-circuit I-V slope.
 
     R_s = -dV/dI|oc - n*k*T_ref / (I_0ref * q * exp(q*V_oc/(n*k*T_ref)))
     """
-    i0_ref = reference_saturation_current(params, constants)
-    vt = _thermal_voltage(params, STC.t, constants)
+    i0_ref = reference_saturation_current(params)
+    vt = _thermal_voltage(params, STC.t)
     diode_term = vt / (i0_ref * math.exp(params.v_oc_ref / vt))
     r_s = -params.dv_di_oc - diode_term
     if not r_s > 0:
@@ -204,13 +193,7 @@ def derive_series_resistance(
 
 
 def _solve_current(
-    v: np.ndarray,
-    i_ph: float,
-    i_0: float,
-    vt: float,
-    r_s: float,
-    tol: float,
-    max_iter: int,
+    v: np.ndarray, i_ph: float, i_0: float, vt: float, r_s: float, max_iter: int
 ) -> np.ndarray:
     """Newton on the single-diode residual from a start right of the root.
 
@@ -227,7 +210,7 @@ def _solve_current(
     lowers the exponent by only about one per step, the cap starts
     within a few steps of the root.
 
-    A lane stops at |f| < tol, or where the step falls to 8 ulps of I:
+    A lane stops at |f| < SOLVER_TOL_A, or where the step falls to 8 ulps of I:
     there the rounding of f can flip its sign, and a current of
     thousands of amperes cannot meet an absolute tolerance of 1e-9 A.
     Lanes still unconverged after max_iter steps raise ValueError.
@@ -237,7 +220,7 @@ def _solve_current(
         vd = v + i * r_s
         f = i_ph - i_0 * np.expm1(vd / vt) - i
         step = f / (-i_0 * np.exp(vd / vt) * r_s / vt - 1.0)
-        done = (np.abs(f) < tol) | (np.abs(step) <= 8 * np.spacing(np.abs(i)))
+        done = (np.abs(f) < SOLVER_TOL_A) | (np.abs(step) <= 8 * np.spacing(np.abs(i)))
         if done.all():
             return i
         i = np.where(done, i, i - step)
@@ -246,13 +229,7 @@ def _solve_current(
 
 
 def _solve_current_scalar(
-    v: float,
-    i_ph: float,
-    i_0: float,
-    vt: float,
-    r_s: float,
-    tol: float,
-    max_iter: int,
+    v: float, i_ph: float, i_0: float, vt: float, r_s: float, max_iter: int
 ) -> float:
     """_solve_current for one voltage, in Python floats.
 
@@ -267,7 +244,7 @@ def _solve_current_scalar(
     for _ in range(max_iter + 1):
         vd = v + i * r_s
         f = i_ph - i_0 * float(np.expm1(vd / vt)) - i
-        if abs(f) < tol:
+        if abs(f) < SOLVER_TOL_A:
             return i
         step = f / (-i_0 * float(np.exp(vd / vt)) * r_s / vt - 1.0)
         if abs(step) <= 8 * math.ulp(i):
@@ -279,11 +256,11 @@ def _solve_current_scalar(
 class PVArray:
     """A uniform array of one cell type with a fixed series/parallel layout.
 
-    Bundles the cell parameters, derived series resistance, and solver
-    settings so callers can evaluate the array I-V curve with one object.
-    A given r_s must be > 0, as a derived one is.
-    Scenarios give only the cell and the layout, so the defaults here are
-    the solver settings and band-gap form every run uses.
+    Bundles the cell parameters, series resistance (derived, or a given
+    r_s > 0) and Newton step cap so callers can evaluate the array I-V
+    curve with one object.  constants, solver_tol and
+    band_gap_denominator_sign accept only the model's own (Q, K),
+    SOLVER_TOL_A and -1, and raise ValueError at any other value.
 
     The solver constants of each environment (I_ph, I_0 and V_t) are
     memoized per (g, t), so the memo grows by one entry per distinct
@@ -299,19 +276,26 @@ class PVArray:
         self,
         cell: CellParams,
         layout: ArrayConfig = ArrayConfig(),
-        constants: PhysicalConstants = DEFAULT_CONSTANTS,
+        constants: tuple[float, float] = (Q, K),
         r_s: float | None = None,
-        solver_tol: float = 1e-9,
+        solver_tol: float = SOLVER_TOL_A,
         solver_max_iter: int = 100,
         band_gap_denominator_sign: int = -1,
     ):
+        for name, value, fixed in (
+            ("constants", constants, (Q, K)),
+            ("solver_tol", solver_tol, SOLVER_TOL_A),
+            ("band_gap_denominator_sign", band_gap_denominator_sign, -1),
+        ):
+            if value != fixed:
+                raise ValueError(f"{name} must be {fixed!r}: the cell model has one set of physics")
         self.cell = cell
         self.layout = layout
-        self.constants = constants
-        self.band_gap_denominator_sign = band_gap_denominator_sign
-        self.solver_tol = solver_tol
+        self.constants = (Q, K)
+        self.band_gap_denominator_sign = -1
+        self.solver_tol = SOLVER_TOL_A
         self.solver_max_iter = solver_max_iter
-        self.r_s = derive_series_resistance(cell, constants) if r_s is None else r_s
+        self.r_s = derive_series_resistance(cell) if r_s is None else r_s
         if not self.r_s > 0:
             raise ValueError("r_s must be > 0")  # the Newton solve needs it
         self._solver_constants: dict[tuple[float, float], tuple[float, float, float]] = {}
@@ -322,11 +306,10 @@ class PVArray:
         found = self._solver_constants.get(key)
         if found is None:
             cell = self.cell
-            found = (
-                photon_current(cell, env),
-                saturation_current(cell, env, self.constants, self.band_gap_denominator_sign),
-                _thermal_voltage(cell, env.t, self.constants),
-            )
+            i_ph = photon_current(cell, env)
+            if i_ph < 0:  # alpha*(T - T_ref) < -1 leaves no I-V curve
+                raise ValueError(f"alpha = {cell.alpha} gives I_ph < 0 at T = {env.t} K")
+            found = (i_ph, saturation_current(cell, env), _thermal_voltage(cell, env.t))
             self._solver_constants[key] = found
         return found
 
@@ -343,7 +326,7 @@ class PVArray:
                 raise ValueError("cell voltage must be >= 0")
             solve = _solve_current
         i_ph, i_0, vt = self._constants_at(env)
-        i_cell = solve(v_cell, i_ph, i_0, vt, self.r_s, self.solver_tol, self.solver_max_iter)
+        i_cell = solve(v_cell, i_ph, i_0, vt, self.r_s, self.solver_max_iter)
         return self.layout.n_parallel * i_cell
 
     def open_circuit_voltage(self, env: EnvCondition) -> float:

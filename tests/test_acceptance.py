@@ -36,7 +36,8 @@ from mpptbench.harness import (
 from mpptbench.oracle import find_mpp
 from mpptbench.profiles import EnvProfile, EnvSegment, builtin_table1_profile
 from mpptbench.pvmodel import (
-    DEFAULT_CONSTANTS,
+    K,
+    Q,
     STC,
     EnvCondition,
     photon_current,
@@ -82,7 +83,6 @@ def table1_runs(plant):
 def test_criterion_1_model_soundness(bp_panel):
     t0 = time.perf_counter()
     worst = 0.0
-    q, k = DEFAULT_CONSTANTS.q, DEFAULT_CONSTANTS.k
     cell = bp_panel.cell
     for g in np.linspace(20.0, 1000.0, 20):
         for t in np.linspace(273.0, 348.0, 20):
@@ -94,7 +94,7 @@ def test_criterion_1_model_soundness(bp_panel):
             v_cell = volts / bp_panel.layout.n_series
             i_ph = photon_current(cell, env)
             i_0 = saturation_current(cell, env)
-            vt = cell.n * k * t / q
+            vt = cell.n * K * t / Q
             residual = np.abs(
                 i_ph - i_0 * np.expm1((v_cell + i_cell * bp_panel.r_s) / vt) - i_cell
             )

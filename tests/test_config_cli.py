@@ -372,6 +372,30 @@ class TestErrorAttribution:
         assert f"scenario.yaml:4: profile: {tmp_path}/{where}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_alpha_that_turns_a_segments_photon_current_negative(self, tmp_path, capsys):
+        """1 + alpha*(T - T_ref) < 0 in a later segment fails at load, naming alpha_per_k."""
+        preset = tmp_path / "my_panel.yaml"
+        preset.write_text(PANEL_FILE.replace("alpha_per_k: 0.0005", "alpha_per_k: -0.01"))
+        (tmp_path / "rows.csv").write_text(
+            "time_s,irradiance_w_m2,temperature_c\n0.0,1000,25\n0.5,1000,127\n"
+        )
+        body = (
+            MINIMAL.format(out=tmp_path / "out")
+            .replace("bp_sx150", str(preset))
+            .replace("builtin-table1", "rows.csv")
+            .replace("duration_s: 0.05", "duration_s: 1.0")
+        )
+        config = write_scenario(tmp_path, body)
+        where = (
+            "scenario.yaml:4: profile: alpha_per_k = -0.01 gives a photon current < 0 "
+            "in the segment from t = 0.5 s at T = 400.15 K"
+        )
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            load_scenario(config)
+        assert main(["compare", "--config", str(config), "--quiet"]) == 1
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_initial_duty_at_the_clamp_runs(self, tmp_path):
         body = MINIMAL.format(out=tmp_path / "out").replace(
             "  duration_s: 0.05\n", "  duration_s: 0.05\n  initial_duty: 0.05\n"

@@ -3,6 +3,7 @@ and the exact scaling laws."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import sys
@@ -19,7 +20,9 @@ from mpptbench.cli import main
 from mpptbench.config import load_scenario
 from mpptbench.oracle import MppOracle
 from mpptbench.pvmodel import (
-    DEFAULT_CONSTANTS,
+    K,
+    Q,
+    SOLVER_TOL_A,
     ArrayConfig,
     CellParams,
     EnvCondition,
@@ -32,8 +35,6 @@ from mpptbench.pvmodel import (
     saturation_current,
 )
 
-Q = DEFAULT_CONSTANTS.q
-K = DEFAULT_CONSTANTS.k
 TABLE1_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "table1_adaptive.yaml"
 
 
@@ -82,13 +83,6 @@ class TestBandGap:
     def test_singular_temperature(self):
         with pytest.raises(ValueError, match="band-gap denominator vanishes"):
             band_gap(1108.0)
-
-    def test_varshni_switch(self):
-        # frozen value; the standard form gives a gap that shrinks with T
-        assert band_gap(298.0, denominator_sign=+1) == pytest.approx(
-            1.1156611607396868, rel=1e-15
-        )
-        assert band_gap(350.0, denominator_sign=+1) < band_gap(298.0, denominator_sign=+1)
 
     def test_nonpositive_temperature(self):
         with pytest.raises(ValueError):
@@ -343,7 +337,7 @@ class TestScalarPath:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         residual = re.fullmatch(r".*residual=(\S+) A\)", messages[0]).group(1)
-        assert float(residual) >= array.solver_tol
+        assert float(residual) >= SOLVER_TOL_A
 
     def test_shared_array_across_threads(self, bp_cell):
         envs = [EnvCondition(g=float(g), t=298.0) for g in range(50, 1001, 50)]
@@ -447,7 +441,7 @@ class TestNewtonConvergence:
         i_ph = photon_current(cell, env)
         v_guard = pvmodel.MAX_EXP_ARGUMENT * cell.n * K * env.t / Q - i_ph * r_s
         v = fraction * v_guard  # up to a diode exponent of MAX_EXP_ARGUMENT at I = I_ph
-        path = newton_path(cell, r_s, env, v, array.solver_tol, max_steps=2000)
+        path = newton_path(cell, r_s, env, v, SOLVER_TOL_A, max_steps=2000)
         assert len(path) <= 9  # at most 8 steps
         for (i_old, f_old), (i_new, f_new) in zip(path, path[1:]):
             assert i_new <= i_old
@@ -465,12 +459,12 @@ class TestNewtonConvergence:
         i_array = capped.current_at(v_clamp, env)
         assert i_array == array.current_at(v_clamp, env)
         v = v_clamp / array.layout.n_series
-        i = newton_path(array.cell, array.r_s, env, v, array.solver_tol, max_steps=8)[-1][0]
+        i = newton_path(array.cell, array.r_s, env, v, SOLVER_TOL_A, max_steps=8)[-1][0]
         assert i_array == array.layout.n_parallel * i  # Newton's own root, not a fallback's
         vd = v + i * array.r_s
         vt = array.cell.n * K * env.t / Q
         i_ph, i_0 = photon_current(array.cell, env), saturation_current(array.cell, env)
-        assert abs(i_ph - i_0 * math.expm1(vd / vt) - i) < array.solver_tol
+        assert abs(i_ph - i_0 * math.expm1(vd / vt) - i) < SOLVER_TOL_A
 
     def test_small_series_resistance_far_above_open_circuit(self, bp_cell, stc):
         """Roots of hundreds to thousands of amperes solve to the float root on both paths."""
@@ -510,6 +504,22 @@ class TestValidation:
     def test_series_resistance_must_be_positive(self, bp_cell, r_s):
         with pytest.raises(ValueError, match="r_s must be > 0"):
             PVArray(bp_cell, ArrayConfig(72, 1), r_s=r_s)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("constants", (1.6e-19, K)), ("solver_tol", 1e-6), ("band_gap_denominator_sign", 1)],
+    )
+    def test_any_other_fixed_argument_is_rejected(self, bp_cell, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be "):
+            PVArray(bp_cell, ArrayConfig(72, 1), **{name: value})
+
+    def test_negative_photon_current_names_alpha_and_t(self, bp_cell):
+        # 1 + alpha*(T - T_ref) = 1 - 0.01*102.15 < 0
+        array = PVArray(dataclasses.replace(bp_cell, alpha=-0.01), ArrayConfig(72, 1))
+        env = EnvCondition(g=1000.0, t=400.15)
+        for v in (1.0, np.array([1.0])):
+            with pytest.raises(ValueError, match=r"^alpha = -0\.01 gives I_ph < 0 at T = 400\.15 K$"):
+                array.current_at(v, env)
 
     def test_power_recomputed_from_current_at(self, bp_panel, stc):
         v = np.array([3.0, 30.0])

@@ -33,6 +33,7 @@ PANEL = PVArray(CELL, ArrayConfig(n_series=72, n_parallel=1))
         (lambda: BuckBoost(v_bus=30.0).duty_for_voltage(NAN), "v_target must be > 0"),
         (lambda: dataclasses.replace(CELL, i_sc_ref=NAN), "i_sc_ref must be > 0"),
         (lambda: dataclasses.replace(CELL, v_oc_ref=NAN), "v_oc_ref must be > 0"),
+        (lambda: dataclasses.replace(CELL, alpha=NAN), "alpha must be finite"),
         (lambda: dataclasses.replace(CELL, n=NAN), "ideality factor n must be >= 1"),
         (lambda: dataclasses.replace(CELL, dv_di_oc=NAN), "dv_di_oc must be < 0"),
         (lambda: PANEL.current_at(NAN, STC), "cell voltage must be >= 0"),
@@ -49,7 +50,7 @@ PANEL = PVArray(CELL, ArrayConfig(n_series=72, n_parallel=1))
         "ControllerParams.epsilon", "ControllerParams.acc", "SimConfig.control_interval_s",
         "SimConfig.duration_s", "SimConfig.noise_v", "SimConfig.noise_i", "BuckBoost.v_bus",
         "BuckBoost.duty_for_voltage", "CellParams.i_sc_ref", "CellParams.v_oc_ref",
-        "CellParams.n", "CellParams.dv_di_oc", "PVArray.current_at.scalar",
+        "CellParams.alpha", "CellParams.n", "CellParams.dv_di_oc", "PVArray.current_at.scalar",
         "PVArray.current_at.vector", "EnvProfile.duration", "EnvProfile.start_times",
         "Measurement.v", "Measurement.i",
     ],
