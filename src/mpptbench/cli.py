@@ -70,7 +70,6 @@ def _load(args) -> ScenarioConfig:
     scenario = load_scenario(args.config)
     if args.out is not None:
         scenario.output_dir = Path(args.out)
-    scenario.output_dir.mkdir(parents=True, exist_ok=True)
     return scenario
 
 
@@ -155,6 +154,7 @@ def _receive(r: int, kind: str):
 
 def _cmd_run(args) -> int:
     scenario = _load(args)
+    scenario.output_dir.mkdir(parents=True, exist_ok=True)
     result = _run_kind(scenario, _plant(scenario), scenario.controller_kind)
     trace_path = scenario.output_dir / "trace.csv"
     trace_path.write_bytes(result.trace_csv)
@@ -174,6 +174,7 @@ def _cmd_compare(args) -> int:
     one raised, and files are written only after every kind succeeded.
     """
     scenario = _load(args)
+    scenario.output_dir.mkdir(parents=True, exist_ok=True)
     plant = _plant(scenario)
     for t in step_times(scenario.sim, scenario.profile):
         plant.oracle.find(scenario.profile.env_at(t))
@@ -225,12 +226,14 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        env = EnvCondition(g=args.g, t=celsius_to_kelvin(args.temp))
-    except ValueError as exc:
-        raise ConfigError(f"--g {args.g!r} --temp {args.temp!r}: {exc}") from None
     scenario = _load(args)
     array = scenario.build_array()
+    try:
+        env = EnvCondition(g=args.g, t=celsius_to_kelvin(args.temp))
+        array.open_circuit_voltage(env)  # the model's checks at env: I_ph >= 0 for alpha_per_k too
+    except ValueError as exc:
+        raise ConfigError(f"--g {args.g!r} --temp {args.temp!r}: {exc}") from None
+    scenario.output_dir.mkdir(parents=True, exist_ok=True)
     voltage, current = pv_curve(array, env)
     mpp = refine_mpp(array, env, voltage, current)
     header = ("voltage_v", "current_a", "power_w")

@@ -7,13 +7,14 @@ series resistance R_s.  The terminal current solves the implicit equation
 
 which is solved by Newton's method started at min(I_ph, I_cap), where
 I_cap follows from an upper bound on the diode voltage at the root.
-R_s, derived from the open-circuit slope, must be > 0; the iteration
-then converges monotonically (see _solve_current), so it needs no
-damping and no fallback: every valid input takes a few steps, however
-far above open circuit and in the dark too.  It stops at a residual
-below SOLVER_TOL_A or where the step reaches the float spacing of I.  A
-solve that exhausts its iterations raises ValueError.  q and k (Q, K),
-SOLVER_TOL_A and the (T - 1108) band gap are constants, not arguments.
+R_s, derived from the open-circuit slope alone, must be > 0; the
+iteration then converges monotonically (see _solve_current), so it
+needs no damping and no fallback: every valid input takes a few steps,
+however far above open circuit and in the dark too.  It stops at a
+residual below SOLVER_TOL_A or where the step reaches the float spacing
+of I, and raises ValueError if still unconverged after SOLVER_MAX_ITER
+steps.  q and k (Q, K), both solver limits and the (T - 1108) band gap
+are constants, not arguments.
 Arrays of identical, identically illuminated cells scale linearly in
 series (voltage) and parallel (current).  The datasheet values are
 taken at STC, which is also the reference (T_ref, G_ref) of the
@@ -37,6 +38,7 @@ __all__ = [
     "Q",
     "K",
     "SOLVER_TOL_A",
+    "SOLVER_MAX_ITER",
     "CellParams",
     "ArrayConfig",
     "EnvCondition",
@@ -54,6 +56,7 @@ K = 1.38e-23  # Boltzmann constant, J/K
 
 # Newton stops once the residual of the cell current is below this.
 SOLVER_TOL_A = 1e-9
+SOLVER_MAX_ITER = 100  # Newton steps before an unconverged solve raises
 
 # Guard for exp() arguments; beyond this the result is not representable.
 MAX_EXP_ARGUMENT = 700.0
@@ -256,11 +259,11 @@ def _solve_current_scalar(
 class PVArray:
     """A uniform array of one cell type with a fixed series/parallel layout.
 
-    Bundles the cell parameters, series resistance (derived, or a given
-    r_s > 0) and Newton step cap so callers can evaluate the array I-V
-    curve with one object.  constants, solver_tol and
-    band_gap_denominator_sign accept only the model's own (Q, K),
-    SOLVER_TOL_A and -1, and raise ValueError at any other value.
+    Bundles the cell parameters and the series resistance derived from
+    their open-circuit slope; the layout is the only setting.  constants,
+    r_s, solver_tol, solver_max_iter and band_gap_denominator_sign accept
+    only the model's own (Q, K), R_s (or None), SOLVER_TOL_A,
+    SOLVER_MAX_ITER and -1, and raise ValueError at any other value.
 
     The solver constants of each environment (I_ph, I_0 and V_t) are
     memoized per (g, t), so the memo grows by one entry per distinct
@@ -279,12 +282,15 @@ class PVArray:
         constants: tuple[float, float] = (Q, K),
         r_s: float | None = None,
         solver_tol: float = SOLVER_TOL_A,
-        solver_max_iter: int = 100,
+        solver_max_iter: int = SOLVER_MAX_ITER,
         band_gap_denominator_sign: int = -1,
     ):
+        self.r_s = derive_series_resistance(cell)
         for name, value, fixed in (
             ("constants", constants, (Q, K)),
+            ("r_s", self.r_s if r_s is None else r_s, self.r_s),
             ("solver_tol", solver_tol, SOLVER_TOL_A),
+            ("solver_max_iter", solver_max_iter, SOLVER_MAX_ITER),
             ("band_gap_denominator_sign", band_gap_denominator_sign, -1),
         ):
             if value != fixed:
@@ -294,10 +300,7 @@ class PVArray:
         self.constants = (Q, K)
         self.band_gap_denominator_sign = -1
         self.solver_tol = SOLVER_TOL_A
-        self.solver_max_iter = solver_max_iter
-        self.r_s = derive_series_resistance(cell) if r_s is None else r_s
-        if not self.r_s > 0:
-            raise ValueError("r_s must be > 0")  # the Newton solve needs it
+        self.solver_max_iter = SOLVER_MAX_ITER
         self._solver_constants: dict[tuple[float, float], tuple[float, float, float]] = {}
 
     def _constants_at(self, env: EnvCondition) -> tuple[float, float, float]:
@@ -326,7 +329,7 @@ class PVArray:
                 raise ValueError("cell voltage must be >= 0")
             solve = _solve_current
         i_ph, i_0, vt = self._constants_at(env)
-        i_cell = solve(v_cell, i_ph, i_0, vt, self.r_s, self.solver_max_iter)
+        i_cell = solve(v_cell, i_ph, i_0, vt, self.r_s, SOLVER_MAX_ITER)
         return self.layout.n_parallel * i_cell
 
     def open_circuit_voltage(self, env: EnvCondition) -> float:

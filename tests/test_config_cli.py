@@ -7,6 +7,8 @@ import csv
 import dataclasses
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -737,6 +739,42 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_temp_at_which_alpha_turns_the_photon_current_negative_is_exit_1(
+        self, tmp_path, capsys
+    ):
+        # 1 + alpha*(T - T_ref) = 1 - 0.01*102.15 < 0; the builtin profile itself stays valid
+        preset = tmp_path / "my_panel.yaml"
+        preset.write_text(PANEL_FILE.replace("alpha_per_k: 0.0005", "alpha_per_k: -0.01"))
+        body = MINIMAL.format(out=tmp_path / "out").replace("bp_sx150", str(preset))
+        config = write_scenario(tmp_path, body)
+        code = main(["oracle", "--config", str(config), "--temp", "127"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: --g 1000.0 --temp 127.0: "
+            "alpha = -0.01 gives I_ph < 0 at T = 400.15 K\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_module_entry_point_exits_with_mains_code(self, tmp_path):
+        """python -m mpptbench.cli hands main()'s return value to the process's exit status."""
+
+        def cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "mpptbench.cli", *argv],
+                env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+
+        done = cli("--help")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: mpptbench ")
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        done = cli("oracle", "--config", str(config), "--g", "-5")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "config error: --g -5.0 --temp 25.0: irradiance g must be >= 0\n"
 
 
 class TestCompareSharesOneOracle:

@@ -342,11 +342,15 @@ class TestControllerContrast:
 
 
 class TestSimulationFailure:
-    def test_solver_failure_propagates_as_a_value_error(self, bp_cell, bp_converter, bp_oracle):
+    def test_solver_failure_propagates_as_a_value_error(
+        self, bp_cell, bp_converter, bp_oracle, monkeypatch
+    ):
+        from mpptbench import pvmodel
         from mpptbench.pvmodel import ArrayConfig, PVArray
 
         # one Newton step cannot meet the tolerance, so the first solve fails
-        array = PVArray(cell=bp_cell, layout=ArrayConfig(n_series=72), solver_max_iter=1)
+        array = PVArray(cell=bp_cell, layout=ArrayConfig(n_series=72))
+        monkeypatch.setattr(pvmodel, "SOLVER_MAX_ITER", 1)
         controller = MpptController("conventional", ControllerParams(), 0.5)
         with pytest.raises(ValueError, match=r"^Newton did not converge \(iterations=1, "):
             run_simulation(

@@ -38,9 +38,14 @@ from mpptbench.pvmodel import (
 TABLE1_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "table1_adaptive.yaml"
 
 
-def one_cell(params, r_s):
-    """A one-cell PVArray with the given series resistance."""
-    return PVArray(params, r_s=r_s)
+def cell_with_series_resistance(params, r_s):
+    """params with the open-circuit slope from which PVArray derives R_s = r_s (to a few ulps).
+
+    derive_series_resistance subtracts this diode term from -dv_di_oc.
+    """
+    vt = params.n * K * STC.t / Q
+    diode_term = vt / (reference_saturation_current(params) * math.exp(params.v_oc_ref / vt))
+    return dataclasses.replace(params, dv_di_oc=-(r_s + diode_term))
 
 
 def bisect_current(params, r_s, env, v, lo, hi, tol=1e-10):
@@ -198,48 +203,47 @@ class TestSeriesResistance:
 
 class TestCellCurrent:
     def test_zero_current_at_open_circuit(self, bp_cell, stc):
-        r_s = derive_series_resistance(bp_cell)
-        v_oc = one_cell(bp_cell, r_s).open_circuit_voltage(stc)
-        assert abs(one_cell(bp_cell, r_s).current_at(v_oc, stc)) < 1e-8
+        array = PVArray(bp_cell)
+        v_oc = array.open_circuit_voltage(stc)
+        assert abs(array.current_at(v_oc, stc)) < 1e-8
 
     def test_against_bisection_oracle(self, bp_cell, stc):
-        r_s = derive_series_resistance(bp_cell)
+        array = PVArray(bp_cell)
         i_ph = photon_current(bp_cell, stc)
         for v in (0.1, 0.3, 0.45, 0.55):
-            i_fast = one_cell(bp_cell, r_s).current_at(v, stc)
-            i_slow = bisect_current(bp_cell, r_s, stc, v, -0.1 * i_ph, 1.2 * i_ph)
+            i_fast = array.current_at(v, stc)
+            i_slow = bisect_current(bp_cell, array.r_s, stc, v, -0.1 * i_ph, 1.2 * i_ph)
             assert i_fast == pytest.approx(i_slow, abs=1e-8)
 
     def test_residual_contract(self, bp_cell, stc):
         i_ph = photon_current(bp_cell, stc)
         i_0 = saturation_current(bp_cell, stc)
         vt = bp_cell.n * K * stc.t / Q
-        r_s = derive_series_resistance(bp_cell)
-        v = np.linspace(0.0, one_cell(bp_cell, r_s).open_circuit_voltage(stc), 200)
-        i = one_cell(bp_cell, r_s).current_at(v, stc)
-        residual = np.abs(i_ph - i_0 * np.expm1((v + i * r_s) / vt) - i)
+        array = PVArray(bp_cell)
+        v = np.linspace(0.0, array.open_circuit_voltage(stc), 200)
+        i = array.current_at(v, stc)
+        residual = np.abs(i_ph - i_0 * np.expm1((v + i * array.r_s) / vt) - i)
         assert residual.max() < 1e-9
 
     def test_strictly_decreasing_in_voltage(self, bp_cell, stc):
-        r_s = derive_series_resistance(bp_cell)
-        v_oc = one_cell(bp_cell, r_s).open_circuit_voltage(stc)
-        i = one_cell(bp_cell, r_s).current_at(np.linspace(0.0, v_oc, 300), stc)
+        array = PVArray(bp_cell)
+        v_oc = array.open_circuit_voltage(stc)
+        i = array.current_at(np.linspace(0.0, v_oc, 300), stc)
         assert np.all(np.diff(i) < 0)
 
     def test_power_unimodal(self, bp_cell, stc):
-        r_s = derive_series_resistance(bp_cell)
-        v_oc = one_cell(bp_cell, r_s).open_circuit_voltage(stc)
+        array = PVArray(bp_cell)
+        v_oc = array.open_circuit_voltage(stc)
         v = np.linspace(0.0, v_oc, 2000)
-        p = v * one_cell(bp_cell, r_s).current_at(v, stc)
+        p = v * array.current_at(v, stc)
         signs = np.sign(np.diff(p))
         # exactly one rise-to-fall transition and no other sign changes
         changes = np.flatnonzero(np.diff(signs) != 0)
         assert len(changes) == 1
 
     def test_dark_current_negative_past_voc(self, bp_cell):
-        r_s = derive_series_resistance(bp_cell)
         env = EnvCondition(g=0.0, t=298.0)
-        assert one_cell(bp_cell, r_s).current_at(0.3, env) < 0.0
+        assert PVArray(bp_cell).current_at(0.3, env) < 0.0
 
     def test_negative_voltage_rejected(self, bp_cell, bp_panel, stc):
         for v in (-0.1, np.array([1.0, -0.1])):
@@ -278,7 +282,7 @@ class TestOpenCircuitVoltage:
 class TestArrayScaling:
     def test_identity_configuration(self, bp_cell, stc):
         arr = PVArray(cell=bp_cell, layout=ArrayConfig(1, 1))
-        assert arr.current_at(0.45, stc) == one_cell(bp_cell, arr.r_s).current_at(0.45, stc)
+        assert arr.current_at(0.45, stc) == PVArray(bp_cell).current_at(0.45, stc)
 
     def test_parallel_doubling_is_exact(self, bp_cell, stc):
         base = PVArray(cell=bp_cell, layout=ArrayConfig(4, 1)).current_at(1.8, stc)
@@ -294,7 +298,7 @@ class TestArrayScaling:
     def test_pvarray_wraps_the_same_math(self, bp_cell, stc):
         arr = PVArray(cell=bp_cell, layout=ArrayConfig(72, 1))
         assert arr.current_at(32.0, stc) == pytest.approx(
-            one_cell(bp_cell, arr.r_s).current_at(32.0 / 72, stc), rel=1e-12
+            PVArray(bp_cell).current_at(32.0 / 72, stc), rel=1e-12
         )
         assert arr.open_circuit_voltage(stc) == pytest.approx(43.5, rel=1e-9)
 
@@ -315,20 +319,22 @@ class TestScalarPath:
     @pytest.mark.parametrize("t", [273.15, 298.0, 330.0])
     @pytest.mark.parametrize("g", [0.0, 20.0, 150.0, 1000.0])
     def test_bit_identical_to_one_element_array(self, bp_cell, layout, r_s, t, g):
-        array = PVArray(cell=bp_cell, layout=layout, r_s=r_s)
+        cell = bp_cell if r_s is None else cell_with_series_resistance(bp_cell, r_s)
+        array = PVArray(cell=cell, layout=layout)
         env = EnvCondition(g=g, t=t)
         for v in self.voltages(array, env):
             scalar = array.current_at(v, env)
             assert type(scalar) is float
             assert scalar.hex() == float(array.current_at(np.array([v]), env)[0]).hex()
             v_cell = v / layout.n_series
-            one = one_cell(bp_cell, array.r_s).current_at(v_cell, env)
-            lane = one_cell(bp_cell, array.r_s).current_at(np.array([v_cell]), env)[0]
+            one = PVArray(cell).current_at(v_cell, env)
+            lane = PVArray(cell).current_at(np.array([v_cell]), env)[0]
             assert type(one) is float
             assert one.hex() == float(lane).hex()
 
-    def test_exhausted_newton_raises_one_error_on_both_paths(self, bp_cell, stc):
-        array = PVArray(cell=bp_cell, layout=ArrayConfig(72, 1), solver_max_iter=1)
+    def test_exhausted_newton_raises_one_error_on_both_paths(self, bp_cell, stc, monkeypatch):
+        array = PVArray(cell=bp_cell, layout=ArrayConfig(72, 1))
+        monkeypatch.setattr(pvmodel, "SOLVER_MAX_ITER", 1)
         v = 0.8 * array.open_circuit_voltage(stc)
         messages = []
         for v_in in (v, np.array([v])):
@@ -437,7 +443,8 @@ class TestNewtonConvergence:
     )
     @settings(derandomize=True, max_examples=300, deadline=None)
     def test_steps_never_raise_the_current_or_the_residual(self, cell, r_s, env, fraction):
-        array = PVArray(cell, r_s=r_s)
+        array = PVArray(cell_with_series_resistance(cell, r_s))
+        r_s = array.r_s  # the derived R_s, a few ulps from the draw
         i_ph = photon_current(cell, env)
         v_guard = pvmodel.MAX_EXP_ARGUMENT * cell.n * K * env.t / Q - i_ph * r_s
         v = fraction * v_guard  # up to a diode exponent of MAX_EXP_ARGUMENT at I = I_ph
@@ -455,8 +462,9 @@ class TestNewtonConvergence:
     @settings(derandomize=True, max_examples=50, deadline=None)
     def test_duty_clamp_voltage_meets_the_tolerance_in_eight_steps(self, table1_clamp, env):
         array, v_clamp = table1_clamp
-        capped = PVArray(array.cell, array.layout, r_s=array.r_s, solver_max_iter=8)
-        i_array = capped.current_at(v_clamp, env)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pvmodel, "SOLVER_MAX_ITER", 8)
+            i_array = array.current_at(v_clamp, env)
         assert i_array == array.current_at(v_clamp, env)
         v = v_clamp / array.layout.n_series
         i = newton_path(array.cell, array.r_s, env, v, SOLVER_TOL_A, max_steps=8)[-1][0]
@@ -471,9 +479,10 @@ class TestNewtonConvergence:
         i_ph = photon_current(bp_cell, stc)
         cases = [(0.001, 19.0)] + [(0.0002, round(9.4 + 0.1 * k, 1)) for k in range(137)]
         for r_s, v in cases:
-            i = one_cell(bp_cell, r_s).current_at(v, stc)
-            assert i.hex() == float(one_cell(bp_cell, r_s).current_at(np.array([v]), stc)[0]).hex()
-            i_slow = bisect_current(bp_cell, r_s, stc, v, -v / r_s, i_ph)
+            array = PVArray(cell_with_series_resistance(bp_cell, r_s))
+            i = array.current_at(v, stc)
+            assert i.hex() == float(array.current_at(np.array([v]), stc)[0]).hex()
+            i_slow = bisect_current(array.cell, array.r_s, stc, v, -v / array.r_s, i_ph)
             assert i == pytest.approx(i_slow, rel=1e-12)
 
 
@@ -500,17 +509,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             ArrayConfig(0, 1)
 
-    @pytest.mark.parametrize("r_s", [-0.05, 0.0, -0.0, math.nan])
-    def test_series_resistance_must_be_positive(self, bp_cell, r_s):
-        with pytest.raises(ValueError, match="r_s must be > 0"):
-            PVArray(bp_cell, ArrayConfig(72, 1), r_s=r_s)
-
     @pytest.mark.parametrize(
         "name, value",
-        [("constants", (1.6e-19, K)), ("solver_tol", 1e-6), ("band_gap_denominator_sign", 1)],
+        [
+            ("constants", (1.6e-19, K)),
+            ("solver_tol", 1e-6),
+            ("band_gap_denominator_sign", 1),
+            # R_s comes only from the open-circuit slope: a positive one is as
+            # foreign as the non-positive ones the Newton solve cannot take
+            *[("r_s", r_s) for r_s in (1e-3, -0.05, 0.0, -0.0, math.nan)],
+            ("solver_max_iter", 1),
+            ("solver_max_iter", 8),
+        ],
     )
     def test_any_other_fixed_argument_is_rejected(self, bp_cell, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be "):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
             PVArray(bp_cell, ArrayConfig(72, 1), **{name: value})
 
     def test_negative_photon_current_names_alpha_and_t(self, bp_cell):
