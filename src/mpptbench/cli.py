@@ -16,13 +16,13 @@ from .config import ConfigError, ScenarioConfig, load_scenario
 from .controllers import DegenerateSampleError
 from .converter import BuckBoost
 from .harness import (
-    TRACE_HEADER,
     compute_metrics,
     format_csv,
     format_metrics,
     resolve_initial_duty,
     run_simulation,
     step_times,
+    write_trace_csv,
 )
 from .oracle import MppOracle, pv_curve, refine_mpp
 from .profiles import celsius_to_kelvin
@@ -91,28 +91,26 @@ def _plant(scenario: ScenarioConfig) -> _Plant:
 
 
 class _KindResult(NamedTuple):
-    """One kind's outputs as run and compare write and print them; cheap to pickle."""
+    """One kind's outputs as run and compare print them; cheap to pickle.
+
+    The trace is not among them: _run_kind writes it to disk itself.
+    """
 
     steps: int
-    trace_csv: bytes  # the trace as format_csv's text, encoded
     report: str  # format_metrics' text
     energy_deficit: float
     max_voltage_overshoot: float
 
 
-def _run_kind(scenario: ScenarioConfig, plant: _Plant, kind: str) -> _KindResult:
-    """Simulate one controller kind on the shared plant and format its outputs."""
+def _run_kind(scenario: ScenarioConfig, plant: _Plant, kind: str, trace_path: Path) -> _KindResult:
+    """Simulate one controller kind on the shared plant, write its trace, format the rest."""
     array, oracle, converter, d0 = plant
     controller = scenario.build_controller(d0, kind)
     trace = run_simulation(array, converter, controller, scenario.profile, scenario.sim, oracle)
     metrics = compute_metrics(trace, control_interval=scenario.sim.control_interval_s)
-    return _KindResult(
-        len(trace),
-        format_csv(TRACE_HEADER, trace).encode(),
-        format_metrics(metrics),
-        metrics.energy_deficit,
-        metrics.max_voltage_overshoot,
-    )
+    report = format_metrics(metrics)
+    write_trace_csv(trace, trace_path)
+    return _KindResult(len(trace), report, metrics.energy_deficit, metrics.max_voltage_overshoot)
 
 
 def _fork(work: Callable[..., Any], *args: Any) -> tuple[int, int]:
@@ -120,7 +118,8 @@ def _fork(work: Callable[..., Any], *args: Any) -> tuple[int, int]:
 
     The child pickles (result, None) or (None, exception) into the pipe
     and leaves by os._exit, so none of the parent's clean-up or buffered
-    output runs twice.
+    output runs twice.  Whatever else work makes, such as a file, the
+    child writes itself; only the result crosses the pipe.
     """
     r, w = os.pipe()
     pid = os.fork()
@@ -142,7 +141,6 @@ def _fork(work: Callable[..., Any], *args: Any) -> tuple[int, int]:
 def _receive(r: int, kind: str):
     """The result a _fork child sent; re-raise the exception it sent instead."""
     try:
-        # unpickling straight from the pipe reads a large bytes value into place
         with open(r, "rb", closefd=False) as fh:
             result, exc = pickle.load(fh)
     except (EOFError, pickle.UnpicklingError):
@@ -155,9 +153,8 @@ def _receive(r: int, kind: str):
 def _cmd_run(args) -> int:
     scenario = _load(args)
     scenario.output_dir.mkdir(parents=True, exist_ok=True)
-    result = _run_kind(scenario, _plant(scenario), scenario.controller_kind)
     trace_path = scenario.output_dir / "trace.csv"
-    trace_path.write_bytes(result.trace_csv)
+    result = _run_kind(scenario, _plant(scenario), scenario.controller_kind, trace_path)
     (scenario.output_dir / "metrics.txt").write_text(result.report)
     if not args.quiet:
         print(f"{scenario.controller_kind}: {result.steps} steps -> {trace_path}")
@@ -170,58 +167,63 @@ def _cmd_compare(args) -> int:
 
     The oracle is warmed first with every condition the run visits, so
     the children inherit its cache and each condition is swept once.
-    Results are read in kind order, so the first kind's failure is the
-    one raised, and files are written only after every kind succeeded.
+    Each child writes its trace to a temporary file in the output
+    directory.  Results are read in kind order, so the first kind's
+    failure is the one raised.  Once every child has ended, the
+    temporaries are renamed into place if every kind succeeded and
+    removed otherwise, so a failed compare writes no file.
+    comparison.txt is written only after that, one piece at a time.
     """
     scenario = _load(args)
-    scenario.output_dir.mkdir(parents=True, exist_ok=True)
+    out = scenario.output_dir
+    out.mkdir(parents=True, exist_ok=True)
     plant = _plant(scenario)
     for t in step_times(scenario.sim, scenario.profile):
         plant.oracle.find(scenario.profile.env_at(t))
+    temporaries = {kind: out / f".{name}.{os.getpid()}.tmp" for kind, name in _TRACE_FILES.items()}
     workers: list[tuple[int, int]] = []
+    results = None
     try:
-        for kind in _TRACE_FILES:
-            workers.append(_fork(_run_kind, scenario, plant, kind))
+        for kind, temporary in temporaries.items():
+            workers.append(_fork(_run_kind, scenario, plant, kind, temporary))
         results = {kind: _receive(r, kind) for kind, (_, r) in zip(_TRACE_FILES, workers)}
     finally:
         for pid, r in workers:
             os.close(r)
             os.waitpid(pid, 0)
-    for kind, result in results.items():
-        (scenario.output_dir / _TRACE_FILES[kind]).write_bytes(result.trace_csv)
+        # only now can no child still create its temporary
+        if results is None:
+            for temporary in temporaries.values():
+                temporary.unlink(missing_ok=True)
+    for kind, temporary in temporaries.items():
+        os.replace(temporary, out / _TRACE_FILES[kind])
 
     conv = results["conventional"]
     fixed = results["revised-fixed-bound"]
     adaptive = results["revised-adaptive-bound"]
-    lines = []
-    for name, result in results.items():
-        lines.append(f"== {name} ==")
-        lines.append(result.report.rstrip())
-        lines.append("")
-    lines.append("== orderings ==")
-    lines.append(
+    orderings = (
+        "== orderings ==\n"
         "energy_deficit_j: "
         f"conventional={conv.energy_deficit:.6g} "
         f"revised-fixed={fixed.energy_deficit:.6g} "
-        f"revised-adaptive={adaptive.energy_deficit:.6g}"
-    )
-    lines.append(
+        f"revised-adaptive={adaptive.energy_deficit:.6g}\n"
         "energy_deficit(conventional) > energy_deficit(revised-adaptive): "
-        f"{conv.energy_deficit > adaptive.energy_deficit}"
-    )
-    lines.append(
+        f"{conv.energy_deficit > adaptive.energy_deficit}\n"
         "max_voltage_overshoot_v: "
         f"revised-fixed={fixed.max_voltage_overshoot:.6g} "
-        f"revised-adaptive={adaptive.max_voltage_overshoot:.6g}"
-    )
-    lines.append(
+        f"revised-adaptive={adaptive.max_voltage_overshoot:.6g}\n"
         "max_voltage_overshoot(revised-adaptive) <= max_voltage_overshoot(revised-fixed): "
-        f"{adaptive.max_voltage_overshoot <= fixed.max_voltage_overshoot}"
+        f"{adaptive.max_voltage_overshoot <= fixed.max_voltage_overshoot}\n"
     )
-    report = "\n".join(lines) + "\n"
-    (scenario.output_dir / "comparison.txt").write_text(report)
+    pieces = []  # the report's pieces as they are, so no copy of the whole is made
+    for name, result in results.items():
+        # a report ends in one newline; the blank line then closes its block
+        pieces += (f"== {name} ==\n", result.report, "\n")
+    pieces.append(orderings)
+    with open(out / "comparison.txt", "w") as fh:
+        fh.writelines(pieces)
     if not args.quiet:
-        print(report, end="")
+        sys.stdout.writelines(pieces)
     return 0
 
 

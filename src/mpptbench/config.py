@@ -7,8 +7,9 @@ settings.  A preset file and the controller and sim sections load into
 PanelPreset, ControllerParams and SimConfig, whose field names are the
 keys and whose fields give the value types and defaults.  A preset's
 datasheet values are taken at STC, and must give a cell whose derived
-series resistance is > 0 and whose photon current is >= 0 in every
-profile segment.  A number must be a finite float.
+series resistance is > 0 and whose photon current is >= 0 and
+saturation current is in range in every profile segment.  A number
+must be a finite float.
 Validation failures report the offending field with its line in the file.
 """
 
@@ -29,7 +30,7 @@ from .harness import SimConfig
 from .oracle import MppOracle
 from .profiles import EnvProfile, builtin_table1_profile, load_profile_csv
 from .pvmodel import STC, ArrayConfig, CellParams, PVArray
-from .pvmodel import derive_series_resistance, photon_current
+from .pvmodel import derive_series_resistance, photon_current, saturation_current
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_scenario", "load_panel_preset"]
 
@@ -292,13 +293,21 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         except ValueError as exc:
             raise root.error("profile", str(exc)) from None
     cell = preset.cell_params()
+    checked = set()  # a profile repeats few of its conditions across many segments
     for start, env in profile.segments:
+        if (env.g, env.t) in checked:
+            continue
+        checked.add((env.g, env.t))
+        where = f"the segment from t = {start} s at T = {env.t} K"
         if photon_current(cell, env) < 0:  # where alpha*(T - T_ref) < -1
             raise root.error(
                 "profile",
-                f"alpha_per_k = {preset.alpha_per_k} gives a photon current < 0 "
-                f"in the segment from t = {start} s at T = {env.t} K",
+                f"alpha_per_k = {preset.alpha_per_k} gives a photon current < 0 in {where}",
             )
+        try:
+            saturation_current(cell, env)  # the model's limit on its exponent
+        except ValueError as exc:
+            raise root.error("profile", f"{where}: {exc}") from None
 
     sim_sec = root.section("sim")
     sim = sim_sec.build(SimConfig)

@@ -9,11 +9,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 import yaml
 
+from mpptbench import cli as cli_module
+from mpptbench import config as config_module
 from mpptbench import controllers
 from mpptbench import oracle as oracle_module
 from mpptbench.cli import _build_parser, main
@@ -28,7 +31,7 @@ from mpptbench.harness import (
     write_trace_csv,
 )
 from mpptbench.oracle import GRID_POINTS, MppOracle
-from mpptbench.pvmodel import PVArray
+from mpptbench.pvmodel import PVArray, saturation_current
 
 REPO = Path(__file__).resolve().parent.parent
 REPO_CONFIGS = sorted(REPO.glob("configs/*.yaml"))
@@ -397,6 +400,44 @@ class TestErrorAttribution:
         assert main(["compare", "--config", str(config), "--quiet"]) == 1
         assert where in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_segment_beyond_the_saturation_current_exponent_limit(
+        self, tmp_path, capsys, command
+    ):
+        """At 3.15 K the band-gap exponent is -3253.7, past the model's 700 limit."""
+        (tmp_path / "rows.csv").write_text(
+            "time_s,irradiance_w_m2,temperature_c\n0.0,1000,25\n0.05,800,-270\n"
+        )
+        body = (
+            MINIMAL.format(out=tmp_path / "out")
+            .replace("builtin-table1", "rows.csv")
+            .replace("duration_s: 0.05", "duration_s: 0.2")
+        )
+        config = write_scenario(tmp_path, body)
+        where = (
+            "scenario.yaml:4: profile: the segment from t = 0.05 s at T = 3.1499999999999773 K: "
+            "saturation-current exponent -3253.7 exceeds 700.0"
+        )
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            load_scenario(config)
+        assert main([command, "--config", str(config), "--quiet"]) == 1
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_each_profile_condition_is_checked_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(cell, env):
+            calls.append((env.g, env.t))
+            return saturation_current(cell, env)
+
+        monkeypatch.setattr(config_module, "saturation_current", counted)
+        rows = "".join(f"{0.1 * k:.1f},{(1000, 800)[k % 2]},25\n" for k in range(6))
+        (tmp_path / "rows.csv").write_text("time_s,irradiance_w_m2,temperature_c\n" + rows)
+        body = MINIMAL.format(out=tmp_path / "out").replace("builtin-table1", "rows.csv")
+        load_scenario(write_scenario(tmp_path, body))
+        assert calls == [(1000.0, 298.15), (800.0, 298.15)]
 
     def test_initial_duty_at_the_clamp_runs(self, tmp_path):
         body = MINIMAL.format(out=tmp_path / "out").replace(
@@ -891,4 +932,52 @@ class TestForkedCompare:
         err = capsys.readouterr().err
         assert err == "error: the revised-fixed-bound run ended without a result\n"
         assert list((tmp_path / "out").iterdir()) == []
+        assert no_child_is_left()
+
+    def test_a_later_child_writing_after_the_failure_leaves_no_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Temporaries are removed only once every child has ended.
+
+        Only the fixed-bound kind fails; the adaptive kind writes its
+        temporary trace 0.3 s later, after the parent has read the failure.
+        """
+        revised_step = controllers.revised_step
+
+        def failing_step(state, meas, params):
+            if bound_of(params) == "fixed":
+                raise ValueError("fixed bound failed")
+            return revised_step(state, meas, params)
+
+        def slow_write(trace, path):
+            if "adaptive" in Path(path).name:
+                time.sleep(0.3)
+            write_trace_csv(trace, path)
+
+        monkeypatch.setattr(controllers, "revised_step", failing_step)
+        monkeypatch.setattr(cli_module, "write_trace_csv", slow_write)
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        assert main(["compare", "--config", str(config), "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: fixed bound failed\n"
+        assert list((tmp_path / "out").iterdir()) == []
+        assert no_child_is_left()
+
+    def test_a_failed_compare_leaves_an_earlier_run_alone(self, tmp_path, monkeypatch):
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        assert main(["compare", "--config", str(config), "--quiet"]) == 0
+        before = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+        assert sorted(before) == [
+            "comparison.txt",
+            "trace_conventional.csv",
+            "trace_revised_adaptive.csv",
+            "trace_revised_fixed.csv",
+        ]
+
+        def failing_step(state, meas, params):
+            raise ValueError("revised step failed")
+
+        monkeypatch.setattr(controllers, "revised_step", failing_step)
+        assert main(["compare", "--config", str(config), "--quiet"]) == 2
+        after = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+        assert after == before  # no *.tmp left, every file byte-identical
         assert no_child_is_left()
