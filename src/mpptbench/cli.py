@@ -1,6 +1,6 @@
 """Command-line entry point: run, compare, oracle.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 runtime/solver error.
+Exit codes: 0 success, 1 configuration or usage error, 2 runtime, solver or output error.
 """
 
 from __future__ import annotations
@@ -170,9 +170,9 @@ def _cmd_compare(args) -> int:
     Each child writes its trace to a temporary file in the output
     directory.  Results are read in kind order, so the first kind's
     failure is the one raised.  Once every child has ended, the
-    temporaries are renamed into place if every kind succeeded and
-    removed otherwise, so a failed compare writes no file.
-    comparison.txt is written only after that, one piece at a time.
+    temporaries are renamed into place if every kind succeeded, and any
+    left (a kind or a rename failed) is removed, so a failed kind writes
+    no file.  comparison.txt is written next, one piece at a time.
     """
     scenario = _load(args)
     out = scenario.output_dir
@@ -182,21 +182,21 @@ def _cmd_compare(args) -> int:
         plant.oracle.find(scenario.profile.env_at(t))
     temporaries = {kind: out / f".{name}.{os.getpid()}.tmp" for kind, name in _TRACE_FILES.items()}
     workers: list[tuple[int, int]] = []
-    results = None
     try:
+        try:
+            for kind, temporary in temporaries.items():
+                workers.append(_fork(_run_kind, scenario, plant, kind, temporary))
+            results = {kind: _receive(r, kind) for kind, (_, r) in zip(_TRACE_FILES, workers)}
+        finally:
+            for pid, r in workers:
+                os.close(r)
+                os.waitpid(pid, 0)
         for kind, temporary in temporaries.items():
-            workers.append(_fork(_run_kind, scenario, plant, kind, temporary))
-        results = {kind: _receive(r, kind) for kind, (_, r) in zip(_TRACE_FILES, workers)}
+            os.replace(temporary, out / _TRACE_FILES[kind])
     finally:
-        for pid, r in workers:
-            os.close(r)
-            os.waitpid(pid, 0)
         # only now can no child still create its temporary
-        if results is None:
-            for temporary in temporaries.values():
-                temporary.unlink(missing_ok=True)
-    for kind, temporary in temporaries.items():
-        os.replace(temporary, out / _TRACE_FILES[kind])
+        for temporary in temporaries.values():
+            temporary.unlink(missing_ok=True)
 
     conv = results["conventional"]
     fixed = results["revised-fixed-bound"]
@@ -262,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DegenerateSampleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,9 +7,9 @@ settings.  A preset file and the controller and sim sections load into
 PanelPreset, ControllerParams and SimConfig, whose field names are the
 keys and whose fields give the value types and defaults.  A preset's
 datasheet values are taken at STC, and must give a cell whose derived
-series resistance is > 0 and whose photon current is >= 0 and
-saturation current is in range in every profile segment.  A number
-must be a finite float.
+series resistance is > 0 and which the cell model can solve in every
+profile segment; the model itself decides that.  A number must be a
+finite float.
 Validation failures report the offending field with its line in the file.
 """
 
@@ -29,8 +29,7 @@ from .converter import BuckBoost
 from .harness import SimConfig
 from .oracle import MppOracle
 from .profiles import EnvProfile, builtin_table1_profile, load_profile_csv
-from .pvmodel import STC, ArrayConfig, CellParams, PVArray
-from .pvmodel import derive_series_resistance, photon_current, saturation_current
+from .pvmodel import STC, ArrayConfig, CellParams, PVArray, derive_series_resistance
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_scenario", "load_panel_preset"]
 
@@ -70,11 +69,10 @@ class PanelPreset:
 
 @dataclass
 class ScenarioConfig:
-    """Everything needed to run one simulation."""
+    """Everything needed to run one simulation; cell and layout are PVArray's inputs."""
 
-    preset: PanelPreset
-    panels_series: int
-    panels_parallel: int
+    cell: CellParams
+    layout: ArrayConfig
     v_bus: float | str  # volts or "auto"
     controller_kind: str
     controller_params: ControllerParams
@@ -84,11 +82,7 @@ class ScenarioConfig:
     output_dir: Path
 
     def build_array(self) -> PVArray:
-        cells = self.preset.cells_in_series
-        layout = ArrayConfig(
-            n_series=cells * self.panels_series, n_parallel=self.panels_parallel
-        )
-        return PVArray(cell=self.preset.cell_params(), layout=layout)
+        return PVArray(self.cell, self.layout)
 
     def build_converter(self, array: PVArray, oracle: MppOracle) -> BuckBoost:
         """Converter with the bus sized so the STC MPP sits at duty 0.5."""
@@ -292,22 +286,15 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             profile = load_profile_csv(csv_path)
         except ValueError as exc:
             raise root.error("profile", str(exc)) from None
-    cell = preset.cell_params()
-    checked = set()  # a profile repeats few of its conditions across many segments
-    for start, env in profile.segments:
-        if (env.g, env.t) in checked:
-            continue
-        checked.add((env.g, env.t))
-        where = f"the segment from t = {start} s at T = {env.t} K"
-        if photon_current(cell, env) < 0:  # where alpha*(T - T_ref) < -1
-            raise root.error(
-                "profile",
-                f"alpha_per_k = {preset.alpha_per_k} gives a photon current < 0 in {where}",
-            )
-        try:
-            saturation_current(cell, env)  # the model's limit on its exponent
-        except ValueError as exc:
-            raise root.error("profile", f"{where}: {exc}") from None
+    layout = ArrayConfig(preset.cells_in_series * panels_series, panels_parallel)
+    array = PVArray(preset.cell_params(), layout)  # memoizes each distinct (g, t)
+    try:
+        for start, env in profile.segments:
+            array.open_circuit_voltage(env)  # the model's checks at env
+    except ValueError as exc:
+        raise root.error(
+            "profile", f"the segment from t = {start} s at T = {env.t} K: {exc}"
+        ) from None
 
     sim_sec = root.section("sim")
     sim = sim_sec.build(SimConfig)
@@ -325,9 +312,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     output_dir = root.read("output_dir", str, "out")
 
     return ScenarioConfig(
-        preset=preset,
-        panels_series=panels_series,
-        panels_parallel=panels_parallel,
+        cell=array.cell,
+        layout=layout,
         v_bus=v_bus,
         controller_kind=kind,
         controller_params=controller_params,

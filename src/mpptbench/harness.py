@@ -68,10 +68,8 @@ class SimConfig:
             raise ValueError("control_interval_s must be > 0")
         if self.duration_s is not None and not self.duration_s >= self.control_interval_s:
             raise ValueError("duration_s must be >= control_interval_s")
-        if isinstance(self.initial_duty, str):
-            if self.initial_duty != "auto":
-                raise ValueError('initial_duty must be a number in (0, 1) or "auto"')
-        elif not (0.0 < self.initial_duty < 1.0):
+        duty = self.initial_duty
+        if duty != "auto" and (isinstance(duty, str) or not 0.0 < duty < 1.0):
             raise ValueError('initial_duty must be a number in (0, 1) or "auto"')
         if not (0.0 < self.initial_voltage_fraction <= 1.5):
             raise ValueError("initial_voltage_fraction must be in (0, 1.5]")
@@ -126,7 +124,16 @@ def run_simulation(
     cfg: SimConfig,
     oracle: MppOracle,
 ) -> list[SimRecord]:
-    """Drive the loop at the step_times instants; fully deterministic."""
+    """Drive the loop at the step_times instants; fully deterministic.
+
+    A controller duty range other than the converter's raises ValueError.
+    """
+    params = controller.params
+    if (params.d_min, params.d_max) != (converter.d_min, converter.d_max):
+        raise ValueError(
+            f"the controller's duty range [{params.d_min}, {params.d_max}] is not "
+            f"the converter's [{converter.d_min}, {converter.d_max}]"
+        )
     rng = random.Random(cfg.noise_seed) if (cfg.noise_v > 0 or cfg.noise_i > 0) else None
 
     records: list[SimRecord] = []

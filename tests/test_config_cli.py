@@ -16,9 +16,9 @@ import pytest
 import yaml
 
 from mpptbench import cli as cli_module
-from mpptbench import config as config_module
 from mpptbench import controllers
 from mpptbench import oracle as oracle_module
+from mpptbench import pvmodel
 from mpptbench.cli import _build_parser, main
 from mpptbench.config import ConfigError, load_panel_preset, load_scenario
 from mpptbench.controllers import ControllerParams
@@ -31,7 +31,7 @@ from mpptbench.harness import (
     write_trace_csv,
 )
 from mpptbench.oracle import GRID_POINTS, MppOracle
-from mpptbench.pvmodel import PVArray, saturation_current
+from mpptbench.pvmodel import ArrayConfig, PVArray, saturation_current
 
 REPO = Path(__file__).resolve().parent.parent
 REPO_CONFIGS = sorted(REPO.glob("configs/*.yaml"))
@@ -99,9 +99,8 @@ class TestScenarioLoading:
         preset.write_text(PANEL_FILE)
         body = f"panel: {preset}\ncontroller:\n  kind: conventional\nprofile: builtin-table1\n"
         sc = load_scenario(write_scenario(tmp_path, body))
-        assert sc.preset.cells_in_series == 36
-        cell = sc.preset.cell_params()
-        assert cell.i_sc_ref == 8.2
+        assert sc.layout.n_series == 36
+        assert sc.cell.i_sc_ref == 8.2
 
     def test_relative_preset_path_is_taken_from_the_scenario_directory(
         self, tmp_path, monkeypatch, capsys
@@ -112,7 +111,7 @@ class TestScenarioLoading:
         (tmp_path / "pp" / "s.yaml").write_text(body)
         (tmp_path / "pp" / "gone.yaml").write_text(body.replace("my_panel", "missing"))
         monkeypatch.chdir(tmp_path)
-        assert load_scenario("pp/s.yaml").preset.cells_in_series == 36
+        assert load_scenario("pp/s.yaml").layout.n_series == 36
         assert main(["run", "--config", "pp/s.yaml", "--quiet"]) == 0
         assert main(["run", "--config", "pp/gone.yaml", "--quiet"]) == 1
         err = capsys.readouterr().err
@@ -170,7 +169,7 @@ profile: builtin-table1
 
     def test_null_section_loads_the_defaults(self, tmp_path):
         null = load_scenario(write_scenario(tmp_path, "panel: bp_sx150\narray:\n"))
-        assert (null.panels_series, null.panels_parallel) == (1, 1)
+        assert null.layout == ArrayConfig(n_series=72, n_parallel=1)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -187,6 +186,20 @@ profile: builtin-table1
         assert shown.controller_params == minimal.controller_params
         assert shown.sim == minimal.sim
         assert shown == minimal
+
+    def test_readme_library_example_runs(self):
+        readme = (REPO / "README.md").read_text()
+        section = readme.split("## Library use", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        done = subprocess.run(
+            [sys.executable, "-c", block],
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert float(done.stdout) > 0  # the energy deficit, J
 
 
 class TestErrorAttribution:
@@ -392,8 +405,8 @@ class TestErrorAttribution:
         )
         config = write_scenario(tmp_path, body)
         where = (
-            "scenario.yaml:4: profile: alpha_per_k = -0.01 gives a photon current < 0 "
-            "in the segment from t = 0.5 s at T = 400.15 K"
+            "scenario.yaml:4: profile: the segment from t = 0.5 s at T = 400.15 K: "
+            "alpha = -0.01 gives I_ph < 0 at T = 400.15 K"
         )
         with pytest.raises(ConfigError, match=re.escape(where)):
             load_scenario(config)
@@ -432,12 +445,29 @@ class TestErrorAttribution:
             calls.append((env.g, env.t))
             return saturation_current(cell, env)
 
-        monkeypatch.setattr(config_module, "saturation_current", counted)
+        monkeypatch.setattr(pvmodel, "saturation_current", counted)
         rows = "".join(f"{0.1 * k:.1f},{(1000, 800)[k % 2]},25\n" for k in range(6))
         (tmp_path / "rows.csv").write_text("time_s,irradiance_w_m2,temperature_c\n" + rows)
         body = MINIMAL.format(out=tmp_path / "out").replace("builtin-table1", "rows.csv")
         load_scenario(write_scenario(tmp_path, body))
         assert calls == [(1000.0, 298.15), (800.0, 298.15)]
+
+    def test_the_cell_model_alone_decides_which_conditions_load(self, tmp_path, monkeypatch):
+        """Any ValueError the model raises at a segment's condition is reported at profile."""
+
+        def probe(cell, env):
+            raise ValueError("probe")
+
+        monkeypatch.setattr(pvmodel, "saturation_current", probe)
+        (tmp_path / "rows.csv").write_text(
+            "time_s,irradiance_w_m2,temperature_c\n0.0,1000,25\n0.5,800,25\n"
+        )
+        body = MINIMAL.format(out=tmp_path / "out").replace("builtin-table1", "rows.csv")
+        with pytest.raises(ConfigError) as err:
+            load_scenario(write_scenario(tmp_path, body))
+        assert str(err.value) == (
+            f"{tmp_path}/scenario.yaml:4: profile: the segment from t = 0.0 s at T = 298.15 K: probe"
+        )
 
     def test_initial_duty_at_the_clamp_runs(self, tmp_path):
         body = MINIMAL.format(out=tmp_path / "out").replace(
@@ -981,3 +1011,46 @@ class TestForkedCompare:
         after = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
         assert after == before  # no *.tmp left, every file byte-identical
         assert no_child_is_left()
+
+    def test_a_failed_rename_leaves_no_temporary(self, tmp_path, capsys):
+        """A directory where a trace belongs stops the renames; no temporary stays behind."""
+        out = tmp_path / "out"
+        (out / "trace_revised_fixed.csv").mkdir(parents=True)
+        config = write_scenario(tmp_path, MINIMAL.format(out=out))
+        assert main(["compare", "--config", str(config), "--quiet"]) == 2
+        temporary = out / f".trace_revised_fixed.csv.{os.getpid()}.tmp"
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: '{temporary}' -> '{out}/trace_revised_fixed.csv'\n"
+        )
+        assert sorted(path.name for path in out.iterdir()) == [
+            "trace_conventional.csv",
+            "trace_revised_fixed.csv",
+        ]
+        assert no_child_is_left()
+
+
+class TestOutputPathErrors:
+    """An output path the filesystem refuses is exit 2 with one error line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, out, message",
+        [
+            ("run", "afile/x", "[Errno 20] Not a directory: '{tmp}/afile/x'"),
+            ("compare", "afile", "[Errno 17] File exists: '{tmp}/afile'"),
+            ("oracle", "afile", "[Errno 17] File exists: '{tmp}/afile'"),
+        ],
+        ids=["run", "compare", "oracle"],
+    )
+    def test_an_output_path_through_a_file_is_exit_2(
+        self, tmp_path, capsys, command, out, message
+    ):
+        (tmp_path / "afile").write_text("")
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "unused"))
+        argv = [command, "--config", str(config), "--out", str(tmp_path / out), "--quiet"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(tmp=tmp_path)}\n"
+        assert captured.out == ""
+        # nothing written: no directory, no temporary trace
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "scenario.yaml"]
+        assert (tmp_path / "afile").read_text() == ""

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mpptbench import harness
 from mpptbench.controllers import ControllerParams, MpptController, StepAction
+from mpptbench.converter import BuckBoost
 from mpptbench.harness import (
     TRACE_HEADER,
     SimConfig,
@@ -51,6 +52,21 @@ class TestRunSimulation:
         )
         assert len(trace) == 1
         assert trace[0].t == 0.0
+
+    def test_a_controller_duty_range_other_than_the_converters_is_rejected(
+        self, bp_panel, bp_converter, bp_oracle
+    ):
+        """With d_max 0.53 on the converter only, the controller would record unapplied duties."""
+        converter = BuckBoost(v_bus=bp_converter.v_bus, d_max=0.53)
+        controller = MpptController("revised-adaptive-bound", ControllerParams(), 0.52)
+        with pytest.raises(ValueError) as err:
+            run_simulation(
+                bp_panel, converter, controller, builtin_table1_profile(), SimConfig(), bp_oracle
+            )
+        assert str(err.value) == (
+            "the controller's duty range [0.05, 0.95] is not the converter's [0.05, 0.53]"
+        )
+        assert controller.state.d == 0.52  # raised before the first step
 
     def test_records_are_taken_at_the_step_times(self, bp_panel, bp_converter, bp_oracle):
         cfg = SimConfig(control_interval_s=0.03, duration_s=1.0, initial_duty=0.5)

@@ -485,6 +485,30 @@ class TestNewtonConvergence:
             i_slow = bisect_current(array.cell, array.r_s, stc, v, -v / array.r_s, i_ph)
             assert i == pytest.approx(i_slow, rel=1e-12)
 
+    def test_the_measured_irradiance_domain(self, bp_panel):
+        """At 298 K every voltage of the P-V grid solves at 1e8 W/m^2; 69 raise at 1.5e8.
+
+        The diode voltage moves in whole ulps there, so the residual cannot
+        fall below SOLVER_TOL_A and the iterate alternates between two currents.
+        """
+        unsolved = "Newton did not converge (iterations=100, residual="
+        for g, failures in ((1e8, 0), (1.5e8, 69)):
+            env = EnvCondition(g=g, t=298.0)
+            grid = np.linspace(0.0, bp_panel.open_circuit_voltage(env), 2000)
+            failed = 0
+            for v in grid.tolist():
+                try:
+                    bp_panel.current_at(v, env)
+                except ValueError as exc:
+                    assert str(exc).startswith(unsolved)
+                    failed += 1
+            assert failed == failures
+            if failures:  # the vector solve raises for the grid as a whole
+                with pytest.raises(ValueError, match=re.escape(unsolved)):
+                    bp_panel.current_at(grid, env)
+            else:
+                bp_panel.current_at(grid, env)
+
 
 class TestValidation:
     def test_cell_invariants(self):
