@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import os
 import pickle
+import shutil
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -91,26 +92,28 @@ def _plant(scenario: ScenarioConfig) -> _Plant:
 
 
 class _KindResult(NamedTuple):
-    """One kind's outputs as run and compare print them; cheap to pickle.
+    """The figures of one kind that run and compare print; cheap to pickle.
 
-    The trace is not among them: _run_kind writes it to disk itself.
+    The trace and the format_metrics report are not among them:
+    _run_kind writes both to disk itself.
     """
 
     steps: int
-    report: str  # format_metrics' text
     energy_deficit: float
     max_voltage_overshoot: float
 
 
-def _run_kind(scenario: ScenarioConfig, plant: _Plant, kind: str, trace_path: Path) -> _KindResult:
-    """Simulate one controller kind on the shared plant, write its trace, format the rest."""
+def _run_kind(
+    scenario: ScenarioConfig, plant: _Plant, kind: str, trace_path: Path, report_path: Path
+) -> _KindResult:
+    """Simulate one controller kind on the shared plant; write its trace, then its report."""
     array, oracle, converter, d0 = plant
     controller = scenario.build_controller(d0, kind)
     trace = run_simulation(array, converter, controller, scenario.profile, scenario.sim, oracle)
     metrics = compute_metrics(trace, control_interval=scenario.sim.control_interval_s)
-    report = format_metrics(metrics)
     write_trace_csv(trace, trace_path)
-    return _KindResult(len(trace), report, metrics.energy_deficit, metrics.max_voltage_overshoot)
+    report_path.write_text(format_metrics(metrics))
+    return _KindResult(len(trace), metrics.energy_deficit, metrics.max_voltage_overshoot)
 
 
 def _fork(work: Callable[..., Any], *args: Any) -> tuple[int, int]:
@@ -154,8 +157,9 @@ def _cmd_run(args) -> int:
     scenario = _load(args)
     scenario.output_dir.mkdir(parents=True, exist_ok=True)
     trace_path = scenario.output_dir / "trace.csv"
-    result = _run_kind(scenario, _plant(scenario), scenario.controller_kind, trace_path)
-    (scenario.output_dir / "metrics.txt").write_text(result.report)
+    report_path = scenario.output_dir / "metrics.txt"
+    plant = _plant(scenario)
+    result = _run_kind(scenario, plant, scenario.controller_kind, trace_path, report_path)
     if not args.quiet:
         print(f"{scenario.controller_kind}: {result.steps} steps -> {trace_path}")
         print(f"energy_deficit_j: {result.energy_deficit:.6g}")
@@ -167,12 +171,14 @@ def _cmd_compare(args) -> int:
 
     The oracle is warmed first with every condition the run visits, so
     the children inherit its cache and each condition is swept once.
-    Each child writes its trace to a temporary file in the output
-    directory.  Results are read in kind order, so the first kind's
-    failure is the one raised.  Once every child has ended, the
-    temporaries are renamed into place if every kind succeeded, and any
-    left (a kind or a rename failed) is removed, so a failed kind writes
-    no file.  comparison.txt is written next, one piece at a time.
+    Each child writes its trace and its report to temporary files in
+    the output directory; only its figures cross the pipe.  Results are
+    read in kind order, so the first kind's failure is the one raised.
+    Once every child has ended, the traces are renamed into place if
+    every kind succeeded, and comparison.txt is built by copying each
+    report from its temporary, so the parent never holds a whole report.
+    Any temporary left (a kind, a rename or the write failed) is then
+    removed, so a failed kind writes no file.
     """
     scenario = _load(args)
     out = scenario.output_dir
@@ -180,50 +186,53 @@ def _cmd_compare(args) -> int:
     plant = _plant(scenario)
     for t in step_times(scenario.sim, scenario.profile):
         plant.oracle.find(scenario.profile.env_at(t))
-    temporaries = {kind: out / f".{name}.{os.getpid()}.tmp" for kind, name in _TRACE_FILES.items()}
+    tag = os.getpid()
+    traces = {kind: out / f".{name}.{tag}.tmp" for kind, name in _TRACE_FILES.items()}
+    reports = {kind: out / f".{kind}.report.{tag}.tmp" for kind in _TRACE_FILES}
     workers: list[tuple[int, int]] = []
     try:
         try:
-            for kind, temporary in temporaries.items():
-                workers.append(_fork(_run_kind, scenario, plant, kind, temporary))
+            for kind in _TRACE_FILES:
+                workers.append(_fork(_run_kind, scenario, plant, kind, traces[kind], reports[kind]))
             results = {kind: _receive(r, kind) for kind, (_, r) in zip(_TRACE_FILES, workers)}
         finally:
             for pid, r in workers:
                 os.close(r)
                 os.waitpid(pid, 0)
-        for kind, temporary in temporaries.items():
+        for kind, temporary in traces.items():
             os.replace(temporary, out / _TRACE_FILES[kind])
+        conv = results["conventional"]
+        fixed = results["revised-fixed-bound"]
+        adaptive = results["revised-adaptive-bound"]
+        orderings = (
+            "== orderings ==\n"
+            "energy_deficit_j: "
+            f"conventional={conv.energy_deficit:.6g} "
+            f"revised-fixed={fixed.energy_deficit:.6g} "
+            f"revised-adaptive={adaptive.energy_deficit:.6g}\n"
+            "energy_deficit(conventional) > energy_deficit(revised-adaptive): "
+            f"{conv.energy_deficit > adaptive.energy_deficit}\n"
+            "max_voltage_overshoot_v: "
+            f"revised-fixed={fixed.max_voltage_overshoot:.6g} "
+            f"revised-adaptive={adaptive.max_voltage_overshoot:.6g}\n"
+            "max_voltage_overshoot(revised-adaptive) <= max_voltage_overshoot(revised-fixed): "
+            f"{adaptive.max_voltage_overshoot <= fixed.max_voltage_overshoot}\n"
+        )
+        with open(out / "comparison.txt", "wb") as fh:
+            for kind, report in reports.items():
+                # a report ends in one newline; the blank line then closes its block
+                fh.write(f"== {kind} ==\n".encode())
+                with open(report, "rb") as src:
+                    shutil.copyfileobj(src, fh)
+                fh.write(b"\n")
+            fh.write(orderings.encode())
     finally:
-        # only now can no child still create its temporary
-        for temporary in temporaries.values():
+        # only now can no child still create its temporaries
+        for temporary in (*traces.values(), *reports.values()):
             temporary.unlink(missing_ok=True)
-
-    conv = results["conventional"]
-    fixed = results["revised-fixed-bound"]
-    adaptive = results["revised-adaptive-bound"]
-    orderings = (
-        "== orderings ==\n"
-        "energy_deficit_j: "
-        f"conventional={conv.energy_deficit:.6g} "
-        f"revised-fixed={fixed.energy_deficit:.6g} "
-        f"revised-adaptive={adaptive.energy_deficit:.6g}\n"
-        "energy_deficit(conventional) > energy_deficit(revised-adaptive): "
-        f"{conv.energy_deficit > adaptive.energy_deficit}\n"
-        "max_voltage_overshoot_v: "
-        f"revised-fixed={fixed.max_voltage_overshoot:.6g} "
-        f"revised-adaptive={adaptive.max_voltage_overshoot:.6g}\n"
-        "max_voltage_overshoot(revised-adaptive) <= max_voltage_overshoot(revised-fixed): "
-        f"{adaptive.max_voltage_overshoot <= fixed.max_voltage_overshoot}\n"
-    )
-    pieces = []  # the report's pieces as they are, so no copy of the whole is made
-    for name, result in results.items():
-        # a report ends in one newline; the blank line then closes its block
-        pieces += (f"== {name} ==\n", result.report, "\n")
-    pieces.append(orderings)
-    with open(out / "comparison.txt", "w") as fh:
-        fh.writelines(pieces)
     if not args.quiet:
-        sys.stdout.writelines(pieces)
+        with open(out / "comparison.txt") as fh:
+            shutil.copyfileobj(fh, sys.stdout)
     return 0
 
 

@@ -103,7 +103,7 @@ def resolve_initial_duty(
         return float(cfg.initial_duty)
     mpp = oracle.find(env0)
     if mpp.v_mpp <= 0:
-        return 0.5
+        return converter.clamp_duty(0.5)
     return converter.duty_for_voltage(cfg.initial_voltage_fraction * mpp.v_mpp)
 
 

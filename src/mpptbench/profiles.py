@@ -90,11 +90,14 @@ def load_profile_csv(path: str | Path) -> EnvProfile:
     A value that is not a finite number, or that EnvCondition rejects,
     and a start time that is not 0.0 on the first row or not above the
     previous row's, is reported as path:row.
+    Rows whose irradiance and temperature cells read alike share one
+    EnvCondition, checked at the first of them.
     A row gives only a start time, so the profile has no end of its own
     (duration None): a run on it must set sim.duration_s.
     """
     path = Path(path)
     segments: list[EnvSegment] = []
+    conditions: dict[tuple[str, str], EnvCondition] = {}
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -115,7 +118,11 @@ def load_profile_csv(path: str | Path) -> EnvProfile:
                     raise ValueError("first segment must start at t = 0.0")
                 if segments and t <= segments[-1].t_start:
                     raise ValueError("segment start times must be strictly increasing")
-                segments.append(EnvSegment(t, EnvCondition(g=g, t=celsius_to_kelvin(temp_c))))
+                key = (row[1], row[2])  # the text: as floats, -0.0 == 0.0 would lose a sign
+                env = conditions.get(key)
+                if env is None:
+                    env = conditions[key] = EnvCondition(g=g, t=celsius_to_kelvin(temp_c))
+                segments.append(EnvSegment(t, env))
             except ValueError as exc:
                 raise ValueError(f"{path}:{row_num}: {exc}") from None
     if not segments:

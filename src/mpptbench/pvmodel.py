@@ -31,6 +31,7 @@ same floats; voltage grids stay on numpy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,14 +169,19 @@ def saturation_current(params: CellParams, env: EnvCondition) -> float:
     """Saturation current at the given temperature (A).
 
     The reference value is scaled by (T/T_ref)^3 and the band-gap
-    exponential; E_g is evaluated at the cell temperature.
+    exponential; E_g is evaluated at the cell temperature.  An I_0 below
+    the smallest normal float (a subnormal or 0.0, at a few kelvin)
+    would leave V_oc infinite or divide by zero, so it raises.
     """
     i0_ref = reference_saturation_current(params)
     eg = band_gap(env.t)
     x = -Q * eg / (params.n * K) * (1.0 / env.t - 1.0 / STC.t)
     if abs(x) > MAX_EXP_ARGUMENT:
         raise ValueError(f"saturation-current exponent {x:.1f} exceeds {MAX_EXP_ARGUMENT}")
-    return i0_ref * (env.t / STC.t) ** 3 * math.exp(x)
+    i_0 = i0_ref * (env.t / STC.t) ** 3 * math.exp(x)
+    if not i_0 >= sys.float_info.min:
+        raise ValueError(f"saturation current {i_0:.3g} A at T = {env.t} K is not a normal float")
+    return i_0
 
 
 def derive_series_resistance(params: CellParams) -> float:

@@ -438,6 +438,43 @@ class TestErrorAttribution:
         assert where in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "one_cell, row, message",
+        [
+            (False, "0.5,800,-258.95",
+             "T = 14.199999999999989 K: saturation current 1.27e-313 A at "
+             "T = 14.199999999999989 K is not a normal float"),
+            (True, "0.5,800,-255",
+             "T = 18.149999999999977 K: saturation current 0 A at "
+             "T = 18.149999999999977 K is not a normal float"),
+        ],
+        ids=["subnormal", "zero"],
+    )
+    def test_a_segment_whose_saturation_current_underflows(
+        self, tmp_path, capsys, one_cell, row, message
+    ):
+        """Above the exponent limit I_0 can still leave the normal floats: V_oc is inf or 1/0."""
+        body = MINIMAL.format(out=tmp_path / "out").replace("builtin-table1", "rows.csv")
+        if one_cell:
+            preset = tmp_path / "one_cell.yaml"
+            preset.write_text(
+                PANEL_FILE.replace("cells_in_series: 36", "cells_in_series: 1")
+                .replace("v_oc_v: 22.1", "v_oc_v: 17.0")
+                .replace("ideality_factor: 1.2", "ideality_factor: 1.0")
+                .replace("dv_di_oc_ohm: -0.6", "dv_di_oc_ohm: -0.1")
+            )
+            body = body.replace("bp_sx150", str(preset))
+        (tmp_path / "rows.csv").write_text(
+            f"time_s,irradiance_w_m2,temperature_c\n0.0,1000,25\n{row}\n"
+        )
+        config = write_scenario(tmp_path, body.replace("duration_s: 0.05", "duration_s: 1.0"))
+        where = f"scenario.yaml:4: profile: the segment from t = 0.5 s at {message}"
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            load_scenario(config)
+        assert main(["run", "--config", str(config), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"config error: {tmp_path}/{where}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_each_profile_condition_is_checked_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -636,6 +673,30 @@ class TestCli:
         assert len(rows) == 10
         assert float(rows[0]["g_w_m2"]) == 0.0 and float(rows[0]["d"]) == 0.5
 
+    def test_dark_first_row_starts_inside_the_converters_duty_range(self, tmp_path):
+        """The auto initial duty of a dark start is 0.5 clamped into [d_min, d_max]."""
+        dark = tmp_path / "dark.csv"
+        dark.write_text("time_s,irradiance_w_m2,temperature_c\n0.0,0,25\n0.5,800,25\n")
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "profile: builtin-table1", "converter:\n  d_max: 0.4\nprofile: dark.csv"
+        ).replace("duration_s: 0.05", "duration_s: 1.0")
+        assert main(["run", "--config", str(write_scenario(tmp_path, body)), "--quiet"]) == 0
+        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
+        assert len(rows) == 100
+        assert float(rows[0]["d"]) == 0.4
+        assert all(0.05 <= float(r["d"]) <= 0.4 for r in rows)
+
+    def test_a_negative_zero_irradiance_prints_its_sign(self, tmp_path):
+        (tmp_path / "dark.csv").write_text(
+            "time_s,irradiance_w_m2,temperature_c\n0.0,1000,25\n0.05,0,25\n0.1,-0,25\n"
+        )
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "profile: builtin-table1", "profile: dark.csv"
+        ).replace("duration_s: 0.05", "duration_s: 0.15")
+        assert main(["run", "--config", str(write_scenario(tmp_path, body)), "--quiet"]) == 0
+        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
+        assert [r["g_w_m2"] for r in rows] == ["1000.0"] * 5 + ["0.0"] * 5 + ["-0.0"] * 5
+
     def test_csv_profile_runs_its_last_segment(self, tmp_path):
         (tmp_path / "two.csv").write_text(self.TWO_ROW_CSV)
         body = MINIMAL.format(out=tmp_path / "out").replace(
@@ -801,8 +862,12 @@ class TestCli:
             ("1000", "-300", "--g 1000.0 --temp -300.0: temperature t must be > 0 K"),
             ("1000", "900",
              "--g 1000.0 --temp 900.0: band gap at T = 1173.15 K is -13.67 eV, not > 0"),
+            ("1000", "-258.95",
+             "--g 1000.0 --temp -258.95: saturation current 1.27e-313 A at "
+             "T = 14.199999999999989 K is not a normal float"),
         ],
-        ids=["negative_g", "nan_g", "below_absolute_zero", "band_gap_not_positive"],
+        ids=["negative_g", "nan_g", "below_absolute_zero", "band_gap_not_positive",
+             "saturation_current_underflows"],
     )
     def test_invalid_environment_is_exit_1(self, tmp_path, capsys, g, temp, message):
         config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
@@ -1027,6 +1092,40 @@ class TestForkedCompare:
             "trace_revised_fixed.csv",
         ]
         assert no_child_is_left()
+
+    def test_a_failed_report_write_leaves_no_temporary(self, tmp_path, capsys):
+        """A directory named comparison.txt stops the write after the renames."""
+        out = tmp_path / "out"
+        (out / "comparison.txt").mkdir(parents=True)
+        config = write_scenario(tmp_path, MINIMAL.format(out=out))
+        assert main(["compare", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno 21] Is a directory: '{out}/comparison.txt'\n"
+        assert captured.out == ""
+        assert sorted(path.name for path in out.iterdir()) == [
+            "comparison.txt",
+            "trace_conventional.csv",
+            "trace_revised_adaptive.csv",
+            "trace_revised_fixed.csv",
+        ]
+        assert no_child_is_left()
+
+    def test_only_figures_cross_the_pipe(self, tmp_path, monkeypatch):
+        """Each child writes its report to a file; the parent receives three numbers."""
+        received = []
+        receive = cli_module._receive
+
+        def recording_receive(r, kind):
+            received.append(receive(r, kind))
+            return received[-1]
+
+        monkeypatch.setattr(cli_module, "_receive", recording_receive)
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        assert main(["compare", "--config", str(config), "--quiet"]) == 0
+        assert len(received) == 3
+        for result in received:
+            assert result._fields == ("steps", "energy_deficit", "max_voltage_overshoot")
+            assert all(isinstance(value, (int, float)) for value in result)
 
 
 class TestOutputPathErrors:

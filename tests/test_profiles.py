@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 
@@ -97,6 +98,26 @@ def test_csv_round_trip(tmp_path):
     assert profile.env_at(0.0).t == celsius_to_kelvin(25.0) == 298.15
     assert profile.env_at(2.0).t == pytest.approx(303.15)
     assert profile.duration is None  # a row gives only a start time
+
+
+def test_csv_rows_with_identical_cells_share_one_condition(tmp_path):
+    path = tmp_path / "repeats.csv"
+    path.write_text(
+        "time_s,irradiance_w_m2,temperature_c\n"
+        "0.0,800,25\n0.1,1000,25\n0.2,800,25\n0.3,1000,25\n0.4,800,30\n"
+    )
+    env = [seg.env for seg in load_profile_csv(path).segments]
+    assert env[2] is env[0] and env[3] is env[1]
+    assert len({id(e) for e in env}) == 3
+    assert env[4] == EnvCondition(g=800.0, t=celsius_to_kelvin(30.0))
+
+
+def test_csv_negative_zero_irradiance_keeps_its_sign(tmp_path):
+    """0.0 == -0.0, so rows are matched on their text, not on the float."""
+    path = tmp_path / "dark.csv"
+    path.write_text("time_s,irradiance_w_m2,temperature_c\n0.0,0,25\n0.1,-0,25\n0.2,0,25\n")
+    signs = [math.copysign(1.0, seg.env.g) for seg in load_profile_csv(path).segments]
+    assert signs == [1.0, -1.0, 1.0]
 
 
 def test_csv_blank_rows_are_skipped(tmp_path):

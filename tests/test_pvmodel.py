@@ -149,6 +149,20 @@ class TestSaturationCurrent:
         with pytest.raises(ValueError, match="saturation-current exponent -.* exceeds 700"):
             saturation_current(bp_cell, EnvCondition(g=1000.0, t=3.0))
 
+    @pytest.mark.parametrize("one_cell", [False, True], ids=["subnormal", "zero"])
+    def test_an_i0_below_the_normal_floats_raises(self, bp_cell, one_cell):
+        """Past the exponent guard, I_0 can still underflow; V_oc would be inf or 1/0."""
+        if one_cell:
+            cell = CellParams(i_sc_ref=4.75, v_oc_ref=17.0, alpha=0.0005, n=1.0, dv_di_oc=-0.1)
+            env, i_0 = EnvCondition(g=800.0, t=18.15), "0"
+        else:
+            cell, env, i_0 = bp_cell, EnvCondition(g=800.0, t=14.2), "1.27e-313"
+        message = f"saturation current {i_0} A at T = {env.t} K is not a normal float"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            saturation_current(cell, env)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PVArray(cell).open_circuit_voltage(env)
+
     def test_overflow_guard(self):
         cell = CellParams(
             i_sc_ref=4.75, v_oc_ref=50.0, alpha=0.00065, n=1.0, dv_di_oc=-0.01
