@@ -155,10 +155,10 @@ def _receive(r: int, kind: str):
 
 def _cmd_run(args) -> int:
     scenario = _load(args)
+    plant = _plant(scenario)
     scenario.output_dir.mkdir(parents=True, exist_ok=True)
     trace_path = scenario.output_dir / "trace.csv"
     report_path = scenario.output_dir / "metrics.txt"
-    plant = _plant(scenario)
     result = _run_kind(scenario, plant, scenario.controller_kind, trace_path, report_path)
     if not args.quiet:
         print(f"{scenario.controller_kind}: {result.steps} steps -> {trace_path}")
@@ -181,9 +181,9 @@ def _cmd_compare(args) -> int:
     removed, so a failed kind writes no file.
     """
     scenario = _load(args)
+    plant = _plant(scenario)
     out = scenario.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    plant = _plant(scenario)
     for t in step_times(scenario.sim, scenario.profile):
         plant.oracle.find(scenario.profile.env_at(t))
     tag = os.getpid()

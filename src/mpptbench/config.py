@@ -85,12 +85,26 @@ class ScenarioConfig:
         return PVArray(self.cell, self.layout)
 
     def build_converter(self, array: PVArray, oracle: MppOracle) -> BuckBoost:
-        """Converter with the bus sized so the STC MPP sits at duty 0.5."""
+        """Converter with the bus sized so the STC MPP sits at duty 0.5.
+
+        A duty range whose lowest panel voltage, v_bus * (1 - d_max) / d_max,
+        is not below the array's open-circuit voltage at STC reaches no
+        point of the I-V curve there: ConfigError at converter.d_max.
+        """
         v_bus = self.v_bus
         if v_bus == "auto":
             v_bus = oracle.find(STC).v_mpp
         params = self.controller_params
-        return BuckBoost(v_bus=float(v_bus), d_min=params.d_min, d_max=params.d_max)
+        converter = BuckBoost(v_bus=float(v_bus), d_min=params.d_min, d_max=params.d_max)
+        v_lowest = converter.terminal_voltage(params.d_max)
+        v_oc = array.open_circuit_voltage(STC)
+        if not v_lowest < v_oc:
+            raise ConfigError(
+                f"converter.d_max: {params.d_max} gives panel voltages of {v_lowest:.6g} V "
+                f"and above on a {v_bus:.6g} V bus, none below the array's open-circuit "
+                f"voltage at STC, {v_oc:.6g} V"
+            )
+        return converter
 
     def build_controller(self, initial_duty: float, kind: str) -> MpptController:
         return MpptController(kind, self.controller_params, initial_duty)

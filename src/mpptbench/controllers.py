@@ -162,8 +162,9 @@ def slope_term(
     (noise can clamp the measured voltage there) gives
     +FALLBACK_SLOPE_MAGNITUDE, because the MPP lies at a higher voltage.
     """
-    dv = meas.v - prev_v
-    di = meas.i - prev_i
+    v, i = meas
+    dv = v - prev_v
+    di = i - prev_i
     if abs(dv) < DV_DEGENERATE_V:
         if abs(di) < DI_DEGENERATE_A:
             if prev_slope_sign is None:
@@ -176,14 +177,14 @@ def slope_term(
         # duty was static and the current jumped: the environment changed;
         # a rising current at fixed voltage means the MPP moved right
         return math.copysign(FALLBACK_SLOPE_MAGNITUDE, di), True
-    if meas.i < ZERO_CURRENT_A and prev_i < ZERO_CURRENT_A:
+    if i < ZERO_CURRENT_A and prev_i < ZERO_CURRENT_A:
         # flat zero-power plateau beyond open circuit: slope carries no
         # information there, but the MPP is always at lower voltage
         return -FALLBACK_SLOPE_MAGNITUDE, False
-    if meas.v == 0:
+    if v == 0:
         return FALLBACK_SLOPE_MAGNITUDE, False
-    raw = di / dv + meas.i / meas.v
-    return raw * meas.v / max(meas.i, _NORM_CURRENT_FLOOR), False
+    raw = di / dv + i / v
+    return raw * v / max(i, _NORM_CURRENT_FLOOR), False
 
 
 def initial_state(d0: float, params: ControllerParams) -> ControllerState:
@@ -218,14 +219,14 @@ def _seed_step(
     # No history yet: perturb toward higher voltage so the next sample
     # yields a usable secant (holding would leave both deltas degenerate).
     # Flip the direction if the duty clamp swallowed the move.
-    d_new = _apply_move(state.d, +1, delta_d, params)
-    if d_new == state.d:
-        d_new = _apply_move(state.d, -1, delta_d, params)
+    d = state.d
+    d_new = _apply_move(d, +1, delta_d, params)
+    if d_new == d:
+        d_new = _apply_move(d, -1, delta_d, params)
     new_state = ControllerState(
-        d=d_new, delta_d=delta_d, delta_d_max=state.delta_d_max, prev_v=meas.v, prev_i=meas.i,
-        prev_slope_sign=state.prev_slope_sign,
+        d_new, delta_d, state.delta_d_max, meas.v, meas.i, state.prev_slope_sign
     )
-    return StepOutcome(new_state, _action_for(state.d, d_new), math.nan)
+    return StepOutcome(new_state, _action_for(d, d_new), math.nan)
 
 
 def conventional_step(
@@ -237,22 +238,18 @@ def conventional_step(
     keeps perturbing around the MPP indefinitely.
     """
     meas.validate()
-    if state.prev_v is None:
+    d, delta_d, delta_d_max, prev_v, prev_i, prev_sign = state
+    if prev_v is None:
         return _seed_step(state, meas, params, params.delta_d_nominal)
-    s, _ = slope_term(meas, state.prev_v, state.prev_i, state.prev_slope_sign)
+    s, _ = slope_term(meas, prev_v, prev_i, prev_sign)
+    v, i = meas
     sign = 1 if s > 0 else -1
     if s == 0.0:
-        new_state = ControllerState(
-            d=state.d, delta_d=state.delta_d, delta_d_max=state.delta_d_max, prev_v=meas.v,
-            prev_i=meas.i, prev_slope_sign=state.prev_slope_sign or sign,
-        )
+        new_state = ControllerState(d, delta_d, delta_d_max, v, i, prev_sign or sign)
         return StepOutcome(new_state, StepAction.HELD_AT_MPP, s)
-    d_new = _apply_move(state.d, sign, params.delta_d_nominal, params)
-    new_state = ControllerState(
-        d=d_new, delta_d=state.delta_d, delta_d_max=state.delta_d_max, prev_v=meas.v,
-        prev_i=meas.i, prev_slope_sign=sign,
-    )
-    return StepOutcome(new_state, _action_for(state.d, d_new), s)
+    d_new = _apply_move(d, sign, params.delta_d_nominal, params)
+    new_state = ControllerState(d_new, delta_d, delta_d_max, v, i, sign)
+    return StepOutcome(new_state, _action_for(d, d_new), s)
 
 
 def revised_step(
@@ -268,13 +265,14 @@ def revised_step(
     and move the duty so the terminal voltage heads toward the MPP.
     """
     meas.validate()
-    if state.prev_v is None:
+    d, delta_d, delta_d_max, prev_v, prev_i, prev_sign = state
+    if prev_v is None:
         seed = _clamp(
-            params.delta_d_nominal * FALLBACK_SLOPE_MAGNITUDE, DELTA_D_FLOOR, state.delta_d_max
+            params.delta_d_nominal * FALLBACK_SLOPE_MAGNITUDE, DELTA_D_FLOOR, delta_d_max
         )
         return _seed_step(state, meas, params, seed)
-    s, from_di_alone = slope_term(meas, state.prev_v, state.prev_i, state.prev_slope_sign)
-    delta_d = state.delta_d
+    s, from_di_alone = slope_term(meas, prev_v, prev_i, prev_sign)
+    v, i = meas
     if from_di_alone:
         # The duty has been static (held, or the step collapsed) and the
         # environment just changed: restart the step from its nominal
@@ -283,26 +281,21 @@ def revised_step(
     sign = 1 if s > 0 else -1
     if abs(s) <= params.epsilon:
         new_state = ControllerState(
-            d=state.d, delta_d=params.delta_d_nominal, delta_d_max=params.delta_d_max_initial,
-            prev_v=meas.v, prev_i=meas.i, prev_slope_sign=state.prev_slope_sign or sign,
+            d, params.delta_d_nominal, params.delta_d_max_initial, v, i, prev_sign or sign
         )
         return StepOutcome(new_state, StepAction.HELD_AT_MPP, s)
 
-    delta_d_max = state.delta_d_max
-    if state.prev_slope_sign is None:
+    if prev_sign is None:
         factor = 1.0
-    elif sign == state.prev_slope_sign:
+    elif sign == prev_sign:
         factor = params.acc
     else:
         factor = params.deacc
         delta_d_max = max(params.delta_d_max_floor, delta_d_max * params.deacc)
     delta_d_new = _clamp(delta_d * factor * abs(s), DELTA_D_FLOOR, delta_d_max)
-    d_new = _apply_move(state.d, sign, delta_d_new, params)
-    new_state = ControllerState(
-        d=d_new, delta_d=delta_d_new, delta_d_max=delta_d_max, prev_v=meas.v, prev_i=meas.i,
-        prev_slope_sign=sign,
-    )
-    return StepOutcome(new_state, _action_for(state.d, d_new), s)
+    d_new = _apply_move(d, sign, delta_d_new, params)
+    new_state = ControllerState(d_new, delta_d_new, delta_d_max, v, i, sign)
+    return StepOutcome(new_state, _action_for(d, d_new), s)
 
 
 CONTROLLER_KINDS = ("conventional", "revised-fixed-bound", "revised-adaptive-bound")

@@ -126,7 +126,11 @@ def run_simulation(
 ) -> list[SimRecord]:
     """Drive the loop at the step_times instants; fully deterministic.
 
-    A controller duty range other than the converter's raises ValueError.
+    Each per-step method (profile.env_at, oracle.find,
+    converter.terminal_voltage, array.current_at, controller.step) is
+    looked up once per run, from the instance, so a subclass override
+    still sees every call.  A controller duty range other than the
+    converter's raises ValueError.
     """
     params = controller.params
     if (params.d_min, params.d_max) != (converter.d_min, converter.d_max):
@@ -135,43 +139,37 @@ def run_simulation(
             f"the converter's [{converter.d_min}, {converter.d_max}]"
         )
     rng = random.Random(cfg.noise_seed) if (cfg.noise_v > 0 or cfg.noise_i > 0) else None
+    env_at = profile.env_at
+    find = oracle.find
+    terminal_voltage = converter.terminal_voltage
+    current_at = array.current_at
+    step = controller.step
 
     records: list[SimRecord] = []
     for t in step_times(cfg, profile):
-        env = profile.env_at(t)
-        mpp = oracle.find(env)
+        env = env_at(t)
+        mpp = find(env)
         d_active = controller.state.d
-        v = converter.terminal_voltage(d_active)
-        # source convention: a blocking diode stops reverse current
-        i = max(0.0, float(array.current_at(v, env)))
+        v = terminal_voltage(d_active)
+        # source convention: a blocking diode stops reverse current (max keeps +0.0 over -0.0)
+        i = max(0.0, current_at(v, env))
         v_meas, i_meas = v, i
         if rng is not None:
             v_meas = max(0.0, v + rng.uniform(-cfg.noise_v, cfg.noise_v))
             i_meas = max(0.0, i + rng.uniform(-cfg.noise_i, cfg.noise_i))
-        outcome = controller.step(Measurement(v=v_meas, i=i_meas))
+        new_state, action, slope = step(Measurement(v_meas, i_meas))
+        p = v * i
+        p_mpp = mpp.p_mpp
         records.append(
             SimRecord(
-                t=t,
-                g=env.g,
-                temp=env.t,
-                v=v,
-                i=i,
-                p=v * i,
-                d=d_active,
-                delta_d=outcome.new_state.delta_d,
-                delta_d_max=outcome.new_state.delta_d_max,
-                p_mpp=mpp.p_mpp,
-                v_mpp=mpp.v_mpp,
-                p_deviation=mpp.p_mpp - v * i,
-                slope_term=outcome.slope_term,
-                action=outcome.action,
+                t, env.g, env.t, v, i, p, d_active, new_state.delta_d, new_state.delta_d_max,
+                p_mpp, mpp.v_mpp, p_mpp - p, slope, action,
             )
         )
     return records
 
 
-@dataclass(frozen=True)
-class SegmentMetrics:
+class SegmentMetrics(NamedTuple):
     """Per-segment tracking figures.
 
     settling_time is None when the segment never settles or is too short
@@ -200,48 +198,20 @@ class TrackingMetrics:
     max_voltage_overshoot: float
 
 
-def _segment_bounds(trace: list[SimRecord]) -> list[tuple[int, int]]:
-    bounds = []
-    start = 0
-    for k in range(1, len(trace)):
-        if (trace[k].g, trace[k].temp) != (trace[k - 1].g, trace[k - 1].temp):
-            bounds.append((start, k))
-            start = k
-    bounds.append((start, len(trace)))
-    return bounds
-
-
-def _segment_overshoot(seg: list[SimRecord]) -> float:
-    v_mpp = seg[0].v_mpp
-    v0 = seg[0].v
-    if v0 > v_mpp:  # approached from above: overshoot dips below v_mpp
-        return max(0.0, max(v_mpp - r.v for r in seg))
-    if v0 < v_mpp:  # approached from below: overshoot rises above v_mpp
-        return max(0.0, max(r.v - v_mpp for r in seg))
-    return max(abs(r.v - v_mpp) for r in seg)
-
-
-def _settle_index(rel: list[float], tolerance: float, hold_steps: int) -> int | None:
-    """First j with every rel[j:j + hold_steps] below tolerance (nan is not), else None."""
-    run = 0
-    for k, r in enumerate(rel):
-        run = run + 1 if r < tolerance else 0
-        if run == hold_steps:
-            return k - hold_steps + 1
-    return None
-
-
 def compute_metrics(
     trace: list[SimRecord], *, control_interval: float | None = None
 ) -> TrackingMetrics:
     """Settling, overshoot, post-settle oscillation, and energy deficit.
 
-    A segment settles at the first instant from which the relative power
-    deviation stays below SETTLE_TOLERANCE for SETTLE_HOLD_S continuously.
-    oscillation_fraction counts duty changes across all post-settle
-    steps.  The energy deficit integrates p_deviation over the whole run
-    by the rectangle rule.  control_interval defaults to the spacing of
-    the first two records, so a one-record trace must give it.
+    A segment is a run of records with one (g, temp).  It settles at the
+    first instant from which the relative power deviation |p_deviation| /
+    p_mpp (0 where p_mpp <= 0) stays below SETTLE_TOLERANCE (nan is not
+    below it) for SETTLE_HOLD_S continuously.  oscillation_fraction
+    counts duty changes across all post-settle steps, a segment's first
+    step excluded.  The energy deficit integrates p_deviation over the
+    whole run by the rectangle rule.  control_interval defaults to the
+    spacing of the first two records, so a one-record trace must give it.
+    One pass over the trace finds every segment's figures.
     """
     if not trace:
         raise ValueError("trace is empty")
@@ -251,42 +221,71 @@ def compute_metrics(
         control_interval = trace[1].t - trace[0].t
     dt = control_interval
     hold_steps = max(1, round(SETTLE_HOLD_S / dt))
+    held = StepAction.HELD_AT_MPP
+    n = len(trace)
     rel_all = [0.0 if r.p_mpp <= 0 else abs(r.p_deviation) / r.p_mpp for r in trace]
-
     segments: list[SegmentMetrics] = []
-    post_settle_total = 0
-    post_settle_changes = 0
-    for a, b in _segment_bounds(trace):
-        seg = trace[a:b]
-        rel = rel_all[a:b]
-        settle_idx = _settle_index(rel, SETTLE_TOLERANCE, hold_steps)
-        if settle_idx is not None:
-            for j in range(a + max(settle_idx, 1), b):
-                post_settle_total += 1
-                if trace[j].d != trace[j - 1].d:
-                    post_settle_changes += 1
-        hold_t = next((r.t for r in seg if r.action == StepAction.HELD_AT_MPP), None)
+    post_settle_total = post_settle_changes = 0
+    a = 0
+    while a < n:
+        head = trace[a]
+        t0, g, temp, v0, v_mpp = head.t, head.g, head.temp, head.v, head.v_mpp
+        v_lo = v_hi = v0
+        d_prev = head.d  # so the first step counts no duty change
+        run = changes = 0  # length of the run below tolerance; its duty changes
+        settle = hold_t = None
+        b = n
+        for k in range(a, n):
+            t, rg, rtemp, v, _, _, d, _, _, _, _, _, _, action = trace[k]
+            if rg != g or rtemp != temp:
+                b = k
+                break
+            rel = rel_all[k]
+            if v < v_lo:
+                v_lo = v
+            elif v > v_hi:
+                v_hi = v
+            if hold_t is None and action == held:
+                hold_t = t
+            if settle is not None:
+                changes += d != d_prev
+            elif rel < SETTLE_TOLERANCE:
+                run += 1
+                changes += d != d_prev
+                if run == hold_steps:
+                    settle = k - hold_steps + 1
+            else:
+                run = changes = 0
+            d_prev = d
+        # rounding is monotone, so the widest excursion is at v_lo or v_hi
+        if v0 > v_mpp:  # approached from above: overshoot dips below v_mpp
+            overshoot = max(0.0, v_mpp - v_lo)
+        elif v0 < v_mpp:  # approached from below: overshoot rises above v_mpp
+            overshoot = max(0.0, v_hi - v_mpp)
+        else:
+            overshoot = max(v_hi - v_mpp, v_mpp - v_lo)
+        if settle is not None:
+            post_settle_total += b - max(settle, a + 1)
+            post_settle_changes += changes
+        if a == 0 or overshoot > max_overshoot:
+            max_overshoot = overshoot
         segments.append(
             SegmentMetrics(
-                t_start=seg[0].t,
-                g=seg[0].g,
-                n_steps=len(seg),
-                assessable=len(seg) >= hold_steps,
-                settling_time=None if settle_idx is None else seg[settle_idx].t - seg[0].t,
-                max_voltage_overshoot=_segment_overshoot(seg),
-                time_to_hold=hold_t,
-                end_relative_deviation=rel[-1],
+                t0, g, b - a, b - a >= hold_steps,
+                None if settle is None else trace[settle].t - t0,
+                overshoot, hold_t, rel,
             )
         )
+        a = b
 
     return TrackingMetrics(
         segments=tuple(segments),
-        energy_deficit=sum(r.p_deviation for r in trace) * dt,
-        mean_relative_deviation=sum(rel_all) / len(trace),
+        energy_deficit=sum([r.p_deviation for r in trace]) * dt,
+        mean_relative_deviation=sum(rel_all) / n,
         oscillation_fraction=(
             post_settle_changes / post_settle_total if post_settle_total else 0.0
         ),
-        max_voltage_overshoot=max(s.max_voltage_overshoot for s in segments),
+        max_voltage_overshoot=max_overshoot,
     )
 
 

@@ -678,13 +678,41 @@ class TestCli:
         dark = tmp_path / "dark.csv"
         dark.write_text("time_s,irradiance_w_m2,temperature_c\n0.0,0,25\n0.5,800,25\n")
         body = MINIMAL.format(out=tmp_path / "out").replace(
-            "profile: builtin-table1", "converter:\n  d_max: 0.4\nprofile: dark.csv"
+            "profile: builtin-table1", "converter:\n  d_max: 0.45\nprofile: dark.csv"
         ).replace("duration_s: 0.05", "duration_s: 1.0")
         assert main(["run", "--config", str(write_scenario(tmp_path, body)), "--quiet"]) == 0
         rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
         assert len(rows) == 100
-        assert float(rows[0]["d"]) == 0.4
-        assert all(0.05 <= float(r["d"]) <= 0.4 for r in rows)
+        assert float(rows[0]["d"]) == 0.45
+        assert all(0.05 <= float(r["d"]) <= 0.45 for r in rows)
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "converter, message",
+        [
+            (
+                "  d_max: 0.4\n",
+                "converter.d_max: 0.4 gives panel voltages of 51.7351 V and above on a "
+                "34.4901 V bus, none below the array's open-circuit voltage at STC, 43.5 V",
+            ),
+            (
+                "  v_bus: 1000.0\n",
+                "converter.d_max: 0.95 gives panel voltages of 52.6316 V and above on a "
+                "1000 V bus, none below the array's open-circuit voltage at STC, 43.5 V",
+            ),
+        ],
+        ids=["d_max_on_the_auto_bus", "numeric_v_bus"],
+    )
+    def test_a_duty_range_that_cannot_reach_the_curve_is_exit_1(
+        self, tmp_path, capsys, command, converter, message
+    ):
+        """Its lowest panel voltage, v_bus*(1 - d_max)/d_max, is not below V_oc at STC."""
+        body = MINIMAL.format(out=tmp_path / "out").replace(
+            "profile:", f"converter:\n{converter}profile:"
+        )
+        assert main([command, "--config", str(write_scenario(tmp_path, body))]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_a_negative_zero_irradiance_prints_its_sign(self, tmp_path):
         (tmp_path / "dark.csv").write_text(

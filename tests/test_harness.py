@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +16,10 @@ from mpptbench.controllers import ControllerParams, MpptController, StepAction
 from mpptbench.converter import BuckBoost
 from mpptbench.harness import (
     TRACE_HEADER,
+    SegmentMetrics,
     SimConfig,
     SimRecord,
+    TrackingMetrics,
     compute_metrics,
     resolve_initial_duty,
     run_simulation,
@@ -25,7 +28,7 @@ from mpptbench.harness import (
 )
 from mpptbench.oracle import MppOracle
 from mpptbench.profiles import EnvProfile, EnvSegment, builtin_table1_profile, load_profile_csv
-from mpptbench.pvmodel import EnvCondition
+from mpptbench.pvmodel import EnvCondition, PVArray
 
 
 def constant_profile(g=1000.0, t=298.0, duration=2.0) -> EnvProfile:
@@ -149,6 +152,70 @@ class TestRunSimulation:
 
         assert run_once() == run_once()
 
+    def test_every_per_step_call_goes_through_the_instances(self, bp_cell, bp_panel, bp_converter):
+        """Subclass overrides, as a tracer uses them, see each of the loop's calls."""
+        calls = Counter()
+
+        class CountingArray(PVArray):
+            def current_at(self, v_array, env):
+                calls["current_at"] += 1
+                return super().current_at(v_array, env)
+
+        class CountingController(MpptController):
+            def step(self, meas):
+                calls["step"] += 1
+                return super().step(meas)
+
+        class CountingProfile(EnvProfile):
+            def env_at(self, t):
+                calls["env_at"] += 1
+                return super().env_at(t)
+
+        class CountingOracle(MppOracle):
+            def find(self, env):
+                calls["find"] += 1
+                return super().find(env)
+
+        class CountingConverter(BuckBoost):
+            def terminal_voltage(self, d):
+                calls["terminal_voltage"] += 1
+                return super().terminal_voltage(d)
+
+        table1 = builtin_table1_profile()
+        trace = run_simulation(
+            CountingArray(bp_cell, bp_panel.layout),
+            CountingConverter(v_bus=bp_converter.v_bus),
+            CountingController("revised-adaptive-bound", ControllerParams(), 0.55),
+            CountingProfile(table1.segments, table1.duration),
+            SimConfig(initial_duty=0.55),
+            CountingOracle(bp_panel),  # its sweeps solve on bp_panel, not the counted array
+        )
+        assert len(trace) == 500
+        assert calls == {
+            name: 500 for name in ("current_at", "step", "env_at", "find", "terminal_voltage")
+        }
+
+    def test_a_reverse_or_negative_zero_current_is_recorded_as_positive_zero(
+        self, bp_converter, bp_oracle, tmp_path
+    ):
+        class StubArray:
+            currents = iter([-0.0, -1.5])
+
+            def current_at(self, v_array, env):
+                return next(self.currents)
+
+        controller = MpptController("conventional", ControllerParams(), 0.5)
+        cfg = SimConfig(duration_s=0.02, initial_duty=0.5)
+        trace = run_simulation(
+            StubArray(), bp_converter, controller, constant_profile(), cfg, bp_oracle
+        )
+        for rec in trace:
+            assert math.copysign(1.0, rec.i) == 1.0 and math.copysign(1.0, rec.p) == 1.0
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        rows = list(csv.DictReader(path.read_text().splitlines()))
+        assert [(r["i_a"], r["p_w"]) for r in rows] == [("0.0", "0.0")] * 2
+
     def test_auto_initial_duty_starts_below_mpp_voltage(
         self, bp_panel, bp_converter, bp_oracle, stc
     ):
@@ -259,9 +326,92 @@ def settle_index_by_windows(rel, tolerance, hold_steps):
 @example(rel=[], hold_steps=1)
 @settings(max_examples=500, deadline=None, derandomize=True)
 def test_settle_scan_matches_the_window_definition(rel, hold_steps):
-    assert harness._settle_index(rel, 0.01, hold_steps) == settle_index_by_windows(
-        rel, 0.01, hold_steps
+    """compute_metrics settles a one-segment trace where the first window does."""
+    # p_mpp 1 makes each record's relative deviation rel; t = k makes settling_time the index
+    trace = [make_record(float(k), dev=r, p_mpp=1.0) for k, r in enumerate(rel)]
+    control_interval = harness.SETTLE_HOLD_S / hold_steps
+    if not trace:
+        with pytest.raises(ValueError, match="empty"):
+            compute_metrics(trace, control_interval=control_interval)
+        return
+    [segment] = compute_metrics(trace, control_interval=control_interval).segments
+    expected = settle_index_by_windows(rel, harness.SETTLE_TOLERANCE, hold_steps)
+    assert segment.settling_time == (None if expected is None else float(expected))
+
+
+def metrics_by_segment(trace, dt):
+    """compute_metrics' definitions applied segment by segment, on slices of the trace."""
+    hold_steps = max(1, round(harness.SETTLE_HOLD_S / dt))
+    rel_all = [0.0 if r.p_mpp <= 0 else abs(r.p_deviation) / r.p_mpp for r in trace]
+    starts = [k for k in range(len(trace)) if k == 0 or trace[k][1:3] != trace[k - 1][1:3]]
+    segments = []
+    post_settle = []  # (duty, previous duty) of every post-settle step
+    for a, b in zip(starts, starts[1:] + [len(trace)]):
+        seg, rel = trace[a:b], rel_all[a:b]
+        settle = settle_index_by_windows(rel, harness.SETTLE_TOLERANCE, hold_steps)
+        if settle is not None:
+            post_settle += [(trace[j].d, trace[j - 1].d) for j in range(a + max(settle, 1), b)]
+        v0, v_mpp = seg[0].v, seg[0].v_mpp
+        if v0 > v_mpp:
+            overshoot = max(0.0, max(v_mpp - r.v for r in seg))
+        elif v0 < v_mpp:
+            overshoot = max(0.0, max(r.v - v_mpp for r in seg))
+        else:
+            overshoot = max(abs(r.v - v_mpp) for r in seg)
+        holds = [r.t for r in seg if r.action == StepAction.HELD_AT_MPP]
+        segments.append(
+            SegmentMetrics(
+                t_start=seg[0].t,
+                g=seg[0].g,
+                n_steps=len(seg),
+                assessable=len(seg) >= hold_steps,
+                settling_time=None if settle is None else seg[settle].t - seg[0].t,
+                max_voltage_overshoot=overshoot,
+                time_to_hold=holds[0] if holds else None,
+                end_relative_deviation=rel[-1],
+            )
+        )
+    changes = sum(d != d_prev for d, d_prev in post_settle)
+    return TrackingMetrics(
+        segments=tuple(segments),
+        energy_deficit=sum(r.p_deviation for r in trace) * dt,
+        mean_relative_deviation=sum(rel_all) / len(trace),
+        oscillation_fraction=changes / len(post_settle) if post_settle else 0.0,
+        max_voltage_overshoot=max(s.max_voltage_overshoot for s in segments),
     )
+
+
+@st.composite
+def traces(draw):
+    """Runs of one (g, temp) with drawn deviations, voltages, duties and actions."""
+    records = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        g = draw(st.sampled_from([0.0, 200.0, 1000.0]))
+        temp = draw(st.sampled_from([298.0, 310.0]))
+        p_mpp = 0.0 if g == 0.0 else g * 0.15
+        v_mpp = draw(st.sampled_from([0.0, 33.5, 34.5]))
+        for _ in range(draw(st.integers(min_value=1, max_value=25))):
+            records.append(
+                SimRecord(
+                    t=len(records) * 0.01, g=g, temp=temp,
+                    v=draw(st.sampled_from([v_mpp, 30.0, 33.5, 34.0, 34.5, 36.0])),
+                    i=1.0, p=1.0,
+                    d=draw(st.sampled_from([0.49, 0.5, 0.51])),
+                    delta_d=0.001, delta_d_max=0.01, p_mpp=p_mpp, v_mpp=v_mpp,
+                    p_deviation=p_mpp * draw(st.sampled_from([0.0, 0.005, 0.00999, 0.01, 0.3])),
+                    slope_term=0.0,
+                    action=draw(st.sampled_from(
+                        [StepAction.MOVED_LEFT, StepAction.MOVED_RIGHT, StepAction.HELD_AT_MPP]
+                    )),
+                )
+            )
+    return records
+
+
+@given(trace=traces(), dt=st.sampled_from([0.01, 0.02, 0.05, 0.1]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_one_pass_metrics_match_the_per_segment_definitions(trace, dt):
+    assert compute_metrics(trace, control_interval=dt) == metrics_by_segment(trace, dt)
 
 
 class TestTraceCsv:
