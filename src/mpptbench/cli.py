@@ -171,36 +171,31 @@ def _cmd_compare(args) -> int:
 
     The oracle is warmed first with every condition the run visits, so
     the children inherit its cache and each condition is swept once.
-    Each child writes its trace and its report to temporary files in
-    the output directory; only its figures cross the pipe.  Results are
-    read in kind order, so the first kind's failure is the one raised.
-    Once every child has ended, the traces are renamed into place if
-    every kind succeeded, and comparison.txt is built by copying each
-    report from its temporary, so the parent never holds a whole report.
-    Any temporary left (a kind, a rename or the write failed) is then
-    removed, so a failed kind writes no file.
+    Each child writes its trace and report into out/.compare.<pid>; only
+    its figures cross the pipe, read in kind order, so the first kind's
+    failure is the one raised.  If all succeed, comparison.txt is built
+    there by copying the reports, and the traces, then it, are renamed
+    into out.  Once every child has ended the directory is removed, so a
+    compare that fails before the renames leaves out as it found it.
     """
     scenario = _load(args)
     plant = _plant(scenario)
     out = scenario.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    for t in step_times(scenario.sim, scenario.profile):
-        plant.oracle.find(scenario.profile.env_at(t))
-    tag = os.getpid()
-    traces = {kind: out / f".{name}.{tag}.tmp" for kind, name in _TRACE_FILES.items()}
-    reports = {kind: out / f".{kind}.report.{tag}.tmp" for kind in _TRACE_FILES}
+    work = out / f".compare.{os.getpid()}"
+    work.mkdir(exist_ok=True)
     workers: list[tuple[int, int]] = []
     try:
+        for t in step_times(scenario.sim, scenario.profile):
+            plant.oracle.find(scenario.profile.env_at(t))
         try:
-            for kind in _TRACE_FILES:
-                workers.append(_fork(_run_kind, scenario, plant, kind, traces[kind], reports[kind]))
+            for kind, name in _TRACE_FILES.items():
+                workers.append(_fork(_run_kind, scenario, plant, kind, work / name, work / kind))
             results = {kind: _receive(r, kind) for kind, (_, r) in zip(_TRACE_FILES, workers)}
         finally:
             for pid, r in workers:
                 os.close(r)
                 os.waitpid(pid, 0)
-        for kind, temporary in traces.items():
-            os.replace(temporary, out / _TRACE_FILES[kind])
         conv = results["conventional"]
         fixed = results["revised-fixed-bound"]
         adaptive = results["revised-adaptive-bound"]
@@ -218,18 +213,22 @@ def _cmd_compare(args) -> int:
             "max_voltage_overshoot(revised-adaptive) <= max_voltage_overshoot(revised-fixed): "
             f"{adaptive.max_voltage_overshoot <= fixed.max_voltage_overshoot}\n"
         )
-        with open(out / "comparison.txt", "wb") as fh:
-            for kind, report in reports.items():
+        with open(work / "comparison.txt", "wb") as fh:
+            for kind in _TRACE_FILES:
                 # a report ends in one newline; the blank line then closes its block
                 fh.write(f"== {kind} ==\n".encode())
-                with open(report, "rb") as src:
+                with open(work / kind, "rb") as src:
                     shutil.copyfileobj(src, fh)
                 fh.write(b"\n")
             fh.write(orderings.encode())
+        for name in (*_TRACE_FILES.values(), "comparison.txt"):
+            os.replace(work / name, out / name)
     finally:
-        # only now can no child still create its temporaries
-        for temporary in (*traces.values(), *reports.values()):
-            temporary.unlink(missing_ok=True)
+        # only now can no child still write into work
+        try:
+            shutil.rmtree(work)
+        except FileNotFoundError:
+            pass
     if not args.quiet:
         with open(out / "comparison.txt") as fh:
             shutil.copyfileobj(fh, sys.stdout)

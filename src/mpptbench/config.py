@@ -110,13 +110,15 @@ class ScenarioConfig:
         return MpptController(kind, self.controller_params, initial_duty)
 
 
-def _index_key_lines(node: Any, prefix: str, out: dict[str, int]) -> None:
+def _index_key_lines(node: Any, prefix: str, out: dict[str, int], source: Path | str) -> None:
     if not isinstance(node, yaml.MappingNode):
         return
     for key_node, value_node in node.value:
         path = f"{prefix}.{key_node.value}" if prefix else str(key_node.value)
+        if path in out:
+            raise ConfigError(f"{source}:{key_node.start_mark.line + 1}: {path}: duplicate key")
         out[path] = key_node.start_mark.line + 1
-        _index_key_lines(value_node, path, out)
+        _index_key_lines(value_node, path, out, source)
 
 
 _KIND_NAMES = {float: "a number", int: "an integer", str: "a string", dict: "a mapping"}
@@ -205,8 +207,10 @@ class _Section:
 def _root(text: str, source: Path | str) -> _Section:
     """The top-level mapping of a YAML document, with the line of each key."""
     loader = yaml.SafeLoader(text)  # one parse gives both the nodes and the data
+    lines: dict[str, int] = {}
     try:
         node = loader.get_single_node()
+        _index_key_lines(node, "", lines, source)  # before construction merges in << keys
         data = None if node is None else loader.construct_document(node)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{source}: YAML parse error: {exc}") from None
@@ -216,8 +220,6 @@ def _root(text: str, source: Path | str) -> _Section:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: top level must be a mapping")
-    lines: dict[str, int] = {}
-    _index_key_lines(node, "", lines)
     return _Section(data, lines, source)
 
 

@@ -112,7 +112,10 @@ class ControllerParams:
         if not (0.0 < self.delta_d_nominal <= self.delta_d_max_initial < 1.0):
             raise ValueError("need 0 < delta_d_nominal <= delta_d_max_initial < 1")
         if not (0.0 < self.delta_d_max_floor <= self.delta_d_max_initial):
-            raise ValueError("need 0 < delta_d_max_floor <= delta_d_max_initial")
+            raise ValueError(
+                f"need 0 < delta_d_max_floor {self.delta_d_max_floor!r} <= delta_d_max_initial "
+                f"{self.delta_d_max_initial!r}; the floor is the adaptive bound's smallest value"
+            )
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
         if not self.acc > 1.0:

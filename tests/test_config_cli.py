@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -171,6 +172,15 @@ profile: builtin-table1
         null = load_scenario(write_scenario(tmp_path, "panel: bp_sx150\narray:\n"))
         assert null.layout == ArrayConfig(n_series=72, n_parallel=1)
 
+    def test_a_key_may_override_its_merge_key_value(self, tmp_path):
+        """A repeated key is rejected, but overriding a merged (<<) value is no repeat."""
+        body = MINIMAL.format(out=tmp_path / "o").replace(
+            "  kind: revised-adaptive-bound\n",
+            "  <<: {acc: 1.3, deacc: 0.7}\n  kind: revised-adaptive-bound\n  acc: 1.5\n",
+        )
+        params = load_scenario(write_scenario(tmp_path, body)).controller_params
+        assert (params.acc, params.deacc) == (1.5, 0.7)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_scenario(tmp_path / "nope.yaml")
@@ -250,13 +260,23 @@ class TestErrorAttribution:
             ("  kind: revised-adaptive-bound\n",
              "  kind: revised-adaptive-bound\n  delta_d_max_floor: 0.001\n",
              "scenario.yaml:4: controller.delta_d_max_floor: unknown field"),
+            # ... so an initial bound below it names the floor's fixed value
+            ("  kind: revised-adaptive-bound\n",
+             "  kind: conventional\n  delta_d_nominal: 0.0001\n  delta_d_max_initial: 0.0005\n",
+             "scenario.yaml:5: controller.delta_d_max_initial: need 0 < delta_d_max_floor 0.001 "
+             "<= delta_d_max_initial 0.0005; the floor is the adaptive bound's smallest value"),
+            # PyYAML would keep the last of two values
+            ("  kind: revised-adaptive-bound\n",
+             "  kind: revised-adaptive-bound\n  acc: 1.2\n  acc: 1.5\n",
+             "scenario.yaml:5: controller.acc: duplicate key"),
         ],
         ids=["deacc", "noise_i", "duration_s", "initial_duty", "panels_series",
              "panels_parallel", "v_bus_zero", "v_bus_bool", "v_bus_string", "profile",
              "output_dir", "panel", "controller.kind", "array", "initial_voltage_fraction",
              "removed_model", "removed_model.band_gap_denominator_sign",
              "removed_model.solver_tolerance_a", "removed_model.solver_max_iterations",
-             "removed_controller.delta_d_max_floor"],
+             "removed_controller.delta_d_max_floor", "delta_d_max_initial_below_the_floor",
+             "duplicate_key"],
     )
     def test_preset_scenario(self, tmp_path, capsys, old, new, where):
         body = MINIMAL.replace(old, new).format(out=tmp_path / "out")
@@ -315,11 +335,13 @@ class TestErrorAttribution:
             # ... and 43.5 V across one cell, whose I_0 underflows exp's range
             ("cells_in_series: 72", "cells_in_series: 1",
              "bad_panel.yaml: saturation-current exponent 1303.5 exceeds 700.0"),
+            ("v_oc_v: 43.5", "v_oc_v: 43.5\nv_oc_v: 40.0",
+             "bad_panel.yaml:5: v_oc_v: duplicate key"),
         ],
         ids=["i_sc_a", "i_sc_a_bool", "cells_in_series", "cells_in_series_zero",
              "missing_v_oc_v", "v_oc_v", "removed_r_p_ohm", "removed_t_ref_k", "removed_g_ref_w_m2",
              "removed_name", "removed_rated_power_w", "inconsistent_negative_r_s",
-             "inconsistent_i_0_overflow"],
+             "inconsistent_i_0_overflow", "duplicate_key"],
     )
     def test_preset_file(self, tmp_path, capsys, old, new, where):
         preset = tmp_path / "bad_panel.yaml"
@@ -1111,7 +1133,7 @@ class TestForkedCompare:
         (out / "trace_revised_fixed.csv").mkdir(parents=True)
         config = write_scenario(tmp_path, MINIMAL.format(out=out))
         assert main(["compare", "--config", str(config), "--quiet"]) == 2
-        temporary = out / f".trace_revised_fixed.csv.{os.getpid()}.tmp"
+        temporary = out / f".compare.{os.getpid()}" / "trace_revised_fixed.csv"
         assert capsys.readouterr().err == (
             f"error: [Errno 21] Is a directory: '{temporary}' -> '{out}/trace_revised_fixed.csv'\n"
         )
@@ -1122,13 +1144,16 @@ class TestForkedCompare:
         assert no_child_is_left()
 
     def test_a_failed_report_write_leaves_no_temporary(self, tmp_path, capsys):
-        """A directory named comparison.txt stops the write after the renames."""
+        """A directory named comparison.txt stops the last rename; the traces are in place."""
         out = tmp_path / "out"
         (out / "comparison.txt").mkdir(parents=True)
         config = write_scenario(tmp_path, MINIMAL.format(out=out))
         assert main(["compare", "--config", str(config)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: [Errno 21] Is a directory: '{out}/comparison.txt'\n"
+        temporary = out / f".compare.{os.getpid()}" / "comparison.txt"
+        assert captured.err == (
+            f"error: [Errno 21] Is a directory: '{temporary}' -> '{out}/comparison.txt'\n"
+        )
         assert captured.out == ""
         assert sorted(path.name for path in out.iterdir()) == [
             "comparison.txt",
@@ -1136,6 +1161,31 @@ class TestForkedCompare:
             "trace_revised_adaptive.csv",
             "trace_revised_fixed.csv",
         ]
+        assert no_child_is_left()
+
+    def test_a_failed_comparison_write_leaves_an_earlier_run_alone(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A full disk while comparison.txt is built leaves the earlier comparison.txt whole."""
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        assert main(["compare", "--config", str(config), "--quiet"]) == 0
+        before = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+        assert len(before) == 4
+        copyfileobj = shutil.copyfileobj
+        calls = []
+
+        def copy_then_fill_the_disk(src, dst):
+            calls.append(src)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            copyfileobj(src, dst)
+
+        monkeypatch.setattr(shutil, "copyfileobj", copy_then_fill_the_disk)
+        assert main(["compare", "--config", str(config), "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert len(calls) == 2
+        after = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+        assert after == before
         assert no_child_is_left()
 
     def test_only_figures_cross_the_pipe(self, tmp_path, monkeypatch):
