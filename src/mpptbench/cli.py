@@ -188,14 +188,9 @@ def _cmd_compare(args) -> int:
     try:
         for t in step_times(scenario.sim, scenario.profile):
             plant.oracle.find(scenario.profile.env_at(t))
-        try:
-            for kind, name in _TRACE_FILES.items():
-                workers.append(_fork(_run_kind, scenario, plant, kind, work / name, work / kind))
-            results = {kind: _receive(r, kind) for kind, (_, r) in zip(_TRACE_FILES, workers)}
-        finally:
-            for pid, r in workers:
-                os.close(r)
-                os.waitpid(pid, 0)
+        for kind, name in _TRACE_FILES.items():
+            workers.append(_fork(_run_kind, scenario, plant, kind, work / name, work / kind))
+        results = {kind: _receive(r, kind) for kind, (_, r) in zip(_TRACE_FILES, workers)}
         conv = results["conventional"]
         fixed = results["revised-fixed-bound"]
         adaptive = results["revised-adaptive-bound"]
@@ -224,6 +219,9 @@ def _cmd_compare(args) -> int:
         for name in (*_TRACE_FILES.values(), "comparison.txt"):
             os.replace(work / name, out / name)
     finally:
+        for pid, r in workers:
+            os.close(r)
+            os.waitpid(pid, 0)
         # only now can no child still write into work
         try:
             shutil.rmtree(work)

@@ -118,7 +118,8 @@ def _index_key_lines(node: Any, prefix: str, out: dict[str, int], source: Path |
         if path in out:
             raise ConfigError(f"{source}:{key_node.start_mark.line + 1}: {path}: duplicate key")
         out[path] = key_node.start_mark.line + 1
-        _index_key_lines(value_node, path, out, source)
+        if not prefix:  # the schema is two levels deep: no alias is followed further
+            _index_key_lines(value_node, path, out, source)
 
 
 _KIND_NAMES = {float: "a number", int: "an integer", str: "a string", dict: "a mapping"}

@@ -33,12 +33,12 @@ class MppResult:
     p_mpp: float
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Maximize a unimodal f on [a, b] until the interval is below tol."""
+def _golden_max(f, a: float, b: float) -> tuple[float, float]:
+    """Maximize a unimodal f on [a, b] until the interval is below _REFINE_TOLERANCE_V."""
     c = b - (b - a) * _INV_PHI
     d = a + (b - a) * _INV_PHI
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > _REFINE_TOLERANCE_V:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * _INV_PHI
@@ -78,7 +78,7 @@ def refine_mpp(
 
     lo = float(voltage[max(0, best - 1)])
     hi = float(voltage[min(GRID_POINTS - 1, best + 1)])
-    v_mpp, _ = _golden_max(p_of, lo, hi, _REFINE_TOLERANCE_V)
+    v_mpp, _ = _golden_max(p_of, lo, hi)
     i_mpp = float(array.current_at(v_mpp, env))
     return MppResult(v_mpp=v_mpp, i_mpp=i_mpp, p_mpp=v_mpp * i_mpp)
 

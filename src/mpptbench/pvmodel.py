@@ -202,9 +202,7 @@ def derive_series_resistance(params: CellParams) -> float:
     return r_s
 
 
-def _solve_current(
-    v: np.ndarray, i_ph: float, i_0: float, vt: float, r_s: float, max_iter: int
-) -> np.ndarray:
+def _solve_current(v: np.ndarray, i_ph: float, i_0: float, vt: float, r_s: float) -> np.ndarray:
     """Newton on the single-diode residual from a start right of the root.
 
     With R_s > 0 the residual
@@ -223,7 +221,7 @@ def _solve_current(
     A lane stops at |f| < SOLVER_TOL_A, or where the step falls to 8 ulps of I:
     there the rounding of f can flip its sign, and a current of
     thousands of amperes cannot meet an absolute tolerance of 1e-9 A.
-    Lanes still unconverged after max_iter steps raise ValueError.  That
+    Lanes still unconverged after SOLVER_MAX_ITER steps raise ValueError.  That
     happens near V_oc at extreme irradiance: x moves in whole ulps, so |f|
     stays near I_0*exp(x/vt)*ulp(x)/vt > SOLVER_TOL_A while I alternates
     between two values just over 8 ulps apart.  For the bp_sx150 cell at
@@ -231,7 +229,7 @@ def _solve_current(
     69 raise at 1.5e8 and 82 at 1e9 W/m^2 (62.6 to 76.7 V on the panel).
     """
     i = np.minimum(i_ph, (vt * np.log1p((i_ph + v / r_s) / i_0) - v) / r_s)
-    for _ in range(max_iter + 1):
+    for _ in range(SOLVER_MAX_ITER + 1):
         vd = v + i * r_s
         f = i_ph - i_0 * np.expm1(vd / vt) - i
         step = f / (-i_0 * np.exp(vd / vt) * r_s / vt - 1.0)
@@ -240,12 +238,12 @@ def _solve_current(
             return i
         i = np.where(done, i, i - step)
     residual = float(np.abs(f[~done]).max())
-    raise ValueError(f"Newton did not converge (iterations={max_iter}, residual={residual:.3e} A)")
+    raise ValueError(
+        f"Newton did not converge (iterations={SOLVER_MAX_ITER}, residual={residual:.3e} A)"
+    )
 
 
-def _solve_current_scalar(
-    v: float, i_ph: float, i_0: float, vt: float, r_s: float, max_iter: int
-) -> float:
+def _solve_current_scalar(v: float, i_ph: float, i_0: float, vt: float, r_s: float) -> float:
     """_solve_current for one voltage, in Python floats.
 
     Follows _solve_current expression by expression, so it returns the
@@ -256,7 +254,7 @@ def _solve_current_scalar(
     only computed when the residual is not yet met.
     """
     i = min(i_ph, (vt * float(np.log1p((i_ph + v / r_s) / i_0)) - v) / r_s)
-    for _ in range(max_iter + 1):
+    for _ in range(SOLVER_MAX_ITER + 1):
         vd = v + i * r_s
         f = i_ph - i_0 * float(np.expm1(vd / vt)) - i
         if abs(f) < SOLVER_TOL_A:
@@ -265,7 +263,9 @@ def _solve_current_scalar(
         if abs(step) <= 8 * math.ulp(i):
             return i
         i = i - step
-    raise ValueError(f"Newton did not converge (iterations={max_iter}, residual={abs(f):.3e} A)")
+    raise ValueError(
+        f"Newton did not converge (iterations={SOLVER_MAX_ITER}, residual={abs(f):.3e} A)"
+    )
 
 
 class PVArray:
@@ -324,7 +324,10 @@ class PVArray:
             i_ph = photon_current(cell, env)
             if i_ph < 0:  # alpha*(T - T_ref) < -1 leaves no I-V curve
                 raise ValueError(f"alpha = {cell.alpha} gives I_ph < 0 at T = {env.t} K")
-            found = (i_ph, saturation_current(cell, env), _thermal_voltage(cell, env.t))
+            i_0 = saturation_current(cell, env)
+            if not math.isfinite(i_ph / i_0):  # no finite V_oc (bp_sx150, 298 K: g > 2.5e303 W/m^2)
+                raise ValueError(f"I_ph / I_0 overflows at g = {env.g} W/m^2, T = {env.t} K")
+            found = (i_ph, i_0, _thermal_voltage(cell, env.t))
             self._solver_constants[key] = found
         return found
 
@@ -341,15 +344,13 @@ class PVArray:
                 raise ValueError("cell voltage must be >= 0")
             solve = _solve_current
         i_ph, i_0, vt = self._constants_at(env)
-        i_cell = solve(v_cell, i_ph, i_0, vt, self.r_s, SOLVER_MAX_ITER)
+        i_cell = solve(v_cell, i_ph, i_0, vt, self.r_s)
         return self.layout.n_parallel * i_cell
 
     def open_circuit_voltage(self, env: EnvCondition) -> float:
         """Array-level open-circuit voltage (V): the closed-form root at I = 0.
 
-        Zero irradiance gives 0.
+        Zero irradiance, g = 0.0 or -0.0, gives +0.0 by the same formula.
         """
         i_ph, i_0, vt = self._constants_at(env)
-        if i_ph <= 0:
-            return 0.0
         return vt * math.log(i_ph / i_0 + 1.0) * self.layout.n_series

@@ -269,6 +269,10 @@ class TestErrorAttribution:
             ("  kind: revised-adaptive-bound\n",
              "  kind: revised-adaptive-bound\n  acc: 1.2\n  acc: 1.5\n",
              "scenario.yaml:5: controller.acc: duplicate key"),
+            # the key index stops at the schema's two levels, so it ends here too
+            ("controller:\n  kind: revised-adaptive-bound\n",
+             "controller: &c\n  kind: conventional\n  x: *c\n",
+             "scenario.yaml:4: controller.x: unknown field"),
         ],
         ids=["deacc", "noise_i", "duration_s", "initial_duty", "panels_series",
              "panels_parallel", "v_bus_zero", "v_bus_bool", "v_bus_string", "profile",
@@ -276,7 +280,7 @@ class TestErrorAttribution:
              "removed_model", "removed_model.band_gap_denominator_sign",
              "removed_model.solver_tolerance_a", "removed_model.solver_max_iterations",
              "removed_controller.delta_d_max_floor", "delta_d_max_initial_below_the_floor",
-             "duplicate_key"],
+             "duplicate_key", "self_referential_alias"],
     )
     def test_preset_scenario(self, tmp_path, capsys, old, new, where):
         body = MINIMAL.replace(old, new).format(out=tmp_path / "out")
@@ -286,6 +290,17 @@ class TestErrorAttribution:
         assert main(["run", "--config", str(config), "--quiet"]) == 1
         assert where in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_a_fan_of_aliases_is_indexed_two_levels_deep(self, tmp_path):
+        """Seven levels of six-way aliases name 6**7 key paths; the index reads two levels."""
+        lines = ["panel: bp_sx150", "l0: &l0 {a: 1}"]
+        for k in range(1, 8):
+            lines.append(f"l{k}: &l{k} {{" + ", ".join(f"{c}: *l{k - 1}" for c in "abcdef") + "}")
+        config = write_scenario(tmp_path, "\n".join(lines) + "\n")
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=re.escape("scenario.yaml:2: l0: unknown field")):
+            load_scenario(config)
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize(
         "body, where",
@@ -453,6 +468,26 @@ class TestErrorAttribution:
         where = (
             "scenario.yaml:4: profile: the segment from t = 0.05 s at T = 3.1499999999999773 K: "
             "saturation-current exponent -3253.7 exceeds 700.0"
+        )
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            load_scenario(config)
+        assert main([command, "--config", str(config), "--quiet"]) == 1
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_a_segment_whose_photon_current_overflows_its_ratio_to_i_0(
+        self, tmp_path, capsys, command
+    ):
+        """I_ph / I_0 past the float range leaves no finite V_oc."""
+        (tmp_path / "rows.csv").write_text(
+            "time_s,irradiance_w_m2,temperature_c\n0.0,1000,25\n0.02,1e308,25\n"
+        )
+        body = MINIMAL.format(out=tmp_path / "out").replace("builtin-table1", "rows.csv")
+        config = write_scenario(tmp_path, body)
+        where = (
+            "scenario.yaml:4: profile: the segment from t = 0.02 s at T = 298.15 K: "
+            "I_ph / I_0 overflows at g = 1e+308 W/m^2, T = 298.15 K"
         )
         with pytest.raises(ConfigError, match=re.escape(where)):
             load_scenario(config)
@@ -915,9 +950,13 @@ class TestCli:
             ("1000", "-258.95",
              "--g 1000.0 --temp -258.95: saturation current 1.27e-313 A at "
              "T = 14.199999999999989 K is not a normal float"),
+            ("inf", "25",
+             "--g inf --temp 25.0: I_ph / I_0 overflows at g = inf W/m^2, T = 298.15 K"),
+            ("1e308", "25",
+             "--g 1e+308 --temp 25.0: I_ph / I_0 overflows at g = 1e+308 W/m^2, T = 298.15 K"),
         ],
         ids=["negative_g", "nan_g", "below_absolute_zero", "band_gap_not_positive",
-             "saturation_current_underflows"],
+             "saturation_current_underflows", "infinite_g", "photon_current_ratio_overflows"],
     )
     def test_invalid_environment_is_exit_1(self, tmp_path, capsys, g, temp, message):
         config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))

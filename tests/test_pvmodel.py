@@ -278,8 +278,19 @@ class TestOpenCircuitVoltage:
         assert v_oc == pytest.approx(43.5 / 72, rel=1e-9)
 
     def test_zero_irradiance(self, bp_cell):
-        dark = EnvCondition(g=0.0, t=298.0)
-        assert PVArray(bp_cell).open_circuit_voltage(dark) == 0.0
+        # the closed form alone: I_ph = +-0.0 gives log(1.0) = 0.0, and the sign is +
+        array = PVArray(bp_cell, ArrayConfig(72, 1))
+        for g in (0.0, -0.0):
+            v_oc = array.open_circuit_voltage(EnvCondition(g=g, t=298.0))
+            assert v_oc == 0.0 and math.copysign(1.0, v_oc) == 1.0, g
+
+    def test_a_photon_current_that_overflows_the_ratio_to_i_0_raises(self, bp_cell):
+        """I_ph / I_0 past the float range has no finite V_oc: about 2.5e303 W/m^2 at 298 K."""
+        array = PVArray(bp_cell, ArrayConfig(72, 1))
+        assert math.isfinite(array.open_circuit_voltage(EnvCondition(g=2.4e303, t=298.0)))
+        for g in (2.5e303, 1e308, math.inf):
+            with pytest.raises(ValueError, match=r"I_ph / I_0 overflows at g = "):
+                array.open_circuit_voltage(EnvCondition(g=g, t=298.0))
 
     @pytest.mark.parametrize(
         "env", [STC, EnvCondition(g=20.0, t=298.0), EnvCondition(g=650.0, t=310.0)], ids=str
