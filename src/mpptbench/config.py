@@ -273,11 +273,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
     conv = root.section("converter")
     conv.reject_unknown({"v_bus", "d_min", "d_max"})
-    v_bus = conv.data.get("v_bus", "auto")
-    if v_bus != "auto":
-        v_bus = conv.read("v_bus", float)
-        if not v_bus > 0:
-            raise conv.error("v_bus", "must be > 0")
+    v_bus = conv.read("v_bus", float | str, "auto")
+    if v_bus != "auto" and (isinstance(v_bus, str) or not v_bus > 0):
+        raise conv.error("v_bus", f'must be a number > 0 or "auto", got {v_bus!r}')
     d_min = conv.read("d_min", float, BuckBoost.d_min)
     d_max = conv.read("d_max", float, BuckBoost.d_max)
     if not (0.0 < d_min < d_max < 1.0):

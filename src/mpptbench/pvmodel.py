@@ -114,18 +114,12 @@ def band_gap(t: float) -> float:
 
     E_g = 1.16 - 0.000702 * T^2 / (T - 1108)
 
-    This literal form gives an E_g > 0 only below 1108 K; an E_g that is
-    not > 0 raises.
+    This literal form is > 0 exactly on 0 < T < 1108 K: E_g > 1.16 below
+    1108 K, E_g <= 1.16 - 0.000702 * 4432 above it.  Any other T, NaN too, raises.
     """
-    if not t > 0:  # written so that NaN fails
-        raise ValueError("temperature t must be > 0 K")
-    denom = t - 1108.0
-    if denom == 0.0:
-        raise ValueError("band-gap denominator vanishes at this temperature")
-    eg = 1.16 - 0.000702 * t * t / denom
-    if not eg > 0:
-        raise ValueError(f"band gap at T = {t} K is {eg:.4g} eV, not > 0")
-    return eg
+    if not 0.0 < t < 1108.0:  # written so that NaN fails
+        raise ValueError(f"temperature t = {t} K is outside (0, 1108) K, where the band gap is > 0")
+    return 1.16 - 0.000702 * t * t / (t - 1108.0)
 
 
 @dataclass(frozen=True)
@@ -138,7 +132,7 @@ class EnvCondition:
     def __post_init__(self):
         if not self.g >= 0:  # written so that NaN fails
             raise ValueError("irradiance g must be >= 0")
-        band_gap(self.t)  # raises unless t > 0 K gives the cell model an E_g > 0
+        band_gap(self.t)  # raises unless 0 < t < 1108 K
 
 
 # Standard test conditions (1000 W/m^2, 25 degC taken as 298 K): the

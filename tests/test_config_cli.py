@@ -232,11 +232,11 @@ class TestErrorAttribution:
             ("profile:", "array:\n  panels_parallel: 0\nprofile:",
              "scenario.yaml:5: array.panels_parallel: must be >= 1"),
             ("profile:", "converter:\n  v_bus: 0\nprofile:",
-             "scenario.yaml:5: converter.v_bus: must be > 0"),
+             "scenario.yaml:5: converter.v_bus: must be a number > 0 or \"auto\", got 0.0"),
             ("profile:", "converter:\n  v_bus: true\nprofile:",
              "scenario.yaml:5: converter.v_bus: expected a number, got True"),
             ("profile:", "converter:\n  v_bus: fast\nprofile:",
-             "scenario.yaml:5: converter.v_bus: expected a number, got 'fast'"),
+             "scenario.yaml:5: converter.v_bus: must be a number > 0 or \"auto\", got 'fast'"),
             ("profile: builtin-table1", "profile: 5",
              "scenario.yaml:4: profile: expected a string, got 5"),
             ("output_dir: {out}", "output_dir: 5",
@@ -412,7 +412,7 @@ class TestErrorAttribution:
             ("0.0,900,25", "rows.csv:3: segment start times must be strictly increasing"),
             ("0.5,800", "rows.csv:3: expected 3 columns, got 2"),
             # the band-gap form gives E_g <= 0 from 1108 K (835 degC) up
-            ("0.5,800,900", "rows.csv:3: band gap at T = 1173.15 K is -13.67 eV, not > 0"),
+            ("0.5,800,900", "rows.csv:3: temperature t = 1173.15 K is outside (0, 1108) K"),
         ],
         ids=["nan_irradiance", "nan_start", "negative_irradiance", "repeated_start",
              "two_columns", "band_gap_not_positive"],
@@ -944,9 +944,10 @@ class TestCli:
         [
             ("-5", "25", "--g -5.0 --temp 25.0: irradiance g must be >= 0"),
             ("nan", "25", "--g nan --temp 25.0: irradiance g must be >= 0"),
-            ("1000", "-300", "--g 1000.0 --temp -300.0: temperature t must be > 0 K"),
-            ("1000", "900",
-             "--g 1000.0 --temp 900.0: band gap at T = 1173.15 K is -13.67 eV, not > 0"),
+            ("1000", "-300", "--g 1000.0 --temp -300.0: temperature t = -26.850000000000023 K "
+             "is outside (0, 1108) K, where the band gap is > 0"),
+            ("1000", "900", "--g 1000.0 --temp 900.0: temperature t = 1173.15 K "
+             "is outside (0, 1108) K, where the band gap is > 0"),
             ("1000", "-258.95",
              "--g 1000.0 --temp -258.95: saturation current 1.27e-313 A at "
              "T = 14.199999999999989 K is not a normal float"),
@@ -1225,6 +1226,37 @@ class TestForkedCompare:
         assert len(calls) == 2
         after = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
         assert after == before
+        assert no_child_is_left()
+
+    def test_a_work_directory_removed_after_the_renames_is_no_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A clean-up of directories that killed runs left can remove a live run's."""
+        out = tmp_path / "out"
+        config = write_scenario(tmp_path, MINIMAL.format(out=out))
+        replace = os.replace
+        renamed = []
+
+        def replace_then_lose_the_directory(src, dst):
+            replace(src, dst)
+            renamed.append(dst)
+            if len(renamed) == 4:  # comparison.txt, the last rename
+                shutil.rmtree(Path(src).parent)
+
+        monkeypatch.setattr(os, "replace", replace_then_lose_the_directory)
+        assert main(["compare", "--config", str(config)]) == 0
+        monkeypatch.undo()
+        assert len(renamed) == 4
+        raced = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(raced) == [
+            "comparison.txt",
+            "trace_conventional.csv",
+            "trace_revised_adaptive.csv",
+            "trace_revised_fixed.csv",
+        ]
+        assert capsys.readouterr().out == raced["comparison.txt"].decode()
+        assert main(["compare", "--config", str(config), "--quiet"]) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == raced
         assert no_child_is_left()
 
     def test_only_figures_cross_the_pipe(self, tmp_path, monkeypatch):

@@ -86,7 +86,7 @@ class TestBandGap:
         assert band_gap(350.0) == pytest.approx(1.2734498680738786, rel=1e-15)
 
     def test_singular_temperature(self):
-        with pytest.raises(ValueError, match="band-gap denominator vanishes"):
+        with pytest.raises(ValueError, match=r"t = 1108\.0 K is outside \(0, 1108\) K"):
             band_gap(1108.0)
 
     def test_nonpositive_temperature(self):
@@ -96,10 +96,59 @@ class TestBandGap:
     @pytest.mark.parametrize("t", [1108.5, 1173.15, 5000.0])
     def test_nonpositive_gap_raises(self, t):
         # (T - 1108) > 0 turns the gap negative: -13.67 eV at 900 degC
-        with pytest.raises(ValueError, match=r"band gap at T = .* K is -\d.* eV, not > 0"):
+        with pytest.raises(ValueError, match=r"t = .* K is outside \(0, 1108\) K"):
             band_gap(t)
-        with pytest.raises(ValueError, match="band gap at T"):
+        with pytest.raises(ValueError, match=r"outside \(0, 1108\) K"):
             EnvCondition(g=1000.0, t=t)
+
+    @pytest.mark.parametrize(
+        "t, accepted",
+        [
+            (math.nextafter(1108.0, 0.0), True),
+            (5e-324, True),
+            (1108.0, False),
+            (math.nextafter(1108.0, math.inf), False),
+            (0.0, False),
+            (-0.0, False),
+            (math.nan, False),
+            (math.inf, False),
+            (-math.inf, False),
+        ],
+        ids=["below_1108", "least_positive", "1108", "above_1108", "zero", "negative_zero",
+             "nan", "inf", "negative_inf"],
+    )
+    def test_the_domain_edges_match_the_three_branch_rule(self, t, accepted):
+        assert three_branch_rule_accepts(t) is accepted
+        assert env_condition_accepts(t) is accepted
+
+    @given(
+        t=st.one_of(
+            st.floats(),
+            st.floats(min_value=1107.0, max_value=1109.0),
+            st.floats(min_value=-1.0, max_value=1.0),
+        )
+    )
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_the_accepted_temperatures_match_the_three_branch_rule(self, t):
+        assert env_condition_accepts(t) is three_branch_rule_accepts(t)
+
+
+def three_branch_rule_accepts(t: float) -> bool:
+    """The band gap's domain as three checks, T > 0, T != 1108 K and E_g > 0."""
+    if not t > 0:
+        return False
+    denom = t - 1108.0
+    if denom == 0.0:
+        return False
+    return 1.16 - 0.000702 * t * t / denom > 0
+
+
+def env_condition_accepts(t: float) -> bool:
+    try:
+        EnvCondition(g=1000.0, t=t)
+    except ValueError:
+        return False
+    return True
 
 
 class TestPhotonCurrent:
