@@ -9,7 +9,7 @@ keys and whose fields give the value types and defaults.  A preset's
 datasheet values are taken at STC, and must give a cell whose derived
 series resistance is > 0 and which the cell model can solve in every
 profile segment; the model itself decides that.  A number must be a
-finite float.
+finite float; 1e-2 and 1.0e2 are numbers too.
 Validation failures report the offending field with its line in the file.
 """
 
@@ -205,9 +205,17 @@ class _Section:
             raise self.error(next(named, None), str(exc)) from None
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads 1e-2 and 1.0e2, which YAML 1.1 leaves as strings, as floats."""
+
+
+_EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$")
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+.0123456789"))
+
+
 def _root(text: str, source: Path | str) -> _Section:
     """The top-level mapping of a YAML document, with the line of each key."""
-    loader = yaml.SafeLoader(text)  # one parse gives both the nodes and the data
+    loader = _Loader(text)  # one parse gives both the nodes and the data
     lines: dict[str, int] = {}
     try:
         node = loader.get_single_node()

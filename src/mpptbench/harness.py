@@ -210,82 +210,62 @@ def compute_metrics(
     counts duty changes across all post-settle steps, a segment's first
     step excluded.  The energy deficit integrates p_deviation over the
     whole run by the rectangle rule.  control_interval defaults to the
-    spacing of the first two records, so a one-record trace must give it.
-    One pass over the trace finds every segment's figures.
+    spacing of the first two records, so a one-record trace must give it;
+    given or guessed, one that is not > 0 raises ValueError.
     """
     if not trace:
         raise ValueError("trace is empty")
-    if control_interval is None:
-        if len(trace) < 2:
-            raise ValueError("a one-record trace needs an explicit control_interval")
-        control_interval = trace[1].t - trace[0].t
-    dt = control_interval
+    if control_interval is None and len(trace) < 2:
+        raise ValueError("a one-record trace needs an explicit control_interval")
+    dt = trace[1].t - trace[0].t if control_interval is None else control_interval
+    if not dt > 0:  # written so that NaN fails
+        raise ValueError(f"control_interval must be > 0, got {dt!r}")
     hold_steps = max(1, round(SETTLE_HOLD_S / dt))
-    held = StepAction.HELD_AT_MPP
     n = len(trace)
     rel_all = [0.0 if r.p_mpp <= 0 else abs(r.p_deviation) / r.p_mpp for r in trace]
+    starts = [0] + [
+        k for k in range(1, n)
+        if trace[k].g != trace[k - 1].g or trace[k].temp != trace[k - 1].temp
+    ]
     segments: list[SegmentMetrics] = []
     post_settle_total = post_settle_changes = 0
-    a = 0
-    while a < n:
-        head = trace[a]
-        t0, g, temp, v0, v_mpp = head.t, head.g, head.temp, head.v, head.v_mpp
-        v_lo = v_hi = v0
-        d_prev = head.d  # so the first step counts no duty change
-        run = changes = 0  # length of the run below tolerance; its duty changes
-        settle = hold_t = None
-        b = n
-        for k in range(a, n):
-            t, rg, rtemp, v, _, _, d, _, _, _, _, _, _, action = trace[k]
-            if rg != g or rtemp != temp:
-                b = k
-                break
-            rel = rel_all[k]
-            if v < v_lo:
-                v_lo = v
-            elif v > v_hi:
-                v_hi = v
-            if hold_t is None and action == held:
-                hold_t = t
-            if settle is not None:
-                changes += d != d_prev
-            elif rel < SETTLE_TOLERANCE:
-                run += 1
-                changes += d != d_prev
+    for a, b in zip(starts, starts[1:] + [n]):
+        seg = trace[a:b]
+        t0, v0, v_mpp = seg[0].t, seg[0].v, seg[0].v_mpp
+        volts = [r.v for r in seg]
+        # rounding is monotone, so the widest excursion is at the lowest or highest voltage
+        if v0 > v_mpp:  # approached from above: overshoot dips below v_mpp
+            overshoot = max(0.0, v_mpp - min(volts))
+        elif v0 < v_mpp:  # approached from below: overshoot rises above v_mpp
+            overshoot = max(0.0, max(volts) - v_mpp)
+        else:
+            overshoot = max(max(volts) - v_mpp, v_mpp - min(volts))
+        settle = None
+        if b - a >= hold_steps:  # a shorter segment cannot settle
+            run = 0  # length of the run below tolerance
+            for k in range(a, b):
+                run = run + 1 if rel_all[k] < SETTLE_TOLERANCE else 0
                 if run == hold_steps:
                     settle = k - hold_steps + 1
-            else:
-                run = changes = 0
-            d_prev = d
-        # rounding is monotone, so the widest excursion is at v_lo or v_hi
-        if v0 > v_mpp:  # approached from above: overshoot dips below v_mpp
-            overshoot = max(0.0, v_mpp - v_lo)
-        elif v0 < v_mpp:  # approached from below: overshoot rises above v_mpp
-            overshoot = max(0.0, v_hi - v_mpp)
-        else:
-            overshoot = max(v_hi - v_mpp, v_mpp - v_lo)
+                    break
         if settle is not None:
-            post_settle_total += b - max(settle, a + 1)
-            post_settle_changes += changes
-        if a == 0 or overshoot > max_overshoot:
-            max_overshoot = overshoot
+            steps = range(max(settle, a + 1), b)  # a segment's first step changes no duty
+            post_settle_total += len(steps)
+            post_settle_changes += sum([trace[k].d != trace[k - 1].d for k in steps])
         segments.append(
             SegmentMetrics(
-                t0, g, b - a, b - a >= hold_steps,
+                t0, seg[0].g, b - a, b - a >= hold_steps,
                 None if settle is None else trace[settle].t - t0,
-                overshoot, hold_t, rel,
+                overshoot, next((r.t for r in seg if r.action == StepAction.HELD_AT_MPP), None),
+                rel_all[b - 1],
             )
         )
-        a = b
-
     return TrackingMetrics(
         segments=tuple(segments),
         energy_deficit=sum([r.p_deviation for r in trace]) * dt,
         mean_relative_deviation=sum(rel_all) / n,
-        oscillation_fraction=(
-            post_settle_changes / post_settle_total if post_settle_total else 0.0
-        ),
-        max_voltage_overshoot=max_overshoot,
+        oscillation_fraction=post_settle_changes / post_settle_total if post_settle_total else 0.0,
+        max_voltage_overshoot=max(s.max_voltage_overshoot for s in segments),
     )
 
 

@@ -17,6 +17,7 @@ import pytest
 import yaml
 
 from mpptbench import cli as cli_module
+from mpptbench import config as config_module
 from mpptbench import controllers
 from mpptbench import oracle as oracle_module
 from mpptbench import pvmodel
@@ -210,6 +211,44 @@ profile: builtin-table1
         )
         assert (done.returncode, done.stderr) == (0, "")
         assert float(done.stdout) > 0  # the energy deficit, J
+
+
+class TestNumberForms:
+    """An exponent float loads as a number, which PyYAML's YAML 1.1 resolver reads as a string."""
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1e-2", 0.01), ("1E-2", 0.01), (".5e1", 5.0), ("-3e4", -30000.0), ("+1e2", 100.0),
+         ("1.0e2", 100.0)],
+    )
+    def test_an_exponent_float_is_a_number(self, text, value):
+        read = config_module._root(f"x: {text}\n", "s.yaml").read("x", float)
+        assert read == value and type(read) is float
+        assert yaml.safe_load(f"x: {text}\n") == {"x": text}  # PyYAML's own loader is untouched
+
+    def test_a_scenario_interval_written_with_an_exponent_loads(self, tmp_path):
+        body = MINIMAL.replace("  duration_s:", "  control_interval_s: 1e-2\n  duration_s:")
+        scenario = load_scenario(write_scenario(tmp_path, body.format(out=tmp_path / "out")))
+        assert scenario.sim.control_interval_s == 0.01
+
+    @pytest.mark.parametrize(
+        "line, where",
+        [
+            ("  control_interval_s: '1e-2'\n",
+             "scenario.yaml:7: sim.control_interval_s: expected a number, got '1e-2'"),
+            ('  control_interval_s: "1e-2"\n',
+             "scenario.yaml:7: sim.control_interval_s: expected a number, got '1e-2'"),
+            ("  control_interval_s: 1e400\n",
+             "scenario.yaml:7: sim.control_interval_s: expected a finite float, got inf"),
+            ("  noise_seed: 1e3\n",
+             "scenario.yaml:7: sim.noise_seed: expected an integer, got 1000.0"),
+        ],
+        ids=["single_quoted", "double_quoted", "overflow", "integer_key"],
+    )
+    def test_what_is_not_a_number_of_the_key_still_fails(self, tmp_path, line, where):
+        body = MINIMAL.replace("  duration_s: 0.05\n", "  duration_s: 0.05\n" + line)
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            load_scenario(write_scenario(tmp_path, body.format(out=tmp_path / "out")))
 
 
 class TestErrorAttribution:

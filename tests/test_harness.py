@@ -305,6 +305,17 @@ class TestMetrics:
         trace = [make_record(k * 0.1, dev=10.0) for k in range(3)]
         assert compute_metrics(trace) == compute_metrics(trace, control_interval=0.1)
 
+    @pytest.mark.parametrize("interval", [0.0, -0.01], ids=["zero", "negative"])
+    def test_an_interval_not_above_zero_is_rejected(self, interval):
+        trace = [make_record(k * 0.01, dev=10.0) for k in range(20)]
+        with pytest.raises(ValueError, match=rf"control_interval must be > 0, got {interval}$"):
+            compute_metrics(trace, control_interval=interval)
+
+    def test_times_that_run_backwards_give_no_interval(self):
+        trace = [make_record(0.19 - k * 0.01, dev=10.0) for k in range(20)]
+        with pytest.raises(ValueError, match=r"control_interval must be > 0, got -0\.01"):
+            compute_metrics(trace)
+
 
 def settle_index_by_windows(rel, tolerance, hold_steps):
     """The settling definition: the first window of hold_steps values all below tolerance."""
@@ -410,8 +421,30 @@ def traces(draw):
 
 @given(trace=traces(), dt=st.sampled_from([0.01, 0.02, 0.05, 0.1]))
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_one_pass_metrics_match_the_per_segment_definitions(trace, dt):
+def test_metrics_match_the_per_segment_definitions(trace, dt):
     assert compute_metrics(trace, control_interval=dt) == metrics_by_segment(trace, dt)
+
+
+@pytest.mark.parametrize("kind", ["conventional", "revised-fixed-bound", "revised-adaptive-bound"])
+def test_a_cloud_of_two_step_segments_matches_the_per_segment_definitions(
+    kind, bp_panel, bp_converter, bp_oracle, tmp_path
+):
+    """2 s of a new irradiance every 20 ms: 100 segments, none long enough to settle."""
+    levels = [500 + 25 * ((7 * k) % 13 - 6) for k in range(100)]  # no two neighbours equal
+    path = tmp_path / "cloud.csv"
+    path.write_text(
+        "time_s,irradiance_w_m2,temperature_c\n"
+        + "".join(f"{k * 0.02:.2f},{g},25\n" for k, g in enumerate(levels))
+    )
+    cfg = SimConfig(duration_s=2.0, initial_duty=0.5)
+    controller = MpptController(kind, ControllerParams(), 0.5)
+    trace = run_simulation(
+        bp_panel, bp_converter, controller, load_profile_csv(path), cfg, bp_oracle
+    )
+    metrics = compute_metrics(trace)
+    assert [s.n_steps for s in metrics.segments] == [2] * 100
+    assert not any(s.assessable for s in metrics.segments)
+    assert metrics == metrics_by_segment(trace, cfg.control_interval_s)
 
 
 class TestTraceCsv:

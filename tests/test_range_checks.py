@@ -11,13 +11,15 @@ import pytest
 from mpptbench.config import load_panel_preset
 from mpptbench.controllers import ControllerParams, Measurement
 from mpptbench.converter import BuckBoost
-from mpptbench.harness import SimConfig
+from mpptbench.harness import SimConfig, SimRecord, compute_metrics
 from mpptbench.profiles import EnvProfile, EnvSegment
 from mpptbench.pvmodel import STC, ArrayConfig, PVArray
 
 NAN = math.nan
 CELL = load_panel_preset("bp_sx150").cell_params()
 PANEL = PVArray(CELL, ArrayConfig(n_series=72, n_parallel=1))
+RECORD = SimRecord(0.0, 1000.0, 298.0, 34.5, 4.4, 151.8, 0.5, 0.001, 0.01, 152.3, 34.5, 0.5, 0.0,
+                   "held_at_mpp")
 
 
 @pytest.mark.parametrize(
@@ -29,6 +31,10 @@ PANEL = PVArray(CELL, ArrayConfig(n_series=72, n_parallel=1))
         (lambda: SimConfig(duration_s=NAN), "duration_s must be >= control_interval_s"),
         (lambda: SimConfig(noise_v=NAN), "noise_v must be >= 0"),
         (lambda: SimConfig(noise_i=NAN), "noise_i must be >= 0"),
+        (
+            lambda: compute_metrics([RECORD], control_interval=NAN),
+            "control_interval must be > 0, got nan",
+        ),
         (lambda: BuckBoost(v_bus=NAN), "v_bus must be > 0"),
         (lambda: BuckBoost(v_bus=30.0).duty_for_voltage(NAN), "v_target must be > 0"),
         (lambda: dataclasses.replace(CELL, i_sc_ref=NAN), "i_sc_ref must be > 0"),
@@ -48,7 +54,8 @@ PANEL = PVArray(CELL, ArrayConfig(n_series=72, n_parallel=1))
     ],
     ids=[
         "ControllerParams.epsilon", "ControllerParams.acc", "SimConfig.control_interval_s",
-        "SimConfig.duration_s", "SimConfig.noise_v", "SimConfig.noise_i", "BuckBoost.v_bus",
+        "SimConfig.duration_s", "SimConfig.noise_v", "SimConfig.noise_i",
+        "compute_metrics.control_interval", "BuckBoost.v_bus",
         "BuckBoost.duty_for_voltage", "CellParams.i_sc_ref", "CellParams.v_oc_ref",
         "CellParams.alpha", "CellParams.n", "CellParams.dv_di_oc", "PVArray.current_at.scalar",
         "PVArray.current_at.vector", "EnvProfile.duration", "EnvProfile.start_times",
