@@ -210,8 +210,9 @@ def compute_metrics(
     counts duty changes across all post-settle steps, a segment's first
     step excluded.  The energy deficit integrates p_deviation over the
     whole run by the rectangle rule.  control_interval defaults to the
-    spacing of the first two records, so a one-record trace must give it;
-    given or guessed, one that is not > 0 raises ValueError.
+    spacing dt of the first two records, so a one-record trace must give
+    it, and record k must then lie within 1e-9 * (k + 1) * dt of
+    t_0 + k * dt; given or guessed, one that is not > 0 raises ValueError.
     """
     if not trace:
         raise ValueError("trace is empty")
@@ -220,6 +221,9 @@ def compute_metrics(
     dt = trace[1].t - trace[0].t if control_interval is None else control_interval
     if not dt > 0:  # written so that NaN fails
         raise ValueError(f"control_interval must be > 0, got {dt!r}")
+    for k, r in enumerate(trace if control_interval is None else ()):
+        if not abs(r.t - trace[0].t - k * dt) <= 1e-9 * (k + 1) * dt:  # NaN fails too
+            raise ValueError(f"the trace is not evenly spaced: record {k} is at t = {r.t!r}")
     hold_steps = max(1, round(SETTLE_HOLD_S / dt))
     n = len(trace)
     rel_all = [0.0 if r.p_mpp <= 0 else abs(r.p_deviation) / r.p_mpp for r in trace]

@@ -5,27 +5,16 @@ series resistance R_s.  The terminal current solves the implicit equation
 
     I = I_ph - I_0 * (exp(q*(V + I*R_s)/(n*k*T)) - 1)
 
-which is solved by Newton's method started at min(I_ph, I_cap), where
-I_cap follows from an upper bound on the diode voltage at the root.
-R_s, derived from the open-circuit slope alone, must be > 0; the
-iteration then converges monotonically (see _solve_current), so it
-needs no damping and no fallback and takes a few steps, however far
-above open circuit and in the dark too, up to about 1e8 W/m^2 (for
-bp_sx150 at 298 K; beyond, rounding stalls some voltages near V_oc).
-It stops at a residual below SOLVER_TOL_A or where the step reaches the
-float spacing of I, and raises ValueError if still unconverged after
-SOLVER_MAX_ITER steps.  q and k (Q, K), both solver limits and the
-(T - 1108) band gap are constants, not arguments.
-Arrays of identical, identically illuminated cells scale linearly in
-series (voltage) and parallel (current).  The datasheet values are
-taken at STC, which is also the reference (T_ref, G_ref) of the
-temperature and irradiance scaling.
-
-The control loop and the MPP oracle's refinement solve one voltage at a
-time, so a scalar voltage takes a plain-float copy of the numpy Newton
-solve, and PVArray memoizes the per-condition constants (I_ph, I_0,
-V_t) instead of rebuilding them on every call.  Both paths return the
-same floats; voltage grids stay on numpy.
+which one Newton solve in Python floats solves for each voltage, a
+scalar or an array's element.  R_s, derived from the open-circuit slope
+alone, must be > 0; the iteration then converges monotonically, with no
+damping and no fallback, up to about 1e8 W/m^2 for bp_sx150 at 298 K
+(_solve_current_scalar gives the argument and the stop rule).  q and k
+(Q, K), both solver limits and the (T - 1108) band gap are constants,
+not arguments.  Arrays of identical, identically illuminated cells
+scale linearly in series (voltage) and parallel (current).  The
+datasheet values are taken at STC, which is also the reference
+(T_ref, G_ref) of the temperature and irradiance scaling.
 """
 
 from __future__ import annotations
@@ -196,7 +185,7 @@ def derive_series_resistance(params: CellParams) -> float:
     return r_s
 
 
-def _solve_current(v: np.ndarray, i_ph: float, i_0: float, vt: float, r_s: float) -> np.ndarray:
+def _solve_current_scalar(v: float, i_ph: float, i_0: float, vt: float, r_s: float) -> float:
     """Newton on the single-diode residual from a start right of the root.
 
     With R_s > 0 the residual
@@ -212,40 +201,17 @@ def _solve_current(v: np.ndarray, i_ph: float, i_0: float, vt: float, r_s: float
     lowers the exponent by only about one per step, the cap starts
     within a few steps of the root.
 
-    A lane stops at |f| < SOLVER_TOL_A, or where the step falls to 8 ulps of I:
+    The solve stops at |f| < SOLVER_TOL_A, or where the step falls to 8 ulps of I:
     there the rounding of f can flip its sign, and a current of
     thousands of amperes cannot meet an absolute tolerance of 1e-9 A.
-    Lanes still unconverged after SOLVER_MAX_ITER steps raise ValueError.  That
+    A solve still unconverged after SOLVER_MAX_ITER steps raises ValueError.  That
     happens near V_oc at extreme irradiance: x moves in whole ulps, so |f|
     stays near I_0*exp(x/vt)*ulp(x)/vt > SOLVER_TOL_A while I alternates
     between two values just over 8 ulps apart.  For the bp_sx150 cell at
     298 K, all of 2,000 voltages from 0 to V_oc solve at g = 1e8 W/m^2;
     69 raise at 1.5e8 and 82 at 1e9 W/m^2 (62.6 to 76.7 V on the panel).
-    """
-    i = np.minimum(i_ph, (vt * np.log1p((i_ph + v / r_s) / i_0) - v) / r_s)
-    for _ in range(SOLVER_MAX_ITER + 1):
-        vd = v + i * r_s
-        f = i_ph - i_0 * np.expm1(vd / vt) - i
-        step = f / (-i_0 * np.exp(vd / vt) * r_s / vt - 1.0)
-        done = (np.abs(f) < SOLVER_TOL_A) | (np.abs(step) <= 8 * np.spacing(np.abs(i)))
-        if done.all():
-            return i
-        i = np.where(done, i, i - step)
-    residual = float(np.abs(f[~done]).max())
-    raise ValueError(
-        f"Newton did not converge (iterations={SOLVER_MAX_ITER}, residual={residual:.3e} A)"
-    )
-
-
-def _solve_current_scalar(v: float, i_ph: float, i_0: float, vt: float, r_s: float) -> float:
-    """_solve_current for one voltage, in Python floats.
-
-    Follows _solve_current expression by expression, so it returns the
-    same float and raises the same errors.  The transcendentals stay
-    np.exp/np.expm1/np.log1p: their math counterparts can differ from
-    numpy in the last bit.  math.ulp makes the same stop decision as
-    np.spacing at a fraction of its cost on a float, and the step is
-    only computed when the residual is not yet met.
+    The transcendentals stay numpy's, whose last bits the pinned outputs
+    record; math's can differ in the last bit.
     """
     i = min(i_ph, (vt * float(np.log1p((i_ph + v / r_s) / i_0)) - v) / r_s)
     for _ in range(SOLVER_MAX_ITER + 1):
@@ -273,11 +239,10 @@ class PVArray:
 
     The solver constants of each environment (I_ph, I_0 and V_t) are
     memoized per (g, t), so the memo grows by one entry per distinct
-    condition, as MppOracle's cache does.  A scalar
-    voltage is solved in Python floats, an array in numpy; both give
-    the same floats.  Results are pure functions of the arguments:
-    concurrent threads can at worst compute one memo entry twice, with
-    the same value, so instances are safe to share across threads.
+    condition, as MppOracle's cache does.  Results are pure functions
+    of the arguments: concurrent threads can at worst compute one memo
+    entry twice, with the same value, so instances are safe to share
+    across threads.
     Treat the attributes as read-only; the memo does not see changes.
     """
 
@@ -326,20 +291,20 @@ class PVArray:
         return found
 
     def current_at(self, v_array, env: EnvCondition):
-        """Array current (A) at terminal voltage v_array (scalar or array)."""
+        """Array current (A) at v_array (V): a scalar, or an array solved element by element."""
         if isinstance(v_array, float) or np.ndim(v_array) == 0:
             v_cell = float(v_array) / self.layout.n_series
             if not v_cell >= 0:  # written so that NaN fails
                 raise ValueError("cell voltage must be >= 0")
-            solve = _solve_current_scalar
-        else:
-            v_cell = np.asarray(v_array, dtype=float) / self.layout.n_series
-            if not np.all(v_cell >= 0):
-                raise ValueError("cell voltage must be >= 0")
-            solve = _solve_current
-        i_ph, i_0, vt = self._constants_at(env)
-        i_cell = solve(v_cell, i_ph, i_0, vt, self.r_s)
-        return self.layout.n_parallel * i_cell
+            return self.layout.n_parallel * _solve_current_scalar(
+                v_cell, *self._constants_at(env), self.r_s
+            )
+        v_cell = np.asarray(v_array, dtype=float) / self.layout.n_series
+        if not np.all(v_cell >= 0):
+            raise ValueError("cell voltage must be >= 0")
+        constants = (*self._constants_at(env), self.r_s)
+        i_cell = [_solve_current_scalar(v, *constants) for v in v_cell.ravel().tolist()]
+        return self.layout.n_parallel * np.array(i_cell).reshape(v_cell.shape)
 
     def open_circuit_voltage(self, env: EnvCondition) -> float:
         """Array-level open-circuit voltage (V): the closed-form root at I = 0.
@@ -348,3 +313,24 @@ class PVArray:
         """
         i_ph, i_0, vt = self._constants_at(env)
         return vt * math.log(i_ph / i_0 + 1.0) * self.layout.n_series
+
+    def mpp_voltage(self, env: EnvCondition) -> float:
+        """Array-level MPP voltage (V), on the curve made explicit by the diode voltage x.
+
+        I(x) = I_ph - I_0*expm1(x/vt) and V(x) = x - R_s*I(x) rises with x, so
+        dP/dx = I*(1 + R_s*e) - V*e, with e = I_0*exp(x/vt)/vt, is > 0 where V <= 0
+        and changes sign once on [0, x_oc]; bisection finds that x to float precision.
+        """
+        i_ph, i_0, vt = self._constants_at(env)
+        r_s = self.r_s
+        lo, hi = 0.0, vt * math.log1p(i_ph / i_0)
+        x = 0.5 * (lo + hi)
+        while lo < x < hi:
+            i = i_ph - i_0 * math.expm1(x / vt)
+            e = i_0 * math.exp(x / vt) / vt
+            if i * (1.0 + r_s * e) > (x - r_s * i) * e:
+                lo = x
+            else:
+                hi = x
+            x = 0.5 * (lo + hi)
+        return (x - r_s * (i_ph - i_0 * math.expm1(x / vt))) * self.layout.n_series

@@ -305,6 +305,21 @@ class TestMetrics:
         trace = [make_record(k * 0.1, dev=10.0) for k in range(3)]
         assert compute_metrics(trace) == compute_metrics(trace, control_interval=0.1)
 
+    def test_an_unevenly_spaced_trace_gives_no_interval(self):
+        times = [0.0] + [0.01 + 0.02 * k for k in range(20)]
+        trace = [make_record(t, dev=10.0) for t in times]
+        with pytest.raises(ValueError, match=r"not evenly spaced: record 2 is at t = 0\.03$"):
+            compute_metrics(trace)
+        assert compute_metrics(trace, control_interval=0.02).energy_deficit == pytest.approx(4.2)
+
+    def test_accumulated_and_offset_times_are_evenly_spaced(self):
+        summed = [0.0]
+        for _ in range(5999):
+            summed.append(summed[-1] + 0.01)
+        for times in (summed, [1000.0 + k * 0.01 for k in range(6000)]):
+            trace = [make_record(t, dev=10.0) for t in times]
+            assert compute_metrics(trace).energy_deficit == pytest.approx(600.0, rel=1e-9)
+
     @pytest.mark.parametrize("interval", [0.0, -0.01], ids=["zero", "negative"])
     def test_an_interval_not_above_zero_is_rejected(self, interval):
         trace = [make_record(k * 0.01, dev=10.0) for k in range(20)]

@@ -4,13 +4,21 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mpptbench.oracle import MppOracle, find_mpp, pv_curve
-from mpptbench.pvmodel import EnvCondition
+from mpptbench.oracle import MppOracle, find_mpp, pv_curve, refine_mpp
+from mpptbench.pvmodel import ArrayConfig, EnvCondition, PVArray
 
 # (g, t) at full sun, a hot dim sky and a cold near-dark one
 PEAK_CONDITIONS = ((1000.0, 298.0), (150.0, 320.0), (20.0, 275.0))
+LAYOUTS = (ArrayConfig(1, 1), ArrayConfig(72, 1), ArrayConfig(36, 4))
+
+
+def bits(result):
+    return [x.hex() for x in dataclasses.astuple(result)]
 
 
 def test_zero_irradiance_degenerate(bp_panel):
@@ -77,3 +85,42 @@ def test_cache_returns_identical_result(bp_panel, stc):
     second = oracle.find(stc)
     assert first is second
     assert oracle.find(EnvCondition(g=500.0, t=298.0)) is not first
+
+
+@given(
+    layout=st.sampled_from(LAYOUTS),
+    g=st.floats(-4.0, 7.0).map(lambda e: 10.0**e),  # log-uniform in [1e-4, 1e7] W/m^2
+    t=st.floats(220.0, 420.0),
+)
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_five_samples_refine_as_the_whole_sweep_does(bp_cell, layout, g, t):
+    array = PVArray(bp_cell, layout)
+    env = EnvCondition(g=g, t=t)
+    voltage, current = pv_curve(array, env)
+    assert bits(find_mpp(array, env)) == bits(refine_mpp(array, env, voltage, current))
+    # the sweep's best sample is the one nearest the explicit MPP voltage, or its neighbour
+    nearest = int(np.abs(voltage - array.mpp_voltage(env)).argmin())
+    assert abs(int(np.argmax(voltage * current)) - nearest) <= 1
+
+
+@pytest.mark.parametrize("g", [0.0, -0.0])
+@pytest.mark.parametrize("layout", LAYOUTS, ids=str)
+def test_zero_irradiance_matches_the_whole_sweep(bp_cell, layout, g):
+    array = PVArray(bp_cell, layout)
+    env = EnvCondition(g=g, t=298.0)
+    assert array.mpp_voltage(env) == 0.0
+    assert bits(find_mpp(array, env)) == bits(refine_mpp(array, env, *pv_curve(array, env)))
+
+
+def test_in_deep_dark_the_bracket_is_clamped_at_the_last_sample(bp_panel):
+    """At 1e-8 W/m^2 every current solves to I_ph within SOLVER_TOL_A, so the
+    sampled power rises to the last sample: the whole sweep refines between
+    its last two samples, find_mpp between its window's, and the two differ."""
+    env = EnvCondition(g=1e-8, t=298.0)
+    voltage, current = pv_curve(bp_panel, env)
+    assert int(np.argmax(voltage * current)) == len(voltage) - 1
+    swept = refine_mpp(bp_panel, env, voltage, current)
+    assert voltage[-2] <= swept.v_mpp <= voltage[-1]
+    found = find_mpp(bp_panel, env)
+    v_star = bp_panel.mpp_voltage(env)
+    assert abs(found.v_mpp - v_star) < 3 * voltage[1] < voltage[-1] - v_star

@@ -378,7 +378,7 @@ class TestArrayScaling:
 
 
 class TestScalarPath:
-    """A scalar voltage is solved in floats; it must give the array path's float."""
+    """A scalar and each element of an array go through one solve and give one float."""
 
     @staticmethod
     def voltages(array, env):
@@ -405,6 +405,23 @@ class TestScalarPath:
             lane = PVArray(cell).current_at(np.array([v_cell]), env)[0]
             assert type(one) is float
             assert one.hex() == float(lane).hex()
+
+    @pytest.mark.parametrize("layout", [ArrayConfig(1, 1), ArrayConfig(4, 2)], ids=str)
+    @pytest.mark.parametrize("g", [0.0, 20.0, 1000.0])
+    def test_an_array_is_solved_element_by_element(self, bp_cell, layout, g):
+        array = PVArray(cell=bp_cell, layout=layout)
+        env = EnvCondition(g=g, t=298.0)
+        volts = self.voltages(array, env)  # 0 V up to 5% above V_oc
+        lanes = array.current_at(np.array(volts), env)
+        assert [float(i).hex() for i in lanes] == [array.current_at(v, env).hex() for v in volts]
+        assert array.current_at(np.array([volts]), env).tolist() == [lanes.tolist()]
+        for bad in (-1e-9, math.nan):
+            messages = []
+            for v_in in (bad, np.array([*volts, bad])):
+                with pytest.raises(ValueError) as err:
+                    array.current_at(v_in, env)
+                messages.append(str(err.value))
+            assert messages == ["cell voltage must be >= 0"] * 2
 
     def test_exhausted_newton_raises_one_error_on_both_paths(self, bp_cell, stc, monkeypatch):
         array = PVArray(cell=bp_cell, layout=ArrayConfig(72, 1))
@@ -577,7 +594,7 @@ class TestNewtonConvergence:
                     assert str(exc).startswith(unsolved)
                     failed += 1
             assert failed == failures
-            if failures:  # the vector solve raises for the grid as a whole
+            if failures:  # so the grid as one array raises
                 with pytest.raises(ValueError, match=re.escape(unsolved)):
                     bp_panel.current_at(grid, env)
             else:

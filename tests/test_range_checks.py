@@ -35,6 +35,10 @@ RECORD = SimRecord(0.0, 1000.0, 298.0, 34.5, 4.4, 151.8, 0.5, 0.001, 0.01, 152.3
             lambda: compute_metrics([RECORD], control_interval=NAN),
             "control_interval must be > 0, got nan",
         ),
+        (
+            lambda: compute_metrics([RECORD._replace(t=t) for t in (0.0, 0.01, NAN)]),
+            "not evenly spaced: record 2 is at t = nan",
+        ),
         (lambda: BuckBoost(v_bus=NAN), "v_bus must be > 0"),
         (lambda: BuckBoost(v_bus=30.0).duty_for_voltage(NAN), "v_target must be > 0"),
         (lambda: dataclasses.replace(CELL, i_sc_ref=NAN), "i_sc_ref must be > 0"),
@@ -55,7 +59,7 @@ RECORD = SimRecord(0.0, 1000.0, 298.0, 34.5, 4.4, 151.8, 0.5, 0.001, 0.01, 152.3
     ids=[
         "ControllerParams.epsilon", "ControllerParams.acc", "SimConfig.control_interval_s",
         "SimConfig.duration_s", "SimConfig.noise_v", "SimConfig.noise_i",
-        "compute_metrics.control_interval", "BuckBoost.v_bus",
+        "compute_metrics.control_interval", "compute_metrics.record_t", "BuckBoost.v_bus",
         "BuckBoost.duty_for_voltage", "CellParams.i_sc_ref", "CellParams.v_oc_ref",
         "CellParams.alpha", "CellParams.n", "CellParams.dv_di_oc", "PVArray.current_at.scalar",
         "PVArray.current_at.vector", "EnvProfile.duration", "EnvProfile.start_times",
