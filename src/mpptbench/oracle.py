@@ -52,7 +52,7 @@ def _golden_max(f, a: float, b: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def pv_curve(array: PVArray, env: EnvCondition) -> tuple[np.ndarray, np.ndarray]:
+def pv_curve(array: PVArray, env: EnvCondition) -> tuple[np.ndarray, list[float]]:
     """The array's (voltage, current) at GRID_POINTS voltages from 0 to V_oc.
 
     Zero irradiance has V_oc = 0, so every sample is V = 0, I = 0.
@@ -62,7 +62,7 @@ def pv_curve(array: PVArray, env: EnvCondition) -> tuple[np.ndarray, np.ndarray]
 
 
 def refine_mpp(
-    array: PVArray, env: EnvCondition, voltage: np.ndarray, current: np.ndarray
+    array: PVArray, env: EnvCondition, voltage: np.ndarray, current: list[float]
 ) -> MppResult:
     """Locate the MPP from consecutive pv_curve samples by golden-section refinement.
 
@@ -75,12 +75,12 @@ def refine_mpp(
     best = int(np.argmax(voltage * current))
 
     def p_of(v: float) -> float:
-        return v * float(array.current_at(v, env))
+        return v * array.current_at(v, env)
 
     lo = float(voltage[max(0, best - 1)])
     hi = float(voltage[min(len(voltage) - 1, best + 1)])
     v_mpp, _ = _golden_max(p_of, lo, hi)
-    i_mpp = float(array.current_at(v_mpp, env))
+    i_mpp = array.current_at(v_mpp, env)
     return MppResult(v_mpp=v_mpp, i_mpp=i_mpp, p_mpp=v_mpp * i_mpp)
 
 

@@ -90,7 +90,7 @@ def test_cache_returns_identical_result(bp_panel, stc):
 @given(
     layout=st.sampled_from(LAYOUTS),
     g=st.floats(-4.0, 7.0).map(lambda e: 10.0**e),  # log-uniform in [1e-4, 1e7] W/m^2
-    t=st.floats(220.0, 420.0),
+    t=st.floats(150.0, 750.0),
 )
 @settings(derandomize=True, max_examples=150, deadline=None)
 def test_five_samples_refine_as_the_whole_sweep_does(bp_cell, layout, g, t):

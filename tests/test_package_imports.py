@@ -28,6 +28,45 @@ def test_only_the_cell_solve_and_the_oracle_import_numpy():
     assert users == {"pvmodel", "oracle"}
 
 
+def numpy_uses(path: Path) -> set[tuple[str, str]]:
+    """(enclosing function, what it uses) for each use of the numpy module in path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name for a in node.names if a.name == "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            aliases.update(a.asname or a.name for a in node.names)
+    uses = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.value, ast.Name)
+                and child.value.id in aliases
+            ):
+                uses.add((scope, f"{child.value.id}.{child.attr}"))
+            elif isinstance(child, ast.Name) and child.id in aliases:
+                uses.add((scope, child.id))
+            else:
+                visit(child, scope)
+
+    visit(tree, "<module>")
+    return uses
+
+
+def test_the_cell_model_uses_numpy_only_for_the_solves_transcendentals():
+    """Switching the solve to math, which can differ in the last bit, is then a three-call change."""
+    assert numpy_uses(PACKAGE / "pvmodel.py") == {
+        ("_solve_current_scalar", "np.log1p"),
+        ("_solve_current_scalar", "np.expm1"),
+        ("_solve_current_scalar", "np.exp"),
+    }
+
+
 def test_the_cli_imports_no_process_pool():
     """compare forks with os.fork and pickle; a pool module would add to every call's start-up."""
     probe = (
