@@ -245,7 +245,7 @@ def _cmd_oracle(args) -> int:
     voltage, current = pv_curve(array, env)
     mpp = refine_mpp(array, env, voltage, current)
     header = ("voltage_v", "current_a", "power_w")
-    rows = zip(voltage.tolist(), current, (voltage * current).tolist())
+    rows = ((v, i, v * i) for v, i in zip(voltage, current))
     curve_path = scenario.output_dir / "pv_curve.csv"
     # the dark curve, all at V_oc = 0, is the header alone
     curve_path.write_text(format_csv(header, rows if voltage[-1] > 0 else ()), newline="")

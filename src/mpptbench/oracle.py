@@ -3,15 +3,16 @@
 The best sample of the P-V curve on a uniform voltage grid brackets the
 MPP, which golden-section search refines.  find_mpp solves only the grid
 samples around the explicit MPP voltage.  Valid under uniform
-insolation, where the P-V curve has a single maximum.
+insolation, where the P-V curve has a single maximum.  The grid is built
+in floats, each sample where np.linspace puts it; numpy is left only in
+the cell solve's transcendentals.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .pvmodel import EnvCondition, PVArray
 
@@ -52,33 +53,43 @@ def _golden_max(f, a: float, b: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def pv_curve(array: PVArray, env: EnvCondition) -> tuple[np.ndarray, list[float]]:
+def _grid(v_oc: float, first: int, stop: int) -> list[float]:
+    """Samples first..stop-1 of np.linspace(0.0, v_oc, GRID_POINTS), bit for bit.
+
+    numpy's branch for a zero step is met only at v_oc = 0, where both give
+    0.0: PVArray's V_oc is 0.0 or above about 1e-18 V.
+    """
+    step = v_oc / (GRID_POINTS - 1)
+    return [v_oc if k == GRID_POINTS - 1 else k * step for k in range(first, stop)]
+
+
+def pv_curve(array: PVArray, env: EnvCondition) -> tuple[list[float], list[float]]:
     """The array's (voltage, current) at GRID_POINTS voltages from 0 to V_oc.
 
     Zero irradiance has V_oc = 0, so every sample is V = 0, I = 0.
     """
-    voltage = np.linspace(0.0, array.open_circuit_voltage(env), GRID_POINTS)
+    voltage = _grid(array.open_circuit_voltage(env), 0, GRID_POINTS)
     return voltage, array.current_at(voltage, env)
 
 
 def refine_mpp(
-    array: PVArray, env: EnvCondition, voltage: np.ndarray, current: list[float]
+    array: PVArray, env: EnvCondition, voltage: Sequence[float], current: Sequence[float]
 ) -> MppResult:
     """Locate the MPP from consecutive pv_curve samples by golden-section refinement.
 
     P(V) is strictly concave on [0, V_oc], so the grid neighbours of the
-    best sample bracket the maximum and golden-section search lands
-    within _REFINE_TOLERANCE_V of it.  Zero irradiance gives
-    (0.0, 0.0, 0.0).
+    best sample (the first, among equal powers) bracket the maximum and
+    golden-section search lands within _REFINE_TOLERANCE_V of it.  Zero
+    irradiance gives (0.0, 0.0, 0.0).
     Deterministic: identical inputs give bit-identical results.
     """
-    best = int(np.argmax(voltage * current))
+    best = max(range(len(voltage)), key=lambda k: voltage[k] * current[k])
 
     def p_of(v: float) -> float:
         return v * array.current_at(v, env)
 
-    lo = float(voltage[max(0, best - 1)])
-    hi = float(voltage[min(len(voltage) - 1, best + 1)])
+    lo = voltage[max(0, best - 1)]
+    hi = voltage[min(len(voltage) - 1, best + 1)]
     v_mpp, _ = _golden_max(p_of, lo, hi)
     i_mpp = array.current_at(v_mpp, env)
     return MppResult(v_mpp=v_mpp, i_mpp=i_mpp, p_mpp=v_mpp * i_mpp)
@@ -89,11 +100,19 @@ def find_mpp(array: PVArray, env: EnvCondition) -> MppResult:
 
     They hold the whole sweep's best sample and its bracket, so the result is the
     sweep's, except below about 6e-6 W/m^2, where the solver's 1e-9 A tolerance
-    outweighs the power between samples.
+    outweighs the power between samples, and for a cell above about 775 K, whose
+    MPP lies within a few float steps of open circuit.
     """
-    voltage = np.linspace(0.0, array.open_circuit_voltage(env), GRID_POINTS)
-    nearest = int(np.abs(voltage - array.mpp_voltage(env)).argmin())
-    window = voltage[max(0, nearest - 2) : nearest + 3]
+    v_oc = array.open_circuit_voltage(env)
+    v_star = array.mpp_voltage(env)
+    # v_star's rounded index is within one of the nearest sample's; clamped, as a hot
+    # cell's v_star can fall below 0 or above V_oc, and at V_oc = 0 every sample is 0.0
+    k = round(v_star / v_oc * (GRID_POINTS - 1)) if v_oc > 0 else 0
+    k = min(max(k, 1), GRID_POINTS - 2)
+    near = _grid(v_oc, k - 1, k + 2)
+    # the first of two equally near samples, as argmin picks
+    nearest = k - 1 + min(range(3), key=lambda j: abs(near[j] - v_star))
+    window = _grid(v_oc, max(0, nearest - 2), min(nearest + 3, GRID_POINTS))
     return refine_mpp(array, env, window, array.current_at(window, env))
 
 

@@ -7,7 +7,8 @@ series resistance R_s.  The terminal current solves the implicit equation
 
 which one Newton solve in Python floats solves for each voltage (a float
 gives a float, a sequence a list); numpy gives only its log1p, expm1 and
-exp.  R_s, derived from the open-circuit slope alone, must be > 0; the
+exp, the package's only numpy use (the oracle builds its voltage grid in
+floats).  R_s, derived from the open-circuit slope alone, must be > 0; the
 iteration then converges monotonically, with no damping and no fallback,
 up to about 1e8 W/m^2 for bp_sx150 at 298 K (_solve_current_scalar gives
 the argument and the stop rule).  q and k (Q, K), both solver limits and

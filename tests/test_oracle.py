@@ -9,16 +9,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpptbench.oracle import MppOracle, find_mpp, pv_curve, refine_mpp
+from mpptbench.oracle import GRID_POINTS, MppOracle, find_mpp, pv_curve, refine_mpp
 from mpptbench.pvmodel import ArrayConfig, EnvCondition, PVArray
 
 # (g, t) at full sun, a hot dim sky and a cold near-dark one
 PEAK_CONDITIONS = ((1000.0, 298.0), (150.0, 320.0), (20.0, 275.0))
 LAYOUTS = (ArrayConfig(1, 1), ArrayConfig(72, 1), ArrayConfig(36, 4))
+WIDE_LAYOUTS = (*LAYOUTS, ArrayConfig(288, 2))
 
 
 def bits(result):
     return [x.hex() for x in dataclasses.astuple(result)]
+
+
+def numpy_find_mpp(array, env):
+    """find_mpp as numpy chose its samples: np.linspace's grid, argmin for the sample
+    nearest the explicit MPP voltage, argmax for the best of its five-sample window."""
+    voltage = np.linspace(0.0, array.open_circuit_voltage(env), GRID_POINTS)
+    nearest = int(np.abs(voltage - array.mpp_voltage(env)).argmin())
+    window = voltage[max(0, nearest - 2) : nearest + 3]
+    best = int(np.argmax(window * np.asarray(array.current_at(window.tolist(), env))))
+    # the best sample and its neighbours, whose first largest power is the best sample,
+    # give refine_mpp the bracket the whole window gives
+    bracket = window[max(0, best - 1) : best + 2].tolist()
+    return refine_mpp(array, env, bracket, array.current_at(bracket, env))
 
 
 def test_zero_irradiance_degenerate(bp_panel):
@@ -53,7 +67,7 @@ def test_beats_every_grid_sample(bp_panel, g, t):
     result = find_mpp(bp_panel, env)
     voltage, current = pv_curve(bp_panel, env)
     assert voltage[0] == 0.0 and voltage[-1] == bp_panel.open_circuit_voltage(env)
-    assert result.p_mpp >= (voltage * current).max()
+    assert result.p_mpp >= (np.asarray(voltage) * np.asarray(current)).max()
 
 
 def test_optimality_near_the_peak(bp_panel):
@@ -99,8 +113,8 @@ def test_five_samples_refine_as_the_whole_sweep_does(bp_cell, layout, g, t):
     voltage, current = pv_curve(array, env)
     assert bits(find_mpp(array, env)) == bits(refine_mpp(array, env, voltage, current))
     # the sweep's best sample is the one nearest the explicit MPP voltage, or its neighbour
-    nearest = int(np.abs(voltage - array.mpp_voltage(env)).argmin())
-    assert abs(int(np.argmax(voltage * current)) - nearest) <= 1
+    nearest = int(np.abs(np.asarray(voltage) - array.mpp_voltage(env)).argmin())
+    assert abs(int(np.argmax(np.asarray(voltage) * np.asarray(current))) - nearest) <= 1
 
 
 @pytest.mark.parametrize("g", [0.0, -0.0])
@@ -118,9 +132,72 @@ def test_in_deep_dark_the_bracket_is_clamped_at_the_last_sample(bp_panel):
     its last two samples, find_mpp between its window's, and the two differ."""
     env = EnvCondition(g=1e-8, t=298.0)
     voltage, current = pv_curve(bp_panel, env)
-    assert int(np.argmax(voltage * current)) == len(voltage) - 1
+    assert int(np.argmax(np.asarray(voltage) * np.asarray(current))) == len(voltage) - 1
     swept = refine_mpp(bp_panel, env, voltage, current)
     assert voltage[-2] <= swept.v_mpp <= voltage[-1]
     found = find_mpp(bp_panel, env)
     v_star = bp_panel.mpp_voltage(env)
     assert abs(found.v_mpp - v_star) < 3 * voltage[1] < voltage[-1] - v_star
+
+
+@given(
+    layout=st.sampled_from(WIDE_LAYOUTS),
+    g=st.sampled_from([0.0, -0.0]) | st.floats(-9.0, 8.0).map(lambda e: 10.0**e),
+    t=st.floats(120.0, 1000.0),
+)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_the_float_grid_is_numpys_linspace(bp_cell, layout, g, t):
+    array = PVArray(bp_cell, layout)
+    array.current_at = lambda voltage, env: None  # the grid alone: no solve to fail at 1e8 W/m^2
+    env = EnvCondition(g=g, t=t)
+    voltage, _ = pv_curve(array, env)
+    reference = np.linspace(0.0, array.open_circuit_voltage(env), GRID_POINTS)
+    assert [v.hex() for v in voltage] == [v.hex() for v in reference.tolist()]
+
+
+@given(
+    layout=st.sampled_from(WIDE_LAYOUTS),
+    g=st.floats(-9.0, 8.0).map(lambda e: 10.0**e),  # log-uniform in [1e-9, 1e8] W/m^2
+    t=st.floats(120.0, 1000.0),
+)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_find_mpp_picks_numpys_samples(bp_cell, layout, g, t):
+    """Also where the five samples leave the whole sweep: deep dark and hot cells."""
+    array = PVArray(bp_cell, layout)
+    env = EnvCondition(g=g, t=t)
+    assert bits(find_mpp(array, env)) == bits(numpy_find_mpp(array, env))
+
+
+@pytest.mark.parametrize(
+    "g, t, case",
+    [
+        (1000.0, 814.0, "v_mpp < 0 < V_oc"),
+        (2000.0, 813.0, "0 < V_oc < v_mpp"),
+        (1e-9, 700.0, "V_oc = 0 < v_mpp"),
+        (1000.0, 850.0, "V_oc = 0 < v_mpp"),
+        (0.0, 298.0, "V_oc = v_mpp = 0"),
+        (-0.0, 298.0, "V_oc = v_mpp = 0"),
+    ],
+)
+def test_find_mpp_clamps_as_numpy_does(bp_panel, g, t, case):
+    env = EnvCondition(g=g, t=t)
+    v_oc, v_mpp = bp_panel.open_circuit_voltage(env), bp_panel.mpp_voltage(env)
+    assert {
+        "v_mpp < 0 < V_oc": v_mpp < 0 < v_oc,
+        "0 < V_oc < v_mpp": 0 < v_oc < v_mpp,
+        "V_oc = 0 < v_mpp": v_oc == 0 < v_mpp,
+        "V_oc = v_mpp = 0": v_oc == v_mpp == 0,
+    }[case]
+    assert bits(find_mpp(bp_panel, env)) == bits(numpy_find_mpp(bp_panel, env))
+
+
+@given(k=st.integers(0, GRID_POINTS - 2), share=st.sampled_from([0.5]) | st.floats(0.0, 1.0))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_find_mpp_takes_the_first_of_two_equally_near_samples(bp_cell, stc, k, share):
+    """With the MPP voltage pinned between samples k and k + 1; their midpoint is
+    often exactly equally near both, where argmin takes k and round() may not."""
+    array = PVArray(bp_cell, ArrayConfig(72, 1))
+    grid = np.linspace(0.0, array.open_circuit_voltage(stc), GRID_POINTS)
+    v_mpp = float(grid[k] + share * (grid[k + 1] - grid[k]))
+    array.mpp_voltage = lambda env: v_mpp
+    assert bits(find_mpp(array, stc)) == bits(numpy_find_mpp(array, stc))
