@@ -25,7 +25,7 @@ from .harness import (
     step_times,
     write_trace_csv,
 )
-from .oracle import MppOracle, pv_curve, refine_mpp
+from .oracle import MppOracle, find_mpp, pv_curve
 from .profiles import celsius_to_kelvin
 from .pvmodel import EnvCondition, PVArray
 
@@ -241,9 +241,9 @@ def _cmd_oracle(args) -> int:
         array.open_circuit_voltage(env)  # the model's checks at env: I_ph >= 0 for alpha_per_k too
     except ValueError as exc:
         raise ConfigError(f"--g {args.g!r} --temp {args.temp!r}: {exc}") from None
-    scenario.output_dir.mkdir(parents=True, exist_ok=True)
     voltage, current = pv_curve(array, env)
-    mpp = refine_mpp(array, env, voltage, current)
+    mpp = find_mpp(array, env)
+    scenario.output_dir.mkdir(parents=True, exist_ok=True)
     header = ("voltage_v", "current_a", "power_w")
     rows = ((v, i, v * i) for v, i in zip(voltage, current))
     curve_path = scenario.output_dir / "pv_curve.csv"

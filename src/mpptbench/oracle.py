@@ -1,22 +1,21 @@
 """Maximum power point finder used as ground truth.
 
-The best sample of the P-V curve on a uniform voltage grid brackets the
-MPP, which golden-section search refines.  find_mpp solves only the grid
-samples around the explicit MPP voltage.  Valid under uniform
-insolation, where the P-V curve has a single maximum.  The grid is built
-in floats, each sample where np.linspace puts it; numpy is left only in
-the cell solve's transcendentals.
+find_mpp, the package's one MPP computation, solves the five samples of
+a uniform voltage grid centred on the explicit MPP voltage; the best of
+them brackets the MPP, which golden-section search refines.  Valid under
+uniform insolation, where the P-V curve has a single maximum.  The grid
+is built in floats, each sample where np.linspace puts it; numpy is left
+only in the cell solve's transcendentals.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .pvmodel import EnvCondition, PVArray
 
-__all__ = ["GRID_POINTS", "MppResult", "pv_curve", "refine_mpp", "find_mpp", "MppOracle"]
+__all__ = ["GRID_POINTS", "MppResult", "pv_curve", "find_mpp", "MppOracle"]
 
 # Voltage samples in the sweep from 0 to V_oc.
 GRID_POINTS = 2000
@@ -72,36 +71,15 @@ def pv_curve(array: PVArray, env: EnvCondition) -> tuple[list[float], list[float
     return voltage, array.current_at(voltage, env)
 
 
-def refine_mpp(
-    array: PVArray, env: EnvCondition, voltage: Sequence[float], current: Sequence[float]
-) -> MppResult:
-    """Locate the MPP from consecutive pv_curve samples by golden-section refinement.
-
-    P(V) is strictly concave on [0, V_oc], so the grid neighbours of the
-    best sample (the first, among equal powers) bracket the maximum and
-    golden-section search lands within _REFINE_TOLERANCE_V of it.  Zero
-    irradiance gives (0.0, 0.0, 0.0).
-    Deterministic: identical inputs give bit-identical results.
-    """
-    best = max(range(len(voltage)), key=lambda k: voltage[k] * current[k])
-
-    def p_of(v: float) -> float:
-        return v * array.current_at(v, env)
-
-    lo = voltage[max(0, best - 1)]
-    hi = voltage[min(len(voltage) - 1, best + 1)]
-    v_mpp, _ = _golden_max(p_of, lo, hi)
-    i_mpp = array.current_at(v_mpp, env)
-    return MppResult(v_mpp=v_mpp, i_mpp=i_mpp, p_mpp=v_mpp * i_mpp)
-
-
 def find_mpp(array: PVArray, env: EnvCondition) -> MppResult:
-    """refine_mpp on the five pv_curve samples centred on the explicit MPP voltage.
+    """The MPP, refined from the five pv_curve samples centred on the explicit MPP voltage.
 
-    They hold the whole sweep's best sample and its bracket, so the result is the
-    sweep's, except below about 6e-6 W/m^2, where the solver's 1e-9 A tolerance
-    outweighs the power between samples, and for a cell above about 775 K, whose
-    MPP lies within a few float steps of open circuit.
+    P(V) is strictly concave on [0, V_oc], so the grid neighbours of the best
+    sample (the first, among equal powers) bracket the maximum, and golden-section
+    search lands within _REFINE_TOLERANCE_V of it.  That is the whole sweep's
+    result, except below about 6e-6 W/m^2, where the solver's 1e-9 A tolerance
+    outweighs the power between samples, and above about 775 K, where the MPP lies
+    within a few float steps of open circuit.  Zero irradiance gives (0, 0, 0).
     """
     v_oc = array.open_circuit_voltage(env)
     v_star = array.mpp_voltage(env)
@@ -113,7 +91,17 @@ def find_mpp(array: PVArray, env: EnvCondition) -> MppResult:
     # the first of two equally near samples, as argmin picks
     nearest = k - 1 + min(range(3), key=lambda j: abs(near[j] - v_star))
     window = _grid(v_oc, max(0, nearest - 2), min(nearest + 3, GRID_POINTS))
-    return refine_mpp(array, env, window, array.current_at(window, env))
+    current = array.current_at(window, env)
+    best = max(range(len(window)), key=lambda j: window[j] * current[j])
+
+    def p_of(v: float) -> float:
+        return v * array.current_at(v, env)
+
+    lo = window[max(0, best - 1)]
+    hi = window[min(len(window) - 1, best + 1)]
+    v_mpp, _ = _golden_max(p_of, lo, hi)
+    i_mpp = array.current_at(v_mpp, env)
+    return MppResult(v_mpp=v_mpp, i_mpp=i_mpp, p_mpp=v_mpp * i_mpp)
 
 
 class MppOracle:

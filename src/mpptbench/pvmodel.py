@@ -10,12 +10,15 @@ gives a float, a sequence a list); numpy gives only its log1p, expm1 and
 exp, the package's only numpy use (the oracle builds its voltage grid in
 floats).  R_s, derived from the open-circuit slope alone, must be > 0; the
 iteration then converges monotonically, with no damping and no fallback,
-up to about 1e8 W/m^2 for bp_sx150 at 298 K (_solve_current_scalar gives
-the argument and the stop rule).  q and k (Q, K), both solver limits and
-the (T - 1108) band gap are constants, not arguments.  Arrays of identical,
-identically illuminated cells scale linearly in series (voltage) and
-parallel (current).  The datasheet values are taken at STC, which is also
-the reference (T_ref, G_ref) of the temperature and irradiance scaling.
+up to about 1e8 W/m^2 for bp_sx150 at 298 K.  A colder cell stops sooner:
+from 273 K down to 120 K some grid voltages near V_oc fail at 1e8 W/m^2,
+at 223 K and 120 K already at 3e7, and all solve at 1e7
+(_solve_current_scalar gives the argument and the stop rule).  q and k
+(Q, K), both solver limits and the (T - 1108) band gap are constants, not
+arguments.  Arrays of identical, identically illuminated cells scale
+linearly in series (voltage) and parallel (current).  The datasheet
+values are taken at STC, which is also the reference (T_ref, G_ref) of
+the temperature and irradiance scaling.
 """
 
 from __future__ import annotations

@@ -855,8 +855,14 @@ class TestCli:
         )
         assert flips == 1  # unimodal power curve
 
-    def test_oracle_command_sweeps_the_curve_once(self, tmp_path, monkeypatch):
-        """The printed MPP is refined on the curve the command writes."""
+    @pytest.mark.parametrize("g", [1000.0, 1e-8])
+    def test_oracle_prints_the_mpp_that_compare_scores_against(
+        self, tmp_path, capsys, monkeypatch, g
+    ):
+        """The printed MPP is find_mpp's: the curve is swept once, for the dump, and
+        the MPP solved from five samples.  In deep dark every sample solves to I_ph,
+        so the power rises to V_oc; the printed voltage still lies within 2.5 samples
+        of the explicit MPP voltage (the bracket is the window's top two samples)."""
         array_calls = []
         current_at = PVArray.current_at
 
@@ -867,8 +873,17 @@ class TestCli:
 
         monkeypatch.setattr(PVArray, "current_at", counting_current_at)
         config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
-        assert main(["oracle", "--config", str(config), "--quiet"]) == 0
-        assert array_calls == [GRID_POINTS]
+        argv = ["oracle", "--config", str(config), "--g", repr(g), "--temp", "25", "--quiet"]
+        assert main(argv) == 0
+        assert array_calls == [GRID_POINTS, 5]
+        array = load_scenario(config).build_array()
+        env = pvmodel.EnvCondition(g=g, t=298.15)
+        mpp = oracle_module.find_mpp(array, env)
+        assert capsys.readouterr().out == (
+            f"v_mpp_v: {mpp.v_mpp:.6g}\ni_mpp_a: {mpp.i_mpp:.6g}\np_mpp_w: {mpp.p_mpp:.6g}\n"
+        )
+        step = array.open_circuit_voltage(env) / (GRID_POINTS - 1)
+        assert abs(mpp.v_mpp - array.mpp_voltage(env)) <= 2.5 * step
 
     def test_oracle_zero_irradiance(self, tmp_path, capsys):
         config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
@@ -1003,6 +1018,16 @@ class TestCli:
         code = main(["oracle", "--config", str(config), "--g", g, "--temp", temp])
         assert code == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unsolved_curve_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        """At 1e9 W/m^2 some grid voltages near V_oc do not converge."""
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        code = main(["oracle", "--config", str(config), "--g", "1e9", "--temp", "25"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: Newton did not converge (iterations=100, residual=1.742e-08 A)\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_temp_at_which_alpha_turns_the_photon_current_negative_is_exit_1(

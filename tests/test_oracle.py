@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpptbench.oracle import GRID_POINTS, MppOracle, find_mpp, pv_curve, refine_mpp
+from mpptbench.oracle import GRID_POINTS, MppOracle, MppResult, _golden_max, find_mpp, pv_curve
 from mpptbench.pvmodel import ArrayConfig, EnvCondition, PVArray
 
 # (g, t) at full sun, a hot dim sky and a cold near-dark one
@@ -22,6 +22,17 @@ def bits(result):
     return [x.hex() for x in dataclasses.astuple(result)]
 
 
+def sweep_mpp(array, env, voltage, current):
+    """The MPP refined from a whole sweep: golden-section search between the
+    neighbours of the first best sample of consecutive pv_curve samples."""
+    best = max(range(len(voltage)), key=lambda k: voltage[k] * current[k])
+    lo = voltage[max(0, best - 1)]
+    hi = voltage[min(len(voltage) - 1, best + 1)]
+    v_mpp, _ = _golden_max(lambda v: v * array.current_at(v, env), lo, hi)
+    i_mpp = array.current_at(v_mpp, env)
+    return MppResult(v_mpp=v_mpp, i_mpp=i_mpp, p_mpp=v_mpp * i_mpp)
+
+
 def numpy_find_mpp(array, env):
     """find_mpp as numpy chose its samples: np.linspace's grid, argmin for the sample
     nearest the explicit MPP voltage, argmax for the best of its five-sample window."""
@@ -30,9 +41,9 @@ def numpy_find_mpp(array, env):
     window = voltage[max(0, nearest - 2) : nearest + 3]
     best = int(np.argmax(window * np.asarray(array.current_at(window.tolist(), env))))
     # the best sample and its neighbours, whose first largest power is the best sample,
-    # give refine_mpp the bracket the whole window gives
+    # give sweep_mpp the bracket the whole window gives
     bracket = window[max(0, best - 1) : best + 2].tolist()
-    return refine_mpp(array, env, bracket, array.current_at(bracket, env))
+    return sweep_mpp(array, env, bracket, array.current_at(bracket, env))
 
 
 def test_zero_irradiance_degenerate(bp_panel):
@@ -111,7 +122,7 @@ def test_five_samples_refine_as_the_whole_sweep_does(bp_cell, layout, g, t):
     array = PVArray(bp_cell, layout)
     env = EnvCondition(g=g, t=t)
     voltage, current = pv_curve(array, env)
-    assert bits(find_mpp(array, env)) == bits(refine_mpp(array, env, voltage, current))
+    assert bits(find_mpp(array, env)) == bits(sweep_mpp(array, env, voltage, current))
     # the sweep's best sample is the one nearest the explicit MPP voltage, or its neighbour
     nearest = int(np.abs(np.asarray(voltage) - array.mpp_voltage(env)).argmin())
     assert abs(int(np.argmax(np.asarray(voltage) * np.asarray(current))) - nearest) <= 1
@@ -123,7 +134,7 @@ def test_zero_irradiance_matches_the_whole_sweep(bp_cell, layout, g):
     array = PVArray(bp_cell, layout)
     env = EnvCondition(g=g, t=298.0)
     assert array.mpp_voltage(env) == 0.0
-    assert bits(find_mpp(array, env)) == bits(refine_mpp(array, env, *pv_curve(array, env)))
+    assert bits(find_mpp(array, env)) == bits(sweep_mpp(array, env, *pv_curve(array, env)))
 
 
 def test_in_deep_dark_the_bracket_is_clamped_at_the_last_sample(bp_panel):
@@ -133,7 +144,7 @@ def test_in_deep_dark_the_bracket_is_clamped_at_the_last_sample(bp_panel):
     env = EnvCondition(g=1e-8, t=298.0)
     voltage, current = pv_curve(bp_panel, env)
     assert int(np.argmax(np.asarray(voltage) * np.asarray(current))) == len(voltage) - 1
-    swept = refine_mpp(bp_panel, env, voltage, current)
+    swept = sweep_mpp(bp_panel, env, voltage, current)
     assert voltage[-2] <= swept.v_mpp <= voltage[-1]
     found = find_mpp(bp_panel, env)
     v_star = bp_panel.mpp_voltage(env)

@@ -590,10 +590,18 @@ class TestNewtonConvergence:
 
         The diode voltage moves in whole ulps there, so the residual cannot
         fall below SOLVER_TOL_A and the iterate alternates between two currents.
+        A colder cell meets that limit at a lower irradiance: some voltages raise
+        at 1e8 W/m^2 from 273.15 K down, and at 3e7 at 223.15 and 120 K, while
+        every voltage solves at 1e7 from 120 to 273.15 K.
         """
         unsolved = "Newton did not converge (iterations=100, residual="
-        for g, failures in ((1e8, 0), (1.5e8, 69)):
-            env = EnvCondition(g=g, t=298.0)
+        for g, t, failures in (
+            (1e8, 298.0, 0), (1.5e8, 298.0, 69),
+            (1e8, 273.15, 54), (1e8, 223.15, 90), (1e8, 173.15, 64), (1e8, 120.0, 83),
+            (3e7, 273.15, 0), (3e7, 223.15, 1), (3e7, 173.15, 0), (3e7, 120.0, 22),
+            (1e7, 273.15, 0), (1e7, 223.15, 0), (1e7, 173.15, 0), (1e7, 120.0, 0),
+        ):
+            env = EnvCondition(g=g, t=t)
             grid = np.linspace(0.0, bp_panel.open_circuit_voltage(env), 2000)
             failed = 0
             for v in grid.tolist():
