@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 configuration or usage error, 2 runtime, solver or outp
 
 from __future__ import annotations
 
-import argparse
 import os
 import pickle
 import shutil
@@ -36,42 +35,6 @@ _TRACE_FILES = {
     "revised-fixed-bound": "trace_revised_fixed.csv",
     "revised-adaptive-bound": "trace_revised_adaptive.csv",
 }
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mpptbench",
-        description="Desk-scale MPPT simulator and benchmark harness",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", required=True, help="scenario YAML file")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--quiet", action="store_true", help="suppress the summary printout")
-
-    p_run = sub.add_parser("run", help="run one simulation, write trace.csv and metrics.txt")
-    common(p_run)
-
-    p_cmp = sub.add_parser(
-        "compare", help="run all three controllers on the scenario, write comparison.txt"
-    )
-    common(p_cmp)
-
-    p_orc = sub.add_parser(
-        "oracle", help="dump the P-V curve and the true MPP for one condition"
-    )
-    common(p_orc)
-    p_orc.add_argument("--g", type=float, default=1000.0, help="irradiance, W/m^2")
-    p_orc.add_argument("--temp", type=float, default=25.0, help="cell temperature, degC")
-    return parser
-
-
-def _load(args) -> ScenarioConfig:
-    scenario = load_scenario(args.config)
-    if args.out is not None:
-        scenario.output_dir = Path(args.out)
-    return scenario
 
 
 class _Plant(NamedTuple):
@@ -153,20 +116,19 @@ def _receive(r: int, kind: str):
     return result
 
 
-def _cmd_run(args) -> int:
-    scenario = _load(args)
+def _cmd_run(scenario: ScenarioConfig, quiet: bool) -> int:
     plant = _plant(scenario)
     scenario.output_dir.mkdir(parents=True, exist_ok=True)
     trace_path = scenario.output_dir / "trace.csv"
     report_path = scenario.output_dir / "metrics.txt"
     result = _run_kind(scenario, plant, scenario.controller_kind, trace_path, report_path)
-    if not args.quiet:
+    if not quiet:
         print(f"{scenario.controller_kind}: {result.steps} steps -> {trace_path}")
         print(f"energy_deficit_j: {result.energy_deficit:.6g}")
     return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(scenario: ScenarioConfig, quiet: bool) -> int:
     """Run each controller kind in its own forked child.
 
     The oracle is warmed first with every condition the run visits, so
@@ -178,7 +140,6 @@ def _cmd_compare(args) -> int:
     into out.  Once every child has ended the directory is removed, so a
     compare that fails before the renames leaves out as it found it.
     """
-    scenario = _load(args)
     plant = _plant(scenario)
     out = scenario.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -227,20 +188,19 @@ def _cmd_compare(args) -> int:
             shutil.rmtree(work)
         except FileNotFoundError:
             pass
-    if not args.quiet:
+    if not quiet:
         with open(out / "comparison.txt") as fh:
             shutil.copyfileobj(fh, sys.stdout)
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    scenario = _load(args)
+def _cmd_oracle(scenario: ScenarioConfig, quiet: bool, g: float, temp: float) -> int:
     array = scenario.build_array()
     try:
-        env = EnvCondition(g=args.g, t=celsius_to_kelvin(args.temp))
+        env = EnvCondition(g=g, t=celsius_to_kelvin(temp))
         array.open_circuit_voltage(env)  # the model's checks at env: I_ph >= 0 for alpha_per_k too
     except ValueError as exc:
-        raise ConfigError(f"--g {args.g!r} --temp {args.temp!r}: {exc}") from None
+        raise ConfigError(f"--g {g!r} --temp {temp!r}: {exc}") from None
     voltage, current = pv_curve(array, env)
     mpp = find_mpp(array, env)
     scenario.output_dir.mkdir(parents=True, exist_ok=True)
@@ -252,19 +212,79 @@ def _cmd_oracle(args) -> int:
     print(f"v_mpp_v: {mpp.v_mpp:.6g}")
     print(f"i_mpp_a: {mpp.i_mpp:.6g}")
     print(f"p_mpp_w: {mpp.p_mpp:.6g}")
-    if not args.quiet:
+    if not quiet:
         print(f"curve: {curve_path}")
     return 0
 
 
+# flag -> (str, float or bool for a switch; its default, ... if it is required; its help)
+_COMMON: dict[str, tuple[type, Any, str]] = {
+    "--config": (str, ..., "scenario YAML file"),
+    "--out": (str, None, "output directory (overrides config)"),
+    "--quiet": (bool, False, "suppress the summary printout"),
+}
+_ORACLE = {**_COMMON, "--g": (float, 1000.0, "irradiance, W/m^2"),
+           "--temp": (float, 25.0, "cell temperature, degC")}
+_COMMANDS = {  # command -> (its handler, its flags, its help); the parser and help read only this
+    "run": (_cmd_run, _COMMON, "run one simulation, write trace.csv and metrics.txt"),
+    "compare": (_cmd_compare, _COMMON, "run all three controllers, write comparison.txt"),
+    "oracle": (_cmd_oracle, _ORACLE, "dump the P-V curve and the true MPP for one condition"),
+}
+
+
+def _usage(command: str | None, error: str = "") -> int:
+    """Print the help of command, or of the CLI, and return 0; or its usage line and error, 1."""
+    if command is None:
+        rows = {name: text for name, (_, _, text) in _COMMANDS.items()}
+        usage = f"[-h] {{{','.join(rows)}}} ..."
+    else:
+        flags = _COMMANDS[command][1]
+        rows = {f if k is bool else f"{f} {f[2:].upper()}": h for f, (k, _, h) in flags.items()}
+        forms = (row if d is ... else f"[{row}]" for row, (_, d, _) in zip(rows, flags.values()))
+        usage = f"{command} [-h] {' '.join(forms)}"
+    if error:
+        print(f"usage: mpptbench {usage}\nmpptbench: error: {error}", file=sys.stderr)
+        return 1
+    print(f"usage: mpptbench {usage}", *(f"  {r:17} {h}" for r, h in rows.items()), sep="\n")
+    return 0
+
+
+def _parse(argv: list[str]) -> tuple[str, dict[str, Any]] | int:
+    """argv's command and options by name, or the exit code once help or an error printed."""
+    words = [word for word in argv if word not in ("-h", "--help")]
+    command = words[0] if words and words[0] in _COMMANDS else None
+    if len(words) < len(argv):
+        return _usage(command)
+    if command is None:
+        return _usage(None, f"the first argument must be a command: {', '.join(_COMMANDS)}")
+    flags = _COMMANDS[command][1]
+    opts = {flag[2:]: default for flag, (_, default, _) in flags.items()}
+    rest = iter(words[1:])
+    for word in rest:
+        name, eq, value = word.partition("=")
+        found = [f for f in flags if name[:2] == "--" and f.startswith(name)]
+        if len(found) != 1 or (eq and flags[found[0]][0] is bool):
+            return _usage(command, f"unrecognized argument: {word}")
+        flag, kind = found[0], flags[found[0]][0]
+        try:
+            opts[flag[2:]] = True if kind is bool else kind(value if eq else next(rest))
+        except (StopIteration, ValueError):  # no value left, or not a float
+            return _usage(command, f"argument {flag}: expected one {kind.__name__} value")
+    if opts["config"] is ...:
+        return _usage(command, "the following arguments are required: --config")
+    return command, opts
+
+
 def main(argv: list[str] | None = None) -> int:
+    parsed = _parse(sys.argv[1:] if argv is None else argv)
+    if isinstance(parsed, int):
+        return parsed
+    command, opts = parsed
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
-        return 1 if exc.code else 0
-    handlers = {"run": _cmd_run, "compare": _cmd_compare, "oracle": _cmd_oracle}
-    try:
-        return handlers[args.command](args)
+        scenario = load_scenario(opts.pop("config"))
+        if (out := opts.pop("out")) is not None:
+            scenario.output_dir = Path(out)
+        return _COMMANDS[command][0](scenario, **opts)
     except (ConfigError, DegenerateSampleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

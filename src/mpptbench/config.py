@@ -312,9 +312,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     layout = ArrayConfig(preset.cells_in_series * panels_series, panels_parallel)
     array = PVArray(preset.cell_params(), layout)  # memoizes each distinct (g, t)
     try:
-        for start, env in profile.segments:
+        for env in dict.fromkeys(env for _, env in profile.segments):  # each condition once
             array.open_circuit_voltage(env)  # the model's checks at env
     except ValueError as exc:
+        start = next(start for start, at in profile.segments if at == env)
         raise root.error(
             "profile", f"the segment from t = {start} s at T = {env.t} K: {exc}"
         ) from None

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import os
@@ -21,7 +20,7 @@ from mpptbench import config as config_module
 from mpptbench import controllers
 from mpptbench import oracle as oracle_module
 from mpptbench import pvmodel
-from mpptbench.cli import _build_parser, main
+from mpptbench.cli import main
 from mpptbench.config import ConfigError, load_panel_preset, load_scenario
 from mpptbench.controllers import ControllerParams
 from mpptbench.harness import (
@@ -573,17 +572,45 @@ class TestErrorAttribution:
 
     def test_each_profile_condition_is_checked_once(self, tmp_path, monkeypatch):
         calls = []
+        checks = []
 
         def counted(cell, env):
             calls.append((env.g, env.t))
             return saturation_current(cell, env)
 
+        def counted_check(array, env):
+            checks.append((env.g, env.t))
+            return open_circuit_voltage(array, env)
+
+        open_circuit_voltage = PVArray.open_circuit_voltage
         monkeypatch.setattr(pvmodel, "saturation_current", counted)
+        monkeypatch.setattr(PVArray, "open_circuit_voltage", counted_check)
         rows = "".join(f"{0.1 * k:.1f},{(1000, 800)[k % 2]},25\n" for k in range(6))
         (tmp_path / "rows.csv").write_text("time_s,irradiance_w_m2,temperature_c\n" + rows)
         body = MINIMAL.format(out=tmp_path / "out").replace("builtin-table1", "rows.csv")
         load_scenario(write_scenario(tmp_path, body))
         assert calls == [(1000.0, 298.15), (800.0, 298.15)]
+        assert checks == [(1000.0, 298.15), (800.0, 298.15)]
+
+    @pytest.mark.parametrize("failing, start", [((800, 600), "0.1"), ((600,), "0.4")])
+    def test_a_repeated_condition_fails_at_its_first_segment(
+        self, tmp_path, monkeypatch, failing, start
+    ):
+        def probe(cell, env):
+            if env.g in failing:
+                raise ValueError("probe")
+            return saturation_current(cell, env)
+
+        monkeypatch.setattr(pvmodel, "saturation_current", probe)
+        rows = "".join(f"{0.1 * k:.1f},{g},25\n" for k, g in enumerate((1000, 800, 1000, 800, 600)))
+        (tmp_path / "rows.csv").write_text("time_s,irradiance_w_m2,temperature_c\n" + rows)
+        body = MINIMAL.format(out=tmp_path / "out").replace("builtin-table1", "rows.csv")
+        with pytest.raises(ConfigError) as err:
+            load_scenario(write_scenario(tmp_path, body))
+        assert str(err.value) == (
+            f"{tmp_path}/scenario.yaml:4: profile: "
+            f"the segment from t = {start} s at T = 298.15 K: probe"
+        )
 
     def test_the_cell_model_alone_decides_which_conditions_load(self, tmp_path, monkeypatch):
         """Any ValueError the model raises at a segment's condition is reported at profile."""
@@ -696,14 +723,110 @@ class TestCli:
 
     def test_each_subcommand_has_its_reviewed_option_set(self):
         """A new flag must change this test, so it is reviewed."""
-        [sub] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        options = {
-            name: {flag for action in p._actions for flag in action.option_strings}
-            - {"-h", "--help"}
-            for name, p in sub.choices.items()
-        }
+        options = {name: set(flags) for name, (_, flags, _) in cli_module._COMMANDS.items()}
         common = {"--config", "--out", "--quiet"}
         assert options == {"run": common, "compare": common, "oracle": common | {"--g", "--temp"}}
+
+    RUN_USAGE = "usage: mpptbench run [-h] --config CONFIG [--out OUT] [--quiet]"
+    ORACLE_USAGE = (
+        "usage: mpptbench oracle [-h] --config CONFIG [--out OUT] [--quiet] [--g G] [--temp TEMP]"
+    )
+
+    def test_options_take_their_value_after_an_equals_sign(self, tmp_path, capsys):
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "ignored"))
+        out = tmp_path / "elsewhere"
+        assert main(["run", f"--config={config}", f"--out={out}", "--quiet"]) == 0
+        assert (out / "trace.csv").exists()
+        assert not (tmp_path / "ignored").exists()
+        assert capsys.readouterr() == ("", "")
+
+    def test_a_unique_prefix_names_its_option(self, tmp_path, capsys):
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        assert main(["run", "--conf", str(config), "--q"]) == 0
+        assert (tmp_path / "out" / "trace.csv").exists()
+        assert capsys.readouterr() == ("", "")
+
+    def test_the_last_of_a_repeated_option_wins(self, tmp_path, capsys):
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "ignored"))
+        first, last = tmp_path / "first", tmp_path / "last"
+        argv = ["run", "--config", str(config), "--out", str(first), "--out", str(last), "--quiet"]
+        assert main(argv) == 0
+        assert (last / "trace.csv").exists()
+        assert not first.exists()
+        assert main(["oracle", "--config", str(config), "--g", "5", "--g=-5"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: --g -5.0 --temp 25.0: irradiance g must be >= 0\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flags, shown",
+        [(["--g", "-5"], "-5.0"), (["--g=-5"], "-5.0"), (["--g", "nan"], "nan"),
+         (["--g=nan"], "nan"), (["--g", "1e400"], "inf")],
+        ids=["negative", "negative_equals", "nan", "nan_equals", "overflowing_literal"],
+    )
+    def test_g_reaches_the_models_checks_in_either_form(self, tmp_path, capsys, flags, shown):
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        assert main(["oracle", "--config", str(config), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --g {shown} --temp 25.0: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, usage, message",
+        [
+            (["oracle", "--config", "c.yaml", "--g", "abc"], ORACLE_USAGE,
+             "argument --g: expected one float value"),
+            (["oracle", "--config", "c.yaml", "--temp"], ORACLE_USAGE,
+             "argument --temp: expected one float value"),
+            (["run", "--config"], RUN_USAGE, "argument --config: expected one str value"),
+            (["run", "--config", "c.yaml", "extra"], RUN_USAGE, "unrecognized argument: extra"),
+            (["run", "--config", "c.yaml", "--quiet=1"], RUN_USAGE,
+             "unrecognized argument: --quiet=1"),
+            (["run", "--config", "c.yaml", "--"], RUN_USAGE, "unrecognized argument: --"),
+            (["run", "--config", "c.yaml", "-q"], RUN_USAGE, "unrecognized argument: -q"),
+            (["run", "--config", "c.yaml", "--g", "5"], RUN_USAGE, "unrecognized argument: --g"),
+            (["run", "--out", "o"], RUN_USAGE, "the following arguments are required: --config"),
+            (["bogus", "--config", "c.yaml"], "usage: mpptbench [-h] {run,compare,oracle} ...",
+             "the first argument must be a command: run, compare, oracle"),
+            ([], "usage: mpptbench [-h] {run,compare,oracle} ...",
+             "the first argument must be a command: run, compare, oracle"),
+        ],
+        ids=["not_a_float", "no_float_left", "no_value_left", "stray_positional",
+             "switch_with_a_value", "ambiguous_prefix", "short_option", "flag_of_another_command",
+             "no_config", "unknown_command", "no_command"],
+    )
+    def test_usage_error_prints_the_commands_usage(self, argv, usage, message, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"{usage}\nmpptbench: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h", "oracle"], ["--help", "oracle", "--config", "c.yaml"], ["oracle", "--help"],
+         ["oracle", "--config", "c.yaml", "--g", "5", "-h"], ["oracle", "--bogus", "-h"]],
+        ids=["short_before", "long_before", "long_after", "short_last", "after_a_bad_flag"],
+    )
+    def test_help_anywhere_lists_the_commands_flags(self, argv, capsys):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == (
+            f"{self.ORACLE_USAGE}\n"
+            "  --config CONFIG   scenario YAML file\n"
+            "  --out OUT         output directory (overrides config)\n"
+            "  --quiet           suppress the summary printout\n"
+            "  --g G             irradiance, W/m^2\n"
+            "  --temp TEMP       cell temperature, degC\n"
+        )
+
+    def test_help_without_a_command_lists_the_commands(self, capsys):
+        assert main(["-h"]) == 0
+        assert capsys.readouterr() == (
+            "usage: mpptbench [-h] {run,compare,oracle} ...\n"
+            "  run               run one simulation, write trace.csv and metrics.txt\n"
+            "  compare           run all three controllers, write comparison.txt\n"
+            "  oracle            dump the P-V curve and the true MPP for one condition\n",
+            "",
+        )
 
     def test_out_flag_overrides_config(self, tmp_path):
         config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "ignored"))
