@@ -14,7 +14,6 @@ from typing import Any, Callable, NamedTuple
 
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .controllers import DegenerateSampleError
-from .converter import BuckBoost
 from .harness import (
     compute_metrics,
     format_csv,
@@ -24,9 +23,9 @@ from .harness import (
     step_times,
     write_trace_csv,
 )
-from .oracle import MppOracle, find_mpp, pv_curve
+from .oracle import find_mpp, pv_curve
 from .profiles import celsius_to_kelvin
-from .pvmodel import EnvCondition, PVArray
+from .pvmodel import EnvCondition
 
 __all__ = ["main"]
 
@@ -35,23 +34,6 @@ _TRACE_FILES = {
     "revised-fixed-bound": "trace_revised_fixed.csv",
     "revised-adaptive-bound": "trace_revised_adaptive.csv",
 }
-
-
-class _Plant(NamedTuple):
-    """The array, oracle, converter and initial duty that every controller kind shares."""
-
-    array: PVArray
-    oracle: MppOracle
-    converter: BuckBoost
-    d0: float
-
-
-def _plant(scenario: ScenarioConfig) -> _Plant:
-    array = scenario.build_array()
-    oracle = MppOracle(array)
-    converter = scenario.build_converter(array, oracle)
-    d0 = resolve_initial_duty(scenario.sim, converter, oracle, scenario.profile.env_at(0.0))
-    return _Plant(array, oracle, converter, d0)
 
 
 class _KindResult(NamedTuple):
@@ -67,11 +49,11 @@ class _KindResult(NamedTuple):
 
 
 def _run_kind(
-    scenario: ScenarioConfig, plant: _Plant, kind: str, trace_path: Path, report_path: Path
+    scenario: ScenarioConfig, d0: float, kind: str, trace_path: Path, report_path: Path
 ) -> _KindResult:
-    """Simulate one controller kind on the shared plant; write its trace, then its report."""
-    array, oracle, converter, d0 = plant
+    """Simulate one controller kind on the scenario's plant; write its trace, then its report."""
     controller = scenario.build_controller(d0, kind)
+    array, converter, oracle = scenario.array, scenario.converter, scenario.oracle
     trace = run_simulation(array, converter, controller, scenario.profile, scenario.sim, oracle)
     metrics = compute_metrics(trace, control_interval=scenario.sim.control_interval_s)
     write_trace_csv(trace, trace_path)
@@ -117,11 +99,12 @@ def _receive(r: int, kind: str):
 
 
 def _cmd_run(scenario: ScenarioConfig, quiet: bool) -> int:
-    plant = _plant(scenario)
+    env0 = scenario.profile.env_at(0.0)
+    d0 = resolve_initial_duty(scenario.sim, scenario.converter, scenario.oracle, env0)
     scenario.output_dir.mkdir(parents=True, exist_ok=True)
     trace_path = scenario.output_dir / "trace.csv"
     report_path = scenario.output_dir / "metrics.txt"
-    result = _run_kind(scenario, plant, scenario.controller_kind, trace_path, report_path)
+    result = _run_kind(scenario, d0, scenario.controller_kind, trace_path, report_path)
     if not quiet:
         print(f"{scenario.controller_kind}: {result.steps} steps -> {trace_path}")
         print(f"energy_deficit_j: {result.energy_deficit:.6g}")
@@ -140,7 +123,8 @@ def _cmd_compare(scenario: ScenarioConfig, quiet: bool) -> int:
     into out.  Once every child has ended the directory is removed, so a
     compare that fails before the renames leaves out as it found it.
     """
-    plant = _plant(scenario)
+    env0 = scenario.profile.env_at(0.0)
+    d0 = resolve_initial_duty(scenario.sim, scenario.converter, scenario.oracle, env0)
     out = scenario.output_dir
     out.mkdir(parents=True, exist_ok=True)
     work = out / f".compare.{os.getpid()}"
@@ -148,9 +132,9 @@ def _cmd_compare(scenario: ScenarioConfig, quiet: bool) -> int:
     workers: list[tuple[int, int]] = []
     try:
         for t in step_times(scenario.sim, scenario.profile):
-            plant.oracle.find(scenario.profile.env_at(t))
+            scenario.oracle.find(scenario.profile.env_at(t))
         for kind, name in _TRACE_FILES.items():
-            workers.append(_fork(_run_kind, scenario, plant, kind, work / name, work / kind))
+            workers.append(_fork(_run_kind, scenario, d0, kind, work / name, work / kind))
         results = {kind: _receive(r, kind) for kind, (_, r) in zip(_TRACE_FILES, workers)}
         conv = results["conventional"]
         fixed = results["revised-fixed-bound"]
@@ -195,7 +179,7 @@ def _cmd_compare(scenario: ScenarioConfig, quiet: bool) -> int:
 
 
 def _cmd_oracle(scenario: ScenarioConfig, quiet: bool, g: float, temp: float) -> int:
-    array = scenario.build_array()
+    array = scenario.array
     try:
         env = EnvCondition(g=g, t=celsius_to_kelvin(temp))
         array.open_circuit_voltage(env)  # the model's checks at env: I_ph >= 0 for alpha_per_k too

@@ -9,7 +9,8 @@ keys and whose fields give the value types and defaults.  A preset's
 datasheet values are taken at STC, and must give a cell whose derived
 series resistance is > 0 and which the cell model can solve in every
 profile segment; the model itself decides that.  A number must be a
-finite float; 1e-2 and 1.0e2 are numbers too.
+finite float; 1e-2 and 1.0e2 are numbers too.  Last, the converter's duty
+range must reach the array's I-V curve at STC.
 Validation failures report the offending field with its line in the file.
 """
 
@@ -69,11 +70,15 @@ class PanelPreset:
 
 @dataclass
 class ScenarioConfig:
-    """Everything needed to run one simulation; cell and layout are PVArray's inputs."""
+    """Everything needed to run one simulation, as load_scenario built and checked it.
 
-    cell: CellParams
-    layout: ArrayConfig
-    v_bus: float | str  # volts or "auto"
+    Every controller kind shares the plant: array, oracle and a converter
+    whose duty range reaches the array's I-V curve at STC.
+    """
+
+    array: PVArray
+    oracle: MppOracle
+    converter: BuckBoost
     controller_kind: str
     controller_params: ControllerParams
     profile_source: str  # "builtin-table1" or a CSV path
@@ -81,30 +86,13 @@ class ScenarioConfig:
     sim: SimConfig
     output_dir: Path
 
+    # build_array and build_converter remain for bench/traced_pass.py
     def build_array(self) -> PVArray:
-        return PVArray(self.cell, self.layout)
+        return self.array
 
     def build_converter(self, array: PVArray, oracle: MppOracle) -> BuckBoost:
-        """Converter with the bus sized so the STC MPP sits at duty 0.5.
-
-        A duty range whose lowest panel voltage, v_bus * (1 - d_max) / d_max,
-        is not below the array's open-circuit voltage at STC reaches no
-        point of the I-V curve there: ConfigError at converter.d_max.
-        """
-        v_bus = self.v_bus
-        if v_bus == "auto":
-            v_bus = oracle.find(STC).v_mpp
-        params = self.controller_params
-        converter = BuckBoost(v_bus=float(v_bus), d_min=params.d_min, d_max=params.d_max)
-        v_lowest = converter.terminal_voltage(params.d_max)
-        v_oc = array.open_circuit_voltage(STC)
-        if not v_lowest < v_oc:
-            raise ConfigError(
-                f"converter.d_max: {params.d_max} gives panel voltages of {v_lowest:.6g} V "
-                f"and above on a {v_bus:.6g} V bus, none below the array's open-circuit "
-                f"voltage at STC, {v_oc:.6g} V"
-            )
-        return converter
+        """The converter load_scenario built; array and oracle are not used."""
+        return self.converter
 
     def build_controller(self, initial_duty: float, kind: str) -> MpptController:
         return MpptController(kind, self.controller_params, initial_duty)
@@ -249,10 +237,11 @@ def load_panel_preset(name_or_path: str, directory: Path = Path()) -> PanelPrese
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a scenario YAML file.
+    """Parse and validate a scenario YAML file, and build its plant.
 
     Relative preset and profile paths in the file are taken from its
-    directory.
+    directory.  Last, the converter's lowest panel voltage,
+    v_bus * (1 - d_max) / d_max, must lie below the array's V_oc at STC.
     """
     path = Path(path)
     if not path.exists():
@@ -335,10 +324,23 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
     output_dir = root.read("output_dir", str, "out")
 
+    oracle = MppOracle(array)
+    if v_bus == "auto":  # the STC MPP sits at duty 0.5
+        v_bus = oracle.find(STC).v_mpp
+    converter = BuckBoost(v_bus=v_bus, d_min=d_min, d_max=d_max)
+    v_lowest = converter.terminal_voltage(d_max)
+    v_oc = array.open_circuit_voltage(STC)
+    if not v_lowest < v_oc:
+        raise conv.error(
+            "d_max",
+            f"{d_max} gives panel voltages of {v_lowest:.6g} V and above on a {v_bus:.6g} V "
+            f"bus, none below the array's open-circuit voltage at STC, {v_oc:.6g} V",
+        )
+
     return ScenarioConfig(
-        cell=array.cell,
-        layout=layout,
-        v_bus=v_bus,
+        array=array,
+        oracle=oracle,
+        converter=converter,
         controller_kind=kind,
         controller_params=controller_params,
         profile_source=source,

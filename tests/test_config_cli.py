@@ -92,7 +92,7 @@ class TestScenarioLoading:
     def test_minimal_scenario(self, tmp_path):
         sc = load_scenario(write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "o")))
         assert sc.controller_kind == "revised-adaptive-bound"
-        assert sc.v_bus == "auto"
+        assert sc.converter.v_bus == sc.oracle.find(pvmodel.STC).v_mpp  # the auto bus
         assert sc.sim.duration_s == 0.05
 
     def test_preset_file_by_path(self, tmp_path):
@@ -100,8 +100,8 @@ class TestScenarioLoading:
         preset.write_text(PANEL_FILE)
         body = f"panel: {preset}\ncontroller:\n  kind: conventional\nprofile: builtin-table1\n"
         sc = load_scenario(write_scenario(tmp_path, body))
-        assert sc.layout.n_series == 36
-        assert sc.cell.i_sc_ref == 8.2
+        assert sc.array.layout.n_series == 36
+        assert sc.array.cell.i_sc_ref == 8.2
 
     def test_relative_preset_path_is_taken_from_the_scenario_directory(
         self, tmp_path, monkeypatch, capsys
@@ -112,7 +112,7 @@ class TestScenarioLoading:
         (tmp_path / "pp" / "s.yaml").write_text(body)
         (tmp_path / "pp" / "gone.yaml").write_text(body.replace("my_panel", "missing"))
         monkeypatch.chdir(tmp_path)
-        assert load_scenario("pp/s.yaml").layout.n_series == 36
+        assert load_scenario("pp/s.yaml").array.layout.n_series == 36
         assert main(["run", "--config", "pp/s.yaml", "--quiet"]) == 0
         assert main(["run", "--config", "pp/gone.yaml", "--quiet"]) == 1
         err = capsys.readouterr().err
@@ -170,7 +170,7 @@ profile: builtin-table1
 
     def test_null_section_loads_the_defaults(self, tmp_path):
         null = load_scenario(write_scenario(tmp_path, "panel: bp_sx150\narray:\n"))
-        assert null.layout == ArrayConfig(n_series=72, n_parallel=1)
+        assert null.array.layout == ArrayConfig(n_series=72, n_parallel=1)
 
     def test_a_key_may_override_its_merge_key_value(self, tmp_path):
         """A repeated key is rejected, but overriding a merged (<<) value is no repeat."""
@@ -193,9 +193,16 @@ profile: builtin-table1
         minimal = load_scenario(
             write_scenario(tmp_path, "panel: bp_sx150\nsim:\n  duration_s: 5.0\n")
         )
+        # the array and oracle compare by identity, so compare what they were built from
+        def resolved(sc):
+            return (
+                sc.array.cell, sc.array.layout, sc.converter, sc.controller_kind,
+                sc.controller_params, sc.profile_source, sc.profile, sc.sim, sc.output_dir,
+            )
+
         assert shown.controller_params == minimal.controller_params
         assert shown.sim == minimal.sim
-        assert shown == minimal
+        assert resolved(shown) == resolved(minimal)
 
     def test_readme_library_example_runs(self):
         readme = (REPO / "README.md").read_text()
@@ -261,6 +268,11 @@ class TestErrorAttribution:
              "scenario.yaml:5: controller.deacc: "),
             ("  duration_s: 0.05\n", "  duration_s: 0.05\n  noise_i: -1\n",
              "scenario.yaml:7: sim.noise_i: "),
+            # the unreachable duty range is checked last
+            ("profile: builtin-table1\nsim:\n  duration_s: 0.05\n",
+             "converter:\n  d_max: 0.4\nprofile: builtin-table1\nsim:\n  duration_s: 0.05\n"
+             "  noise_i: -1\n",
+             "scenario.yaml:9: sim.noise_i: "),
             ("  duration_s: 0.05\n", "  duration_s: 0.001\n",
              "scenario.yaml:6: sim.duration_s: "),
             ("  duration_s: 0.05\n", "  duration_s: 0.05\n  initial_duty: 0.02\n",
@@ -312,10 +324,10 @@ class TestErrorAttribution:
              "controller: &c\n  kind: conventional\n  x: *c\n",
              "scenario.yaml:4: controller.x: unknown field"),
         ],
-        ids=["deacc", "noise_i", "duration_s", "initial_duty", "panels_series",
-             "panels_parallel", "v_bus_zero", "v_bus_bool", "v_bus_string", "profile",
-             "output_dir", "panel", "controller.kind", "array", "initial_voltage_fraction",
-             "removed_model", "removed_model.band_gap_denominator_sign",
+        ids=["deacc", "noise_i", "noise_i_and_d_max", "duration_s", "initial_duty",
+             "panels_series", "panels_parallel", "v_bus_zero", "v_bus_bool", "v_bus_string",
+             "profile", "output_dir", "panel", "controller.kind", "array",
+             "initial_voltage_fraction", "removed_model", "removed_model.band_gap_denominator_sign",
              "removed_model.solver_tolerance_a", "removed_model.solver_max_iterations",
              "removed_controller.delta_d_max_floor", "delta_d_max_initial_below_the_floor",
              "duplicate_key", "self_referential_alias"],
@@ -589,8 +601,9 @@ class TestErrorAttribution:
         (tmp_path / "rows.csv").write_text("time_s,irradiance_w_m2,temperature_c\n" + rows)
         body = MINIMAL.format(out=tmp_path / "out").replace("builtin-table1", "rows.csv")
         load_scenario(write_scenario(tmp_path, body))
-        assert calls == [(1000.0, 298.15), (800.0, 298.15)]
-        assert checks == [(1000.0, 298.15), (800.0, 298.15)]
+        # then STC: the auto bus's MPP, and V_oc for the duty-range rule
+        assert calls == [(1000.0, 298.15), (800.0, 298.15), (1000.0, 298.0)]
+        assert checks == [(1000.0, 298.15), (800.0, 298.15), (1000.0, 298.0), (1000.0, 298.0)]
 
     @pytest.mark.parametrize("failing, start", [((800, 600), "0.1"), ((600,), "0.4")])
     def test_a_repeated_condition_fails_at_its_first_segment(
@@ -640,7 +653,7 @@ class TestErrorAttribution:
             "profile:", "converter:\n  v_bus: 40.0\nprofile:"
         )
         config = write_scenario(tmp_path, body)
-        assert load_scenario(config).v_bus == 40.0
+        assert load_scenario(config).converter.v_bus == 40.0
         assert main(["run", "--config", str(config), "--quiet"]) == 0
         rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
         d = float(rows[0]["d"])
@@ -905,19 +918,21 @@ class TestCli:
         assert float(rows[0]["d"]) == 0.45
         assert all(0.05 <= float(r["d"]) <= 0.45 for r in rows)
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("command", ["run", "compare", "oracle"])
     @pytest.mark.parametrize(
         "converter, message",
         [
             (
                 "  d_max: 0.4\n",
-                "converter.d_max: 0.4 gives panel voltages of 51.7351 V and above on a "
-                "34.4901 V bus, none below the array's open-circuit voltage at STC, 43.5 V",
+                "scenario.yaml:5: converter.d_max: 0.4 gives panel voltages of 51.7351 V and "
+                "above on a 34.4901 V bus, none below the array's open-circuit voltage at STC, "
+                "43.5 V",
             ),
-            (
+            (  # d_max is not in the file, so the error is at the converter section
                 "  v_bus: 1000.0\n",
-                "converter.d_max: 0.95 gives panel voltages of 52.6316 V and above on a "
-                "1000 V bus, none below the array's open-circuit voltage at STC, 43.5 V",
+                "scenario.yaml:4: converter.d_max: 0.95 gives panel voltages of 52.6316 V and "
+                "above on a 1000 V bus, none below the array's open-circuit voltage at STC, "
+                "43.5 V",
             ),
         ],
         ids=["d_max_on_the_auto_bus", "numeric_v_bus"],
@@ -925,13 +940,31 @@ class TestCli:
     def test_a_duty_range_that_cannot_reach_the_curve_is_exit_1(
         self, tmp_path, capsys, command, converter, message
     ):
-        """Its lowest panel voltage, v_bus*(1 - d_max)/d_max, is not below V_oc at STC."""
+        """Its lowest panel voltage, v_bus*(1 - d_max)/d_max, is not below V_oc at STC.
+
+        load_scenario rejects it, so oracle, which drives no converter, does too.
+        """
         body = MINIMAL.format(out=tmp_path / "out").replace(
             "profile:", f"converter:\n{converter}profile:"
         )
         assert main([command, "--config", str(write_scenario(tmp_path, body))]) == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
-        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == f"config error: {tmp_path}/{message}\n"
+        assert not (tmp_path / "out").exists()  # so no pv_curve.csv either
+
+    @pytest.mark.parametrize("command", ["run", "compare", "oracle"])
+    def test_the_cli_builds_one_array(self, tmp_path, monkeypatch, command):
+        """The parent process builds one PVArray: load_scenario's, which the command runs on."""
+        built = []
+        init = PVArray.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(os.getpid())
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PVArray, "__init__", counting_init)
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        assert main([command, "--config", str(config), "--quiet"]) == 0
+        assert built == [os.getpid()]
 
     def test_a_negative_zero_irradiance_prints_its_sign(self, tmp_path):
         (tmp_path / "dark.csv").write_text(
@@ -998,7 +1031,7 @@ class TestCli:
         config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
         argv = ["oracle", "--config", str(config), "--g", repr(g), "--temp", "25", "--quiet"]
         assert main(argv) == 0
-        assert array_calls == [GRID_POINTS, 5]
+        assert array_calls == [5, GRID_POINTS, 5]  # the auto bus's MPP at load first
         array = load_scenario(config).build_array()
         env = pvmodel.EnvCondition(g=g, t=298.15)
         mpp = oracle_module.find_mpp(array, env)
