@@ -18,7 +18,6 @@ from .harness import (
     compute_metrics,
     format_csv,
     format_metrics,
-    resolve_initial_duty,
     run_simulation,
     step_times,
     write_trace_csv,
@@ -48,11 +47,9 @@ class _KindResult(NamedTuple):
     max_voltage_overshoot: float
 
 
-def _run_kind(
-    scenario: ScenarioConfig, d0: float, kind: str, trace_path: Path, report_path: Path
-) -> _KindResult:
+def _run_kind(scenario: ScenarioConfig, kind: str, trace_path: Path, report_path: Path):
     """Simulate one controller kind on the scenario's plant; write its trace, then its report."""
-    controller = scenario.build_controller(d0, kind)
+    controller = scenario.build_controller(scenario.sim.initial_duty, kind)
     array, converter, oracle = scenario.array, scenario.converter, scenario.oracle
     trace = run_simulation(array, converter, controller, scenario.profile, scenario.sim, oracle)
     metrics = compute_metrics(trace, control_interval=scenario.sim.control_interval_s)
@@ -99,12 +96,10 @@ def _receive(r: int, kind: str):
 
 
 def _cmd_run(scenario: ScenarioConfig, quiet: bool) -> int:
-    env0 = scenario.profile.env_at(0.0)
-    d0 = resolve_initial_duty(scenario.sim, scenario.converter, scenario.oracle, env0)
     scenario.output_dir.mkdir(parents=True, exist_ok=True)
     trace_path = scenario.output_dir / "trace.csv"
     report_path = scenario.output_dir / "metrics.txt"
-    result = _run_kind(scenario, d0, scenario.controller_kind, trace_path, report_path)
+    result = _run_kind(scenario, scenario.controller_kind, trace_path, report_path)
     if not quiet:
         print(f"{scenario.controller_kind}: {result.steps} steps -> {trace_path}")
         print(f"energy_deficit_j: {result.energy_deficit:.6g}")
@@ -123,8 +118,6 @@ def _cmd_compare(scenario: ScenarioConfig, quiet: bool) -> int:
     into out.  Once every child has ended the directory is removed, so a
     compare that fails before the renames leaves out as it found it.
     """
-    env0 = scenario.profile.env_at(0.0)
-    d0 = resolve_initial_duty(scenario.sim, scenario.converter, scenario.oracle, env0)
     out = scenario.output_dir
     out.mkdir(parents=True, exist_ok=True)
     work = out / f".compare.{os.getpid()}"
@@ -134,7 +127,7 @@ def _cmd_compare(scenario: ScenarioConfig, quiet: bool) -> int:
         for t in step_times(scenario.sim, scenario.profile):
             scenario.oracle.find(scenario.profile.env_at(t))
         for kind, name in _TRACE_FILES.items():
-            workers.append(_fork(_run_kind, scenario, d0, kind, work / name, work / kind))
+            workers.append(_fork(_run_kind, scenario, kind, work / name, work / kind))
         results = {kind: _receive(r, kind) for kind, (_, r) in zip(_TRACE_FILES, workers)}
         conv = results["conventional"]
         fixed = results["revised-fixed-bound"]

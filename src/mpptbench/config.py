@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
@@ -27,7 +27,7 @@ import yaml
 
 from .controllers import CONTROLLER_KINDS, ControllerParams, MpptController
 from .converter import BuckBoost
-from .harness import SimConfig
+from .harness import SimConfig, resolve_initial_duty
 from .oracle import MppOracle
 from .profiles import EnvProfile, builtin_table1_profile, load_profile_csv
 from .pvmodel import STC, ArrayConfig, CellParams, PVArray, derive_series_resistance
@@ -72,8 +72,9 @@ class PanelPreset:
 class ScenarioConfig:
     """Everything needed to run one simulation, as load_scenario built and checked it.
 
-    Every controller kind shares the plant: array, oracle and a converter
-    whose duty range reaches the array's I-V curve at STC.
+    Every controller kind shares the plant (array, oracle and a converter
+    whose duty range reaches the array's I-V curve at STC) and sim, whose
+    initial_duty is a number: load_scenario resolves "auto" to one.
     """
 
     array: PVArray
@@ -239,9 +240,9 @@ def load_panel_preset(name_or_path: str, directory: Path = Path()) -> PanelPrese
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse and validate a scenario YAML file, and build its plant.
 
-    Relative preset and profile paths in the file are taken from its
-    directory.  Last, the converter's lowest panel voltage,
-    v_bus * (1 - d_max) / d_max, must lie below the array's V_oc at STC.
+    Relative preset and profile paths are taken from the file's directory.
+    Last, the lowest panel voltage, v_bus * (1 - d_max) / d_max, must lie
+    below V_oc at STC.  An auto v_bus and initial_duty come back as numbers.
     """
     path = Path(path)
     if not path.exists():
@@ -336,6 +337,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             f"{d_max} gives panel voltages of {v_lowest:.6g} V and above on a {v_bus:.6g} V "
             f"bus, none below the array's open-circuit voltage at STC, {v_oc:.6g} V",
         )
+    d0 = resolve_initial_duty(sim, converter, oracle, profile.env_at(0.0))
 
     return ScenarioConfig(
         array=array,
@@ -345,6 +347,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         controller_params=controller_params,
         profile_source=source,
         profile=profile,
-        sim=sim,
+        sim=replace(sim, initial_duty=d0),
         output_dir=Path(output_dir),
     )

@@ -95,6 +95,16 @@ class TestScenarioLoading:
         assert sc.converter.v_bus == sc.oracle.find(pvmodel.STC).v_mpp  # the auto bus
         assert sc.sim.duration_s == 0.05
 
+    @pytest.mark.parametrize("name", ["table1_adaptive.yaml", "constant_stc_conventional.yaml"])
+    def test_the_auto_initial_duty_is_resolved_at_load(self, name):
+        """The loaded sim holds the duty that "auto" gives at the first condition."""
+        scenario = load_scenario(REPO / "configs" / name)  # builtin, then a CSV profile
+        auto = dataclasses.replace(scenario.sim, initial_duty="auto")
+        env0 = scenario.profile.env_at(0.0)
+        d0 = resolve_initial_duty(auto, scenario.converter, scenario.oracle, env0)
+        assert type(scenario.sim.initial_duty) is float
+        assert scenario.sim.initial_duty == d0
+
     def test_preset_file_by_path(self, tmp_path):
         preset = tmp_path / "my_panel.yaml"
         preset.write_text(PANEL_FILE)
@@ -601,9 +611,12 @@ class TestErrorAttribution:
         (tmp_path / "rows.csv").write_text("time_s,irradiance_w_m2,temperature_c\n" + rows)
         body = MINIMAL.format(out=tmp_path / "out").replace("builtin-table1", "rows.csv")
         load_scenario(write_scenario(tmp_path, body))
-        # then STC: the auto bus's MPP, and V_oc for the duty-range rule
+        # then STC: the auto bus's MPP, and V_oc for the duty-range rule; last
+        # the first condition again, for the MPP that the auto initial duty needs
         assert calls == [(1000.0, 298.15), (800.0, 298.15), (1000.0, 298.0)]
-        assert checks == [(1000.0, 298.15), (800.0, 298.15), (1000.0, 298.0), (1000.0, 298.0)]
+        assert checks == [
+            (1000.0, 298.15), (800.0, 298.15), (1000.0, 298.0), (1000.0, 298.0), (1000.0, 298.15)
+        ]
 
     @pytest.mark.parametrize("failing, start", [((800, 600), "0.1"), ((600,), "0.4")])
     def test_a_repeated_condition_fails_at_its_first_segment(
@@ -899,7 +912,7 @@ class TestCli:
             "profile: builtin-table1", "profile: dark.csv"
         ).replace("duration_s: 0.05", "duration_s: 0.1")
         config = write_scenario(tmp_path, body)
-        assert load_scenario(config).sim.initial_duty == "auto"
+        assert load_scenario(config).sim.initial_duty == 0.5  # auto, at a dark first row
         assert main(["run", "--config", str(config), "--quiet"]) == 0
         rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
         assert len(rows) == 10
@@ -1241,7 +1254,9 @@ class TestCompareSharesOneOracle:
             oracle = MppOracle(array)
             converter = scenario.build_converter(array, oracle)
             env0 = scenario.profile.env_at(0.0)
-            d0 = resolve_initial_duty(scenario.sim, converter, oracle, env0)
+            # every shipped config starts at the auto duty: resolve it on the fresh oracle too
+            auto = dataclasses.replace(scenario.sim, initial_duty="auto")
+            d0 = resolve_initial_duty(auto, converter, oracle, env0)
             controller = scenario.build_controller(d0, kind)
             trace = run_simulation(
                 array, converter, controller, scenario.profile, scenario.sim, oracle
@@ -1250,6 +1265,14 @@ class TestCompareSharesOneOracle:
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
             block = f"== {kind} ==\n{format_metrics(compute_metrics(trace))}"
             assert block in report
+
+    def test_every_kind_starts_at_the_loaded_initial_duty(self, tmp_path):
+        config = REPO / "configs" / "table1_adaptive.yaml"
+        assert main(["compare", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+        d0 = load_scenario(config).sim.initial_duty
+        for name in cli_module._TRACE_FILES.values():
+            rows = csv.DictReader((tmp_path / name).read_text().splitlines())
+            assert float(next(rows)["d"]) == d0, name
 
     def test_table1_sweeps_each_condition_once(self, tmp_path, monkeypatch):
         calls = []
