@@ -1,6 +1,7 @@
 """Command-line entry point: run, compare, oracle.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 runtime, solver or output error.
+A checked condition whose MPP does not solve is a configuration error.
 """
 
 from __future__ import annotations
@@ -14,15 +15,8 @@ from typing import Any, Callable, NamedTuple
 
 from .config import ConfigError, ScenarioConfig, load_scenario
 from .controllers import DegenerateSampleError
-from .harness import (
-    compute_metrics,
-    format_csv,
-    format_metrics,
-    run_simulation,
-    step_times,
-    write_trace_csv,
-)
-from .oracle import find_mpp, pv_curve
+from .harness import compute_metrics, format_csv, format_metrics, run_simulation, write_trace_csv
+from .oracle import pv_curve
 from .profiles import celsius_to_kelvin
 from .pvmodel import EnvCondition
 
@@ -109,8 +103,8 @@ def _cmd_run(scenario: ScenarioConfig, quiet: bool) -> int:
 def _cmd_compare(scenario: ScenarioConfig, quiet: bool) -> int:
     """Run each controller kind in its own forked child.
 
-    The oracle is warmed first with every condition the run visits, so
-    the children inherit its cache and each condition is swept once.
+    load_scenario found the MPP of every profile condition, so each child
+    inherits an oracle that holds them all and no condition is solved twice.
     Each child writes its trace and report into out/.compare.<pid>; only
     its figures cross the pipe, read in kind order, so the first kind's
     failure is the one raised.  If all succeed, comparison.txt is built
@@ -124,8 +118,6 @@ def _cmd_compare(scenario: ScenarioConfig, quiet: bool) -> int:
     work.mkdir(exist_ok=True)
     workers: list[tuple[int, int]] = []
     try:
-        for t in step_times(scenario.sim, scenario.profile):
-            scenario.oracle.find(scenario.profile.env_at(t))
         for kind, name in _TRACE_FILES.items():
             workers.append(_fork(_run_kind, scenario, kind, work / name, work / kind))
         results = {kind: _receive(r, kind) for kind, (_, r) in zip(_TRACE_FILES, workers)}
@@ -172,14 +164,12 @@ def _cmd_compare(scenario: ScenarioConfig, quiet: bool) -> int:
 
 
 def _cmd_oracle(scenario: ScenarioConfig, quiet: bool, g: float, temp: float) -> int:
-    array = scenario.array
     try:
         env = EnvCondition(g=g, t=celsius_to_kelvin(temp))
-        array.open_circuit_voltage(env)  # the model's checks at env: I_ph >= 0 for alpha_per_k too
+        mpp = scenario.oracle.find(env)  # the model's checks at env, then the MPP's solve
     except ValueError as exc:
         raise ConfigError(f"--g {g!r} --temp {temp!r}: {exc}") from None
-    voltage, current = pv_curve(array, env)
-    mpp = find_mpp(array, env)
+    voltage, current = pv_curve(scenario.array, env)
     scenario.output_dir.mkdir(parents=True, exist_ok=True)
     header = ("voltage_v", "current_a", "power_w")
     rows = ((v, i, v * i) for v, i in zip(voltage, current))

@@ -7,9 +7,10 @@ settings.  A preset file and the controller and sim sections load into
 PanelPreset, ControllerParams and SimConfig, whose field names are the
 keys and whose fields give the value types and defaults.  A preset's
 datasheet values are taken at STC, and must give a cell whose derived
-series resistance is > 0 and which the cell model can solve in every
-profile segment; the model itself decides that.  A number must be a
-finite float; 1e-2 and 1.0e2 are numbers too.  Last, the converter's duty
+series resistance is > 0 and whose MPP the oracle can find in every
+profile segment; the cell model itself decides that, as load_scenario
+finds each distinct condition's MPP.  A number must be a finite float;
+1e-2 and 1.0e2 are numbers too.  Last, the converter's duty
 range must reach the array's I-V curve at STC.
 Validation failures report the offending field with its line in the file.
 """
@@ -51,7 +52,7 @@ class PanelPreset:
     dv_di_oc_ohm: float
 
     def __post_init__(self):
-        if self.cells_in_series < 1:
+        if not self.cells_in_series >= 1:  # written so that NaN fails
             raise ValueError("cells_in_series must be >= 1")
         # CellParams checks each electrical value, and R_s > 0 (with I_0 at
         # STC) that they are consistent, so a bad preset fails at its file
@@ -241,8 +242,11 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse and validate a scenario YAML file, and build its plant.
 
     Relative preset and profile paths are taken from the file's directory.
-    Last, the lowest panel voltage, v_bus * (1 - d_max) / d_max, must lie
-    below V_oc at STC.  An auto v_bus and initial_duty come back as numbers.
+    The oracle comes back holding the MPP of every distinct profile
+    condition; one whose MPP does not solve fails at profile, with the
+    segment it starts.  Last, the lowest panel voltage,
+    v_bus * (1 - d_max) / d_max, must lie below V_oc at STC.  An auto
+    v_bus and initial_duty come back as numbers.
     """
     path = Path(path)
     if not path.exists():
@@ -301,9 +305,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise root.error("profile", str(exc)) from None
     layout = ArrayConfig(preset.cells_in_series * panels_series, panels_parallel)
     array = PVArray(preset.cell_params(), layout)  # memoizes each distinct (g, t)
+    oracle = MppOracle(array)
     try:
         for env in dict.fromkeys(env for _, env in profile.segments):  # each condition once
-            array.open_circuit_voltage(env)  # the model's checks at env
+            oracle.find(env)  # the model's checks at env, then the MPP's solve
     except ValueError as exc:
         start = next(start for start, at in profile.segments if at == env)
         raise root.error(
@@ -325,7 +330,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
     output_dir = root.read("output_dir", str, "out")
 
-    oracle = MppOracle(array)
     if v_bus == "auto":  # the STC MPP sits at duty 0.5
         v_bus = oracle.find(STC).v_mpp
     converter = BuckBoost(v_bus=v_bus, d_min=d_min, d_max=d_max)

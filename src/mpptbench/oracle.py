@@ -108,10 +108,10 @@ class MppOracle:
     """find_mpp with a per-(g, t) result cache.
 
     Piecewise-constant profiles revisit the same handful of conditions,
-    so each distinct environment is solved once; `compare` warms one
-    oracle, and its three forked controllers inherit the cache.  The
-    cache is a plain dict; confine an instance to one thread or guard it
-    externally.
+    so each distinct environment is solved once; load_scenario fills one
+    oracle with every profile condition, and `compare`'s three forked
+    controllers inherit the cache.  The cache is a plain dict; confine an
+    instance to one thread or guard it externally.
     """
 
     def __init__(self, array: PVArray):

@@ -98,7 +98,7 @@ class ArrayConfig:
     n_parallel: int = 1
 
     def __post_init__(self):
-        if self.n_series < 1 or self.n_parallel < 1:
+        if not (self.n_series >= 1 and self.n_parallel >= 1):  # written so that NaN fails
             raise ValueError("n_series and n_parallel must be >= 1")
 
 

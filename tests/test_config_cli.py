@@ -592,9 +592,25 @@ class TestErrorAttribution:
         assert capsys.readouterr().err == f"config error: {tmp_path}/{where}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_a_segment_whose_mpp_does_not_solve(self, tmp_path, capsys, command):
+        """The model accepts 1e20 W/m^2 at 500 degC, but the MPP's Newton solve fails there."""
+        (tmp_path / "rows.csv").write_text(
+            "time_s,irradiance_w_m2,temperature_c\n0.0,1000,25\n0.1,1e20,500\n"
+        )
+        body = MINIMAL.format(out=tmp_path / "out").replace("builtin-table1", "rows.csv")
+        config = write_scenario(tmp_path, body.replace("duration_s: 0.05", "duration_s: 0.2"))
+        assert main([command, "--config", str(config), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {tmp_path}/scenario.yaml:4: profile: the segment from t = 0.1 s "
+            "at T = 773.15 K: Newton did not converge (iterations=100, residual=2.561e+02 A)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_each_profile_condition_is_checked_once(self, tmp_path, monkeypatch):
         calls = []
         checks = []
+        mpps = []
 
         def counted(cell, env):
             calls.append((env.g, env.t))
@@ -604,19 +620,24 @@ class TestErrorAttribution:
             checks.append((env.g, env.t))
             return open_circuit_voltage(array, env)
 
+        def counted_mpp(array, env):
+            mpps.append((env.g, env.t))
+            return find_mpp(array, env)
+
         open_circuit_voltage = PVArray.open_circuit_voltage
+        find_mpp = oracle_module.find_mpp
         monkeypatch.setattr(pvmodel, "saturation_current", counted)
         monkeypatch.setattr(PVArray, "open_circuit_voltage", counted_check)
+        monkeypatch.setattr(oracle_module, "find_mpp", counted_mpp)
         rows = "".join(f"{0.1 * k:.1f},{(1000, 800)[k % 2]},25\n" for k in range(6))
         (tmp_path / "rows.csv").write_text("time_s,irradiance_w_m2,temperature_c\n" + rows)
         body = MINIMAL.format(out=tmp_path / "out").replace("builtin-table1", "rows.csv")
         load_scenario(write_scenario(tmp_path, body))
-        # then STC: the auto bus's MPP, and V_oc for the duty-range rule; last
-        # the first condition again, for the MPP that the auto initial duty needs
+        # then STC: the auto bus's MPP, and V_oc for the duty-range rule; the
+        # auto initial duty's MPP, at the first condition, is a cache hit
         assert calls == [(1000.0, 298.15), (800.0, 298.15), (1000.0, 298.0)]
-        assert checks == [
-            (1000.0, 298.15), (800.0, 298.15), (1000.0, 298.0), (1000.0, 298.0), (1000.0, 298.15)
-        ]
+        assert checks == [(1000.0, 298.15), (800.0, 298.15), (1000.0, 298.0), (1000.0, 298.0)]
+        assert mpps == [(1000.0, 298.15), (800.0, 298.15), (1000.0, 298.0)]
 
     @pytest.mark.parametrize("failing, start", [((800, 600), "0.1"), ((600,), "0.4")])
     def test_a_repeated_condition_fails_at_its_first_segment(
@@ -1044,7 +1065,9 @@ class TestCli:
         config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
         argv = ["oracle", "--config", str(config), "--g", repr(g), "--temp", "25", "--quiet"]
         assert main(argv) == 0
-        assert array_calls == [5, GRID_POINTS, 5]  # the auto bus's MPP at load first
+        # table1's 15 conditions at load (STC first, so the auto bus is a hit), then
+        # the --g/--temp condition's window, then the curve
+        assert array_calls == [5] * 16 + [GRID_POINTS]
         array = load_scenario(config).build_array()
         env = pvmodel.EnvCondition(g=g, t=298.15)
         mpp = oracle_module.find_mpp(array, env)
@@ -1178,9 +1201,13 @@ class TestCli:
              "--g inf --temp 25.0: I_ph / I_0 overflows at g = inf W/m^2, T = 298.15 K"),
             ("1e308", "25",
              "--g 1e+308 --temp 25.0: I_ph / I_0 overflows at g = 1e+308 W/m^2, T = 298.15 K"),
+            ("1e20", "500",
+             "--g 1e+20 --temp 500.0: "
+             "Newton did not converge (iterations=100, residual=2.561e+02 A)"),
         ],
         ids=["negative_g", "nan_g", "below_absolute_zero", "band_gap_not_positive",
-             "saturation_current_underflows", "infinite_g", "photon_current_ratio_overflows"],
+             "saturation_current_underflows", "infinite_g", "photon_current_ratio_overflows",
+             "mpp_does_not_solve"],
     )
     def test_invalid_environment_is_exit_1(self, tmp_path, capsys, g, temp, message):
         config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
@@ -1289,7 +1316,7 @@ class TestCompareSharesOneOracle:
         assert len(set(calls)) == 15
 
     def test_no_child_sweeps_a_condition(self, tmp_path, monkeypatch):
-        """The warm-up leaves nothing for the forked kinds to sweep, counted across processes."""
+        """`load_scenario` leaves nothing for the forked kinds to sweep, counted across processes."""
         log = tmp_path / "sweeps.log"
         find_mpp = oracle_module.find_mpp
 
