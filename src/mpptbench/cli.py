@@ -6,6 +6,7 @@ A checked condition whose MPP does not solve is a configuration error.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import shutil
@@ -111,12 +112,17 @@ def _cmd_compare(scenario: ScenarioConfig, quiet: bool) -> int:
     there by copying the reports, and the traces, then it, are renamed
     into out.  Once every child has ended the directory is removed, so a
     compare that fails before the renames leaves out as it found it.
+
+    The children fork from a frozen heap: gc.freeze moves every object the
+    parent holds out of the collector's reach until all are reaped, so no
+    child's collection walks the parent's objects.
     """
     out = scenario.output_dir
     out.mkdir(parents=True, exist_ok=True)
     work = out / f".compare.{os.getpid()}"
     work.mkdir(exist_ok=True)
     workers: list[tuple[int, int]] = []
+    gc.freeze()
     try:
         for kind, name in _TRACE_FILES.items():
             workers.append(_fork(_run_kind, scenario, kind, work / name, work / kind))
@@ -152,6 +158,7 @@ def _cmd_compare(scenario: ScenarioConfig, quiet: bool) -> int:
         for pid, r in workers:
             os.close(r)
             os.waitpid(pid, 0)
+        gc.unfreeze()
         # only now can no child still write into work
         try:
             shutil.rmtree(work)

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, get_args, get_type_hints
+from types import SimpleNamespace
+from typing import Any, NamedTuple, get_args, get_type_hints
 
 import yaml
 
@@ -32,6 +32,7 @@ from .harness import SimConfig, resolve_initial_duty
 from .oracle import MppOracle
 from .profiles import EnvProfile, builtin_table1_profile, load_profile_csv
 from .pvmodel import STC, ArrayConfig, CellParams, PVArray, derive_series_resistance
+from .records import CheckedRecord
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_scenario", "load_panel_preset"]
 
@@ -40,10 +41,7 @@ class ConfigError(Exception):
     """A scenario file failed to load or validate."""
 
 
-@dataclass(frozen=True)
-class PanelPreset:
-    """Panel-level datasheet values at STC plus the series cell count."""
-
+class _PresetFields(NamedTuple):
     cells_in_series: int
     i_sc_a: float
     v_oc_v: float
@@ -51,7 +49,13 @@ class PanelPreset:
     ideality_factor: float
     dv_di_oc_ohm: float
 
-    def __post_init__(self):
+
+class PanelPreset(CheckedRecord, _PresetFields):
+    """Panel-level datasheet values at STC plus the series cell count."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not self.cells_in_series >= 1:  # written so that NaN fails
             raise ValueError("cells_in_series must be >= 1")
         # CellParams checks each electrical value, and R_s > 0 (with I_0 at
@@ -69,13 +73,14 @@ class PanelPreset:
         )
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(SimpleNamespace):
     """Everything needed to run one simulation, as load_scenario built and checked it.
 
     Every controller kind shares the plant (array, oracle and a converter
     whose duty range reaches the array's I-V curve at STC) and sim, whose
     initial_duty is a number: load_scenario resolves "auto" to one.
+    Built by keyword; only output_dir may be reassigned, as the CLI's
+    --out does.
     """
 
     array: PVArray
@@ -171,7 +176,7 @@ class _Section:
                 raise self.error(key, "unknown field")
 
     def build(self, cls: type, extra: tuple[str, ...] = (), **fixed: Any) -> Any:
-        """The dataclass cls, from this section.
+        """The record cls, a NamedTuple, from this section.
 
         Known keys: the names of the fields of cls not given in fixed,
         plus extra, which the caller reads.  A value is checked against
@@ -180,13 +185,13 @@ class _Section:
         order, that it names as a whole word.
         """
         hints = get_type_hints(cls)
-        keys = {f.name: f for f in fields(cls) if f.name not in fixed}
-        self.reject_unknown(keys.keys() | set(extra))
+        keys = [key for key in cls._fields if key not in fixed]
+        self.reject_unknown({*keys, *extra})
         values = dict(fixed)
-        for key, field in keys.items():
+        for key in keys:
             if key in self.data:
                 values[key] = self.read(key, hints[key])
-            elif field.default is MISSING:
+            elif key not in cls._field_defaults:
                 raise self.error(key, "required value is missing")
         try:
             return cls(**values)
@@ -284,7 +289,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise conv.error("d_min", "need 0 < d_min < d_max < 1")
 
     ctrl = root.section("controller")
-    floor = ControllerParams.delta_d_max_floor  # the adaptive bound's floor is not a key
+    # the adaptive bound's floor is not a key; ControllerParams.delta_d_max_floor is the
+    # field's accessor, not its default
+    floor = ControllerParams._field_defaults["delta_d_max_floor"]
     controller_params = ctrl.build(
         ControllerParams, extra=("kind",), d_min=d_min, d_max=d_max, delta_d_max_floor=floor
     )
@@ -351,6 +358,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         controller_params=controller_params,
         profile_source=source,
         profile=profile,
-        sim=replace(sim, initial_duty=d0),
+        sim=sim._replace(initial_duty=d0),
         output_dir=Path(output_dir),
     )

@@ -20,10 +20,10 @@ Both step functions are pure: they take a state and return a new one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .converter import BuckBoost
+from .records import CheckedRecord
 
 __all__ = [
     "Measurement",
@@ -86,8 +86,18 @@ class StepAction:
     HELD_AT_MPP = "held_at_mpp"  # duty unchanged
 
 
-@dataclass(frozen=True)
-class ControllerParams:
+class _ControllerFields(NamedTuple):
+    delta_d_nominal: float = 0.001
+    delta_d_max_initial: float = 0.01
+    delta_d_max_floor: float = 0.001
+    epsilon: float = 5e-4
+    acc: float = 1.2
+    deacc: float = 0.8
+    d_min: float = BuckBoost.d_min
+    d_max: float = BuckBoost.d_max
+
+
+class ControllerParams(CheckedRecord, _ControllerFields):
     """Tuning constants shared by both controllers.
 
     delta_d_nominal: initial/reset duty step
@@ -99,16 +109,9 @@ class ControllerParams:
     d_min/d_max: duty clamp range of the converter stage
     """
 
-    delta_d_nominal: float = 0.001
-    delta_d_max_initial: float = 0.01
-    delta_d_max_floor: float = 0.001
-    epsilon: float = 5e-4
-    acc: float = 1.2
-    deacc: float = 0.8
-    d_min: float = BuckBoost.d_min
-    d_max: float = BuckBoost.d_max
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not (0.0 < self.delta_d_nominal <= self.delta_d_max_initial < 1.0):
             raise ValueError("need 0 < delta_d_nominal <= delta_d_max_initial < 1")
         if not (0.0 < self.delta_d_max_floor <= self.delta_d_max_initial):
@@ -316,7 +319,7 @@ class MpptController:
         self.kind = kind
         if kind == "revised-fixed-bound":
             # a floor at the initial bound keeps the bound from shrinking
-            params = replace(params, delta_d_max_floor=params.delta_d_max_initial)
+            params = params._replace(delta_d_max_floor=params.delta_d_max_initial)
         self.params = params
         self.state = initial_state(initial_duty, params)
         self._step = conventional_step if kind == "conventional" else revised_step

@@ -8,29 +8,38 @@ control interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = ["BuckBoost"]
 
 
-@dataclass(frozen=True)
 class BuckBoost:
-    """Buck-boost converter feeding a stiff bus of voltage v_bus."""
+    """Buck-boost converter feeding a stiff bus of voltage v_bus.
 
-    v_bus: float
-    d_min: float = 0.05
-    d_max: float = 0.95
+    The class attributes give the default duty clamps and the topology's
+    sign of dV_panel/dd, the one value the constructor accepts for it.
+    Treat an instance as read-only.
+    """
 
+    d_min = 0.05
+    d_max = 0.95
     # Sign of dV_panel/dd for this topology; raising d lowers the panel voltage.
-    sign_of_dv_dd: int = -1
+    sign_of_dv_dd = -1
 
-    def __post_init__(self):
-        if not self.v_bus > 0:  # written so that NaN fails
+    def __init__(
+        self,
+        v_bus: float,
+        d_min: float = d_min,
+        d_max: float = d_max,
+        sign_of_dv_dd: int = sign_of_dv_dd,
+    ):
+        if not v_bus > 0:  # written so that NaN fails
             raise ValueError("v_bus must be > 0")
-        if not (0.0 < self.d_min < self.d_max < 1.0):
+        if not (0.0 < d_min < d_max < 1.0):
             raise ValueError("duty clamps must satisfy 0 < d_min < d_max < 1")
-        if self.sign_of_dv_dd != -1:  # terminal_voltage and the controllers assume -1
+        if sign_of_dv_dd != -1:  # terminal_voltage and the controllers assume -1
             raise ValueError("sign_of_dv_dd must be -1: raising d lowers the panel voltage")
+        self.v_bus = v_bus
+        self.d_min = d_min
+        self.d_max = d_max
 
     def clamp_duty(self, d: float) -> float:
         """d clamped into [d_min, d_max]."""

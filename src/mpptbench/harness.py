@@ -12,7 +12,6 @@ controller's response at that instant.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -21,6 +20,7 @@ from .converter import BuckBoost
 from .oracle import MppOracle
 from .pvmodel import EnvCondition, PVArray
 from .profiles import EnvProfile
+from .records import CheckedRecord
 
 # A segment settles once the relative power deviation stays below
 # SETTLE_TOLERANCE for SETTLE_HOLD_S without a break.
@@ -44,8 +44,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class _SimFields(NamedTuple):
+    control_interval_s: float = 0.010
+    duration_s: float | None = None
+    initial_duty: float | str = "auto"
+    initial_voltage_fraction: float = 0.9
+    noise_v: float = 0.0
+    noise_i: float = 0.0
+    noise_seed: int = 0
+
+
+class SimConfig(CheckedRecord, _SimFields):
     """Control cadence, run length, and initialization.
 
     duration_s None falls back to the profile's duration, which a CSV
@@ -55,15 +64,9 @@ class SimConfig:
     noise is driven by a seeded generator.
     """
 
-    control_interval_s: float = 0.010
-    duration_s: float | None = None
-    initial_duty: float | str = "auto"
-    initial_voltage_fraction: float = 0.9
-    noise_v: float = 0.0
-    noise_i: float = 0.0
-    noise_seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.control_interval_s > 0:  # written so that NaN fails
             raise ValueError("control_interval_s must be > 0")
         if self.duration_s is not None and not self.duration_s >= self.control_interval_s:
@@ -189,8 +192,7 @@ class SegmentMetrics(NamedTuple):
     end_relative_deviation: float
 
 
-@dataclass(frozen=True)
-class TrackingMetrics:
+class TrackingMetrics(NamedTuple):
     segments: tuple[SegmentMetrics, ...]
     energy_deficit: float
     mean_relative_deviation: float

@@ -11,7 +11,7 @@ only in the cell solve's transcendentals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .pvmodel import EnvCondition, PVArray
 
@@ -25,8 +25,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOLERANCE_V = 1e-6
 
 
-@dataclass(frozen=True)
-class MppResult:
+class MppResult(NamedTuple):
     """True maximum power point for one environment condition."""
 
     v_mpp: float

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,28 +31,26 @@ class EnvSegment(NamedTuple):
     env: EnvCondition
 
 
-@dataclass(frozen=True)
 class EnvProfile:
     """Ordered step changes of (irradiance, temperature), plus a duration.
 
     duration None means the profile has no end of its own, so a run
-    must set one.
+    must set one.  Treat an instance as read-only.
     """
 
-    segments: tuple[EnvSegment, ...]
-    duration: float | None
-
-    def __post_init__(self):
-        if not self.segments:
+    def __init__(self, segments: tuple[EnvSegment, ...], duration: float | None):
+        if not segments:
             raise ValueError("profile needs at least one segment")
-        if self.segments[0].t_start != 0.0:
+        if segments[0].t_start != 0.0:
             raise ValueError("first segment must start at t = 0.0")
-        starts = tuple(s.t_start for s in self.segments)
+        starts = tuple(s.t_start for s in segments)
         if not all(b > a for a, b in zip(starts, starts[1:])):  # written so that NaN fails
             raise ValueError("segment start times must be strictly increasing")
-        if self.duration is not None and not self.duration > 0:
+        if duration is not None and not duration > 0:
             raise ValueError("duration must be > 0")
-        object.__setattr__(self, "_starts", starts)
+        self.segments = segments
+        self.duration = duration
+        self._starts = starts
 
     def env_at(self, t: float) -> EnvCondition:
         """Environment active at time t (step changes, no interpolation).

@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .records import CheckedRecord
 
 __all__ = [
     "Q",
@@ -57,8 +59,15 @@ SOLVER_MAX_ITER = 100  # Newton steps before an unconverged solve raises
 MAX_EXP_ARGUMENT = 700.0
 
 
-@dataclass(frozen=True)
-class CellParams:
+class _CellFields(NamedTuple):
+    i_sc_ref: float
+    v_oc_ref: float
+    alpha: float
+    n: float
+    dv_di_oc: float
+
+
+class CellParams(CheckedRecord, _CellFields):
     """Datasheet-level electrical parameters of one solar cell.
 
     Voltages and the open-circuit slope are per cell; divide panel-level
@@ -71,13 +80,9 @@ class CellParams:
     dv_di_oc: I-V slope dV/dI at open circuit, ohms (negative)
     """
 
-    i_sc_ref: float
-    v_oc_ref: float
-    alpha: float
-    n: float
-    dv_di_oc: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.i_sc_ref > 0:  # written so that NaN fails
             raise ValueError("i_sc_ref must be > 0")
         if not self.v_oc_ref > 0:
@@ -90,14 +95,17 @@ class CellParams:
             raise ValueError("dv_di_oc must be < 0 (I-V curve falls through open circuit)")
 
 
-@dataclass(frozen=True)
-class ArrayConfig:
-    """Cells in series per string, and parallel strings."""
-
+class _LayoutFields(NamedTuple):
     n_series: int = 1
     n_parallel: int = 1
 
-    def __post_init__(self):
+
+class ArrayConfig(CheckedRecord, _LayoutFields):
+    """Cells in series per string, and parallel strings."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not (self.n_series >= 1 and self.n_parallel >= 1):  # written so that NaN fails
             raise ValueError("n_series and n_parallel must be >= 1")
 
@@ -115,14 +123,17 @@ def band_gap(t: float) -> float:
     return 1.16 - 0.000702 * t * t / (t - 1108.0)
 
 
-@dataclass(frozen=True)
-class EnvCondition:
-    """Irradiance g (W/m^2) and cell temperature t (K)."""
-
+class _EnvFields(NamedTuple):
     g: float
     t: float
 
-    def __post_init__(self):
+
+class EnvCondition(CheckedRecord, _EnvFields):
+    """Irradiance g (W/m^2) and cell temperature t (K)."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not self.g >= 0:  # written so that NaN fails
             raise ValueError("irradiance g must be >= 0")
         band_gap(self.t)  # raises unless 0 < t < 1108 K

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
+import gc
 import os
 import re
 import shutil
@@ -99,7 +99,7 @@ class TestScenarioLoading:
     def test_the_auto_initial_duty_is_resolved_at_load(self, name):
         """The loaded sim holds the duty that "auto" gives at the first condition."""
         scenario = load_scenario(REPO / "configs" / name)  # builtin, then a CSV profile
-        auto = dataclasses.replace(scenario.sim, initial_duty="auto")
+        auto = scenario.sim._replace(initial_duty="auto")
         env0 = scenario.profile.env_at(0.0)
         d0 = resolve_initial_duty(auto, scenario.converter, scenario.oracle, env0)
         assert type(scenario.sim.initial_duty) is float
@@ -203,11 +203,12 @@ profile: builtin-table1
         minimal = load_scenario(
             write_scenario(tmp_path, "panel: bp_sx150\nsim:\n  duration_s: 5.0\n")
         )
-        # the array and oracle compare by identity, so compare what they were built from
+        # the array, oracle, converter and profile compare by identity, so compare what
+        # the array was built from and what the converter and profile hold
         def resolved(sc):
             return (
-                sc.array.cell, sc.array.layout, sc.converter, sc.controller_kind,
-                sc.controller_params, sc.profile_source, sc.profile, sc.sim, sc.output_dir,
+                sc.array.cell, sc.array.layout, vars(sc.converter), sc.controller_kind,
+                sc.controller_params, sc.profile_source, vars(sc.profile), sc.sim, sc.output_dir,
             )
 
         assert shown.controller_params == minimal.controller_params
@@ -696,9 +697,9 @@ class TestErrorAttribution:
 
 def _settable_defaults(section, attr, cls, fixed=()):
     return [
-        pytest.param(section, attr, f.name, f.default, id=f"{section}.{f.name}")
-        for f in dataclasses.fields(cls)
-        if f.name not in fixed and f.default is not dataclasses.MISSING
+        pytest.param(section, attr, name, default, id=f"{section}.{name}")
+        for name, default in cls._field_defaults.items()
+        if name not in fixed
     ]
 
 
@@ -1282,7 +1283,7 @@ class TestCompareSharesOneOracle:
             converter = scenario.build_converter(array, oracle)
             env0 = scenario.profile.env_at(0.0)
             # every shipped config starts at the auto duty: resolve it on the fresh oracle too
-            auto = dataclasses.replace(scenario.sim, initial_duty="auto")
+            auto = scenario.sim._replace(initial_duty="auto")
             d0 = resolve_initial_duty(auto, converter, oracle, env0)
             controller = scenario.build_controller(d0, kind)
             trace = run_simulation(
@@ -1545,6 +1546,42 @@ class TestForkedCompare:
         for result in received:
             assert result._fields == ("steps", "energy_deficit", "max_voltage_overshoot")
             assert all(isinstance(value, (int, float)) for value in result)
+
+    def test_each_child_runs_on_a_frozen_heap_and_main_leaves_none(self, tmp_path, monkeypatch):
+        """compare forks each child after gc.freeze and unfreezes once all are reaped, also
+        when a child fails; run freezes nothing."""
+        run_kind = cli_module._run_kind
+
+        def recording_run_kind(scenario, kind, trace_path, report_path):
+            (tmp_path / f"frozen.{kind}").write_text(str(gc.get_freeze_count()))
+            return run_kind(scenario, kind, trace_path, report_path)
+
+        def frozen_counts():
+            counts = {path.name[7:]: int(path.read_text()) for path in tmp_path.glob("frozen.*")}
+            for path in tmp_path.glob("frozen.*"):
+                path.unlink()
+            return counts
+
+        monkeypatch.setattr(cli_module, "_run_kind", recording_run_kind)
+        config = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out"))
+        assert gc.get_freeze_count() == 0
+        assert main(["compare", "--config", str(config), "--quiet"]) == 0
+        counts = frozen_counts()
+        assert sorted(counts) == sorted(cli_module._TRACE_FILES)
+        assert all(count > 0 for count in counts.values()), counts
+        assert gc.get_freeze_count() == 0
+
+        failing = write_scenario(tmp_path, MINIMAL.format(out=tmp_path / "out").replace(
+            "  kind: revised-adaptive-bound\n", "  delta_d_nominal: 1.0e-12\n"
+        ))
+        assert main(["compare", "--config", str(failing), "--quiet"]) == 1
+        assert all(count > 0 for count in frozen_counts().values())
+        assert gc.get_freeze_count() == 0
+
+        assert main(["run", "--config", str(config), "--quiet"]) == 0
+        assert frozen_counts() == {"revised-adaptive-bound": 0}
+        assert gc.get_freeze_count() == 0
+        assert no_child_is_left()
 
 
 class TestOutputPathErrors:

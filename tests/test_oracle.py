@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +17,7 @@ WIDE_LAYOUTS = (*LAYOUTS, ArrayConfig(288, 2))
 
 
 def bits(result):
-    return [x.hex() for x in dataclasses.astuple(result)]
+    return [x.hex() for x in result]
 
 
 def sweep_mpp(array, env, voltage, current):
@@ -101,7 +99,7 @@ def test_optimality_near_the_peak(bp_panel):
 def test_deterministic(bp_panel, stc):
     a = find_mpp(bp_panel, stc)
     b = find_mpp(bp_panel, stc)
-    assert dataclasses.astuple(a) == dataclasses.astuple(b)
+    assert tuple(a) == tuple(b)
 
 
 def test_cache_returns_identical_result(bp_panel, stc):

@@ -3,7 +3,6 @@ and the exact scaling laws."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 import sys
@@ -44,7 +43,7 @@ def cell_with_series_resistance(params, r_s):
     """
     vt = params.n * K * STC.t / Q
     diode_term = vt / (reference_saturation_current(params) * math.exp(params.v_oc_ref / vt))
-    return dataclasses.replace(params, dv_di_oc=-(r_s + diode_term))
+    return params._replace(dv_di_oc=-(r_s + diode_term))
 
 
 def bisect_current(params, r_s, env, v, lo, hi, tol=1e-10):
@@ -660,7 +659,7 @@ class TestValidation:
 
     def test_negative_photon_current_names_alpha_and_t(self, bp_cell):
         # 1 + alpha*(T - T_ref) = 1 - 0.01*102.15 < 0
-        array = PVArray(dataclasses.replace(bp_cell, alpha=-0.01), ArrayConfig(72, 1))
+        array = PVArray(bp_cell._replace(alpha=-0.01), ArrayConfig(72, 1))
         env = EnvCondition(g=1000.0, t=400.15)
         for v in (1.0, np.array([1.0])):
             with pytest.raises(ValueError, match=r"^alpha = -0\.01 gives I_ph < 0 at T = 400\.15 K$"):

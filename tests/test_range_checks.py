@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -61,12 +60,12 @@ RECORD = SimRecord(0.0, 1000.0, 298.0, 34.5, 4.4, 151.8, 0.5, 0.001, 0.01, 152.3
             "duty clamps must satisfy 0 < d_min < d_max < 1",
         ),
         (lambda: BuckBoost(v_bus=30.0).duty_for_voltage(NAN), "v_target must be > 0"),
-        (lambda: dataclasses.replace(CELL, i_sc_ref=NAN), "i_sc_ref must be > 0"),
-        (lambda: dataclasses.replace(CELL, v_oc_ref=NAN), "v_oc_ref must be > 0"),
-        (lambda: dataclasses.replace(CELL, alpha=NAN), "alpha must be finite"),
-        (lambda: dataclasses.replace(CELL, n=NAN), "ideality factor n must be >= 1"),
-        (lambda: dataclasses.replace(CELL, dv_di_oc=NAN), "dv_di_oc must be < 0"),
-        (lambda: dataclasses.replace(PRESET, cells_in_series=NAN), "cells_in_series must be >= 1"),
+        (lambda: CELL._replace(i_sc_ref=NAN), "i_sc_ref must be > 0"),
+        (lambda: CELL._replace(v_oc_ref=NAN), "v_oc_ref must be > 0"),
+        (lambda: CELL._replace(alpha=NAN), "alpha must be finite"),
+        (lambda: CELL._replace(n=NAN), "ideality factor n must be >= 1"),
+        (lambda: CELL._replace(dv_di_oc=NAN), "dv_di_oc must be < 0"),
+        (lambda: PRESET._replace(cells_in_series=NAN), "cells_in_series must be >= 1"),
         (lambda: ArrayConfig(n_series=NAN), "n_series and n_parallel must be >= 1"),
         (lambda: ArrayConfig(n_parallel=NAN), "n_series and n_parallel must be >= 1"),
         (lambda: EnvCondition(g=NAN, t=298.0), "irradiance g must be >= 0"),
@@ -98,3 +97,30 @@ RECORD = SimRecord(0.0, 1000.0, 298.0, 34.5, 4.4, 151.8, 0.5, 0.001, 0.01, 152.3
 def test_nan_is_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "record, name, message",
+    [
+        (CELL, "alpha", "alpha must be finite"),
+        (PRESET, "cells_in_series", "cells_in_series must be >= 1"),
+        (ArrayConfig(), "n_parallel", "n_series and n_parallel must be >= 1"),
+        (STC, "g", "irradiance g must be >= 0"),
+        (ControllerParams(), "acc", "acc must be > 1"),
+        (SimConfig(), "noise_i", "noise_i must be >= 0"),
+    ],
+    ids=["CellParams", "PanelPreset", "ArrayConfig", "EnvCondition", "ControllerParams", "SimConfig"],
+)
+def test_no_path_builds_a_record_past_its_check(record, name, message):
+    """The constructor, __new__, _make and _replace all give the check's own error."""
+    cls = type(record)
+    values = [NAN if field == name else value for field, value in zip(cls._fields, record)]
+    for build in (
+        lambda: cls(*values),
+        lambda: cls(**dict(zip(cls._fields, values))),
+        lambda: cls.__new__(cls, *values),
+        lambda: cls._make(values),
+        lambda: record._replace(**{name: NAN}),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
