@@ -32,7 +32,7 @@ from .harness import SimConfig, resolve_initial_duty
 from .oracle import MppOracle
 from .profiles import EnvProfile, builtin_table1_profile, load_profile_csv
 from .pvmodel import STC, ArrayConfig, CellParams, PVArray, derive_series_resistance
-from .records import CheckedRecord
+from .records import checked
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_scenario", "load_panel_preset"]
 
@@ -41,19 +41,16 @@ class ConfigError(Exception):
     """A scenario file failed to load or validate."""
 
 
-class _PresetFields(NamedTuple):
+@checked
+class PanelPreset(NamedTuple):
+    """Panel-level datasheet values at STC plus the series cell count."""
+
     cells_in_series: int
     i_sc_a: float
     v_oc_v: float
     alpha_per_k: float
     ideality_factor: float
     dv_di_oc_ohm: float
-
-
-class PanelPreset(CheckedRecord, _PresetFields):
-    """Panel-level datasheet values at STC plus the series cell count."""
-
-    __slots__ = ()
 
     def _check(self):
         if not self.cells_in_series >= 1:  # written so that NaN fails
@@ -181,8 +178,9 @@ class _Section:
         Known keys: the names of the fields of cls not given in fixed,
         plus extra, which the caller reads.  A value is checked against
         its field's annotation; an absent key leaves the default of cls.
-        A ValueError from cls is reported at the first key, in file
-        order, that it names as a whole word.
+        A ValueError from cls, such as the _check that records.checked
+        runs, is reported at the first key, in file order, that it names
+        as a whole word.
         """
         hints = get_type_hints(cls)
         keys = [key for key in cls._fields if key not in fixed]

@@ -23,7 +23,7 @@ import math
 from typing import NamedTuple
 
 from .converter import BuckBoost
-from .records import CheckedRecord
+from .records import checked
 
 __all__ = [
     "Measurement",
@@ -86,18 +86,8 @@ class StepAction:
     HELD_AT_MPP = "held_at_mpp"  # duty unchanged
 
 
-class _ControllerFields(NamedTuple):
-    delta_d_nominal: float = 0.001
-    delta_d_max_initial: float = 0.01
-    delta_d_max_floor: float = 0.001
-    epsilon: float = 5e-4
-    acc: float = 1.2
-    deacc: float = 0.8
-    d_min: float = BuckBoost.d_min
-    d_max: float = BuckBoost.d_max
-
-
-class ControllerParams(CheckedRecord, _ControllerFields):
+@checked
+class ControllerParams(NamedTuple):
     """Tuning constants shared by both controllers.
 
     delta_d_nominal: initial/reset duty step
@@ -109,7 +99,14 @@ class ControllerParams(CheckedRecord, _ControllerFields):
     d_min/d_max: duty clamp range of the converter stage
     """
 
-    __slots__ = ()
+    delta_d_nominal: float = 0.001
+    delta_d_max_initial: float = 0.01
+    delta_d_max_floor: float = 0.001
+    epsilon: float = 5e-4
+    acc: float = 1.2
+    deacc: float = 0.8
+    d_min: float = BuckBoost.d_min
+    d_max: float = BuckBoost.d_max
 
     def _check(self):
         if not (0.0 < self.delta_d_nominal <= self.delta_d_max_initial < 1.0):

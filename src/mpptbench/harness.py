@@ -20,7 +20,7 @@ from .converter import BuckBoost
 from .oracle import MppOracle
 from .pvmodel import EnvCondition, PVArray
 from .profiles import EnvProfile
-from .records import CheckedRecord
+from .records import checked
 
 # A segment settles once the relative power deviation stays below
 # SETTLE_TOLERANCE for SETTLE_HOLD_S without a break.
@@ -44,17 +44,8 @@ __all__ = [
 ]
 
 
-class _SimFields(NamedTuple):
-    control_interval_s: float = 0.010
-    duration_s: float | None = None
-    initial_duty: float | str = "auto"
-    initial_voltage_fraction: float = 0.9
-    noise_v: float = 0.0
-    noise_i: float = 0.0
-    noise_seed: int = 0
-
-
-class SimConfig(CheckedRecord, _SimFields):
+@checked
+class SimConfig(NamedTuple):
     """Control cadence, run length, and initialization.
 
     duration_s None falls back to the profile's duration, which a CSV
@@ -64,7 +55,13 @@ class SimConfig(CheckedRecord, _SimFields):
     noise is driven by a seeded generator.
     """
 
-    __slots__ = ()
+    control_interval_s: float = 0.010
+    duration_s: float | None = None
+    initial_duty: float | str = "auto"
+    initial_voltage_fraction: float = 0.9
+    noise_v: float = 0.0
+    noise_i: float = 0.0
+    noise_seed: int = 0
 
     def _check(self):
         if not self.control_interval_s > 0:  # written so that NaN fails

@@ -115,12 +115,11 @@ class MppOracle:
 
     def __init__(self, array: PVArray):
         self.array = array
-        self._cache: dict[tuple[float, float], MppResult] = {}
+        self._cache: dict[EnvCondition, MppResult] = {}
 
     def find(self, env: EnvCondition) -> MppResult:
-        key = (env.g, env.t)
-        hit = self._cache.get(key)
+        hit = self._cache.get(env)
         if hit is None:
             hit = find_mpp(self.array, env)
-            self._cache[key] = hit
+            self._cache[env] = hit
         return hit

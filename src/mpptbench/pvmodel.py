@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .records import CheckedRecord
+from .records import checked
 
 __all__ = [
     "Q",
@@ -59,15 +59,8 @@ SOLVER_MAX_ITER = 100  # Newton steps before an unconverged solve raises
 MAX_EXP_ARGUMENT = 700.0
 
 
-class _CellFields(NamedTuple):
-    i_sc_ref: float
-    v_oc_ref: float
-    alpha: float
-    n: float
-    dv_di_oc: float
-
-
-class CellParams(CheckedRecord, _CellFields):
+@checked
+class CellParams(NamedTuple):
     """Datasheet-level electrical parameters of one solar cell.
 
     Voltages and the open-circuit slope are per cell; divide panel-level
@@ -80,7 +73,11 @@ class CellParams(CheckedRecord, _CellFields):
     dv_di_oc: I-V slope dV/dI at open circuit, ohms (negative)
     """
 
-    __slots__ = ()
+    i_sc_ref: float
+    v_oc_ref: float
+    alpha: float
+    n: float
+    dv_di_oc: float
 
     def _check(self):
         if not self.i_sc_ref > 0:  # written so that NaN fails
@@ -95,15 +92,12 @@ class CellParams(CheckedRecord, _CellFields):
             raise ValueError("dv_di_oc must be < 0 (I-V curve falls through open circuit)")
 
 
-class _LayoutFields(NamedTuple):
-    n_series: int = 1
-    n_parallel: int = 1
-
-
-class ArrayConfig(CheckedRecord, _LayoutFields):
+@checked
+class ArrayConfig(NamedTuple):
     """Cells in series per string, and parallel strings."""
 
-    __slots__ = ()
+    n_series: int = 1
+    n_parallel: int = 1
 
     def _check(self):
         if not (self.n_series >= 1 and self.n_parallel >= 1):  # written so that NaN fails
@@ -123,15 +117,12 @@ def band_gap(t: float) -> float:
     return 1.16 - 0.000702 * t * t / (t - 1108.0)
 
 
-class _EnvFields(NamedTuple):
-    g: float
-    t: float
-
-
-class EnvCondition(CheckedRecord, _EnvFields):
+@checked
+class EnvCondition(NamedTuple):
     """Irradiance g (W/m^2) and cell temperature t (K)."""
 
-    __slots__ = ()
+    g: float
+    t: float
 
     def _check(self):
         if not self.g >= 0:  # written so that NaN fails
@@ -287,12 +278,11 @@ class PVArray:
         self.band_gap_denominator_sign = -1
         self.solver_tol = SOLVER_TOL_A
         self.solver_max_iter = SOLVER_MAX_ITER
-        self._solver_constants: dict[tuple[float, float], tuple[float, float, float]] = {}
+        self._solver_constants: dict[EnvCondition, tuple[float, float, float]] = {}
 
     def _constants_at(self, env: EnvCondition) -> tuple[float, float, float]:
         """(i_ph, i_0, vt) of the cell at env, memoized per (g, t)."""
-        key = (env.g, env.t)
-        found = self._solver_constants.get(key)
+        found = self._solver_constants.get(env)
         if found is None:
             cell = self.cell
             i_ph = photon_current(cell, env)
@@ -302,7 +292,7 @@ class PVArray:
             if not math.isfinite(i_ph / i_0):  # no finite V_oc (bp_sx150, 298 K: g > 2.5e303 W/m^2)
                 raise ValueError(f"I_ph / I_0 overflows at g = {env.g} W/m^2, T = {env.t} K")
             found = (i_ph, i_0, _thermal_voltage(cell, env.t))
-            self._solver_constants[key] = found
+            self._solver_constants[env] = found
         return found
 
     def current_at(self, v_array, env: EnvCondition):

@@ -1,30 +1,31 @@
 """Immutable records that check their fields on every construction path.
 
-A record is a typing.NamedTuple of its fields, subclassed with
-CheckedRecord first, which runs the subclass's _check on each new value.
+A record is a typing.NamedTuple decorated with checked, which runs the
+record's _check on each new value.
 """
 
 from __future__ import annotations
 
-__all__ = ["CheckedRecord"]
+import functools
+
+__all__ = ["checked"]
 
 
-class CheckedRecord:
-    """Mixin that runs self._check(), which raises ValueError, on each new record.
+def checked(cls):
+    """Make the NamedTuple cls run self._check(), which raises ValueError, on each new record.
 
-    Use as class Name(CheckedRecord, _NameFields) with __slots__ = (), where
-    _NameFields is the NamedTuple of the fields.  The constructor and _make,
-    through which _replace builds, call __new__, as copy and pickle do, so no
-    record exists whose fields were not checked.
+    The constructor, _make (so _replace), copy and pickle all call __new__,
+    so no record exists whose fields were not checked.  typing.NamedTuple
+    rejects __new__ and _make in a class body, so they are set here.
     """
+    new = cls.__new__
 
-    __slots__ = ()
-
+    @functools.wraps(new)  # the signature still lists the fields and their defaults
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        self = new(cls, *args, **kwargs)
         self._check()
         return self
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls

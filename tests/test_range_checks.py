@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import copyreg
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from mpptbench.config import load_panel_preset
+from mpptbench.config import PanelPreset, load_panel_preset
 from mpptbench.controllers import ControllerParams, Measurement, initial_state
 from mpptbench.converter import BuckBoost
 from mpptbench.harness import SimConfig, SimRecord, compute_metrics
 from mpptbench.profiles import EnvProfile, EnvSegment
-from mpptbench.pvmodel import STC, ArrayConfig, EnvCondition, PVArray, band_gap
+from mpptbench.pvmodel import STC, ArrayConfig, CellParams, EnvCondition, PVArray, band_gap
 
 NAN = math.nan
 PRESET = load_panel_preset("bp_sx150")
@@ -112,15 +114,26 @@ def test_nan_is_rejected(build, message):
     ids=["CellParams", "PanelPreset", "ArrayConfig", "EnvCondition", "ControllerParams", "SimConfig"],
 )
 def test_no_path_builds_a_record_past_its_check(record, name, message):
-    """The constructor, __new__, _make and _replace all give the check's own error."""
+    """The constructor, __new__, _make, _replace, copy and pickle all give the check's own error."""
     cls = type(record)
     values = [NAN if field == name else value for field, value in zip(cls._fields, record)]
+    # pickle.loads and copy.copy rebuild a record through copyreg.__newobj__
+    assert record.__reduce_ex__(2)[0] is copyreg.__newobj__
     for build in (
         lambda: cls(*values),
         lambda: cls(**dict(zip(cls._fields, values))),
         lambda: cls.__new__(cls, *values),
         lambda: cls._make(values),
         lambda: record._replace(**{name: NAN}),
+        lambda: copyreg.__newobj__(cls, *values),
     ):
         with pytest.raises(ValueError, match=message):
             build()
+
+
+@pytest.mark.parametrize(
+    "cls", [CellParams, PanelPreset, ArrayConfig, EnvCondition, ControllerParams, SimConfig],
+    ids=lambda cls: cls.__name__,
+)
+def test_the_signature_lists_the_fields(cls):
+    assert tuple(inspect.signature(cls).parameters) == cls._fields

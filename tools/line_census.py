@@ -17,8 +17,10 @@ writes it before os._exit. In the copy it runs:
 
 An executable line is the line number of any code object's co_lines in
 src/mpptbench. The census prints executed/executable lines per module and
-each line that never ran. It exits 1 if a line never ran or a command
-failed, else 0. It writes only to temporary directories.
+each line that never ran, then the net line count of src/mpptbench/*.py
+as `wc -l` counts it (newlines, blank lines included). It exits 1 if a
+line never ran or a command failed, else 0. It writes only to temporary
+directories.
 """
 
 from __future__ import annotations
@@ -163,6 +165,8 @@ def main() -> int:
         for where in missing:
             print(f"never ran: {where}")
         print(f"executed {executed} of {executable} executable lines")
+        net = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+        print(f"net src/mpptbench/*.py lines: {net}")
         return 0 if ok and not missing else 1
 
 
